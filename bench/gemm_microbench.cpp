@@ -6,8 +6,8 @@
 // Every row first PROVES bit-identity (memcmp of the full output, both
 // accumulate modes) and only then times the two variants; a mismatch is a
 // hard failure (non-zero exit), which is what the ctest smoke entry checks.
-// Speedups are a single-thread property and hold on the 1-core CI
-// container, unlike the thread-scaling benches.
+// Speedups are a single-thread property, independent of the core count,
+// unlike the thread-scaling benches.
 //
 //   ./build/bench/gemm_microbench [--smoke] [--repeats N] [--json PATH]
 //                                 [--bitpack]

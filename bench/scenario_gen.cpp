@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,53 +46,44 @@ int run_one(serve::ScenarioKind kind, serve::ScenarioSpec spec,
   server_config.trace_path = out_path;
 
   const std::vector<serve::ScenarioEvent> events = serve::generate_scenario(spec);
-  std::uint64_t served = 0, rejected = 0, downgraded = 0;
+  std::vector<std::optional<serve::Response>> responses;
   if (spec.num_models > 1) {
     // Multi-tenant recording: shared fixtures in one registry, each event
-    // routed to its model_index tenant. trace_workload_id stays 0 — the
-    // per-record model table names every tenant's fixture.
+    // routed to its model_index tenant; the per-record model table names
+    // every tenant's fixture.
     const bench::MultiTenantFixture multi =
         bench::make_multi_tenant_fixture(spec.num_models);
     server_config.default_model = multi.names.front();
     serve::Server server(multi.registry, bench::serve_accel_config(), server_config);
-    const auto responses = serve::play_scenario(
+    responses = serve::play_scenario(
         server, events, multi.names,
         [&multi](const serve::ScenarioEvent& event) {
           return bench::multi_fixture_image(multi, event);
         },
         as_fast);
-    for (const auto& response : responses) {
-      if (!response.has_value()) {
-        ++rejected;
-      } else if (response->shed_downgraded) {
-        ++downgraded;
-      } else {
-        ++served;
-      }
-    }
   } else {
     const bench::ServeFixture fixture = kind == serve::ScenarioKind::mixed_shapes
                                             ? bench::make_mlp49_fixture()
                                             : bench::make_cnn12_fixture();
-    server_config.trace_workload_id = fixture.workload_id;
-    serve::Server server(core::Accelerator(fixture.qnet, bench::serve_accel_config()),
-                         server_config);
-    const auto responses = serve::play_scenario(
+    serve::Server server(bench::single_model_registry(fixture.qnet, {fixture.workload_id}),
+                         bench::serve_accel_config(), server_config);
+    responses = serve::play_scenario(
         server, events,
         [&fixture](const serve::ScenarioEvent& event) {
           return bench::fixture_image(fixture, event);
         },
         as_fast);
-    for (const auto& response : responses) {
-      if (!response.has_value()) {
-        ++rejected;
-      } else if (response->shed_downgraded) {
-        ++downgraded;
-      } else {
-        ++served;
-      }
-    }
   }  // ~Server finalizes the trace
+  std::uint64_t served = 0, rejected = 0, downgraded = 0;
+  for (const auto& response : responses) {
+    if (!response.has_value()) {
+      ++rejected;
+    } else if (response->shed_downgraded) {
+      ++downgraded;
+    } else {
+      ++served;
+    }
+  }
 
   const serve::Trace trace = serve::read_trace(out_path);
   std::printf(

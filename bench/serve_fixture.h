@@ -144,6 +144,16 @@ inline const char* workload_model_name(std::uint32_t workload_id) {
   }
 }
 
+/// A one-entry registry holding `network` under the empty name — the
+/// default ServerConfig::default_model — for callers that serve a single
+/// model: `serve::Server server(single_model_registry(net), accel, config)`.
+inline std::shared_ptr<serve::ModelRegistry> single_model_registry(
+    quant::QuantNetwork network, serve::ModelConfig model_config = {}) {
+  auto registry = std::make_shared<serve::ModelRegistry>();
+  registry->publish("", std::move(network), model_config);
+  return registry;
+}
+
 /// A multi-tenant serving fixture: N fixtures (cnn12, mlp49, cnn12b — in
 /// that order) published into one ModelRegistry under their canonical
 /// names. Scenario event model_index i routes to names[i]; stimulus images

@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <thread>
@@ -88,16 +89,16 @@ struct TenantReport {
   double req_per_sec = 0.0;
 };
 
-/// One tenant's cold-start comparison: whole-plan materialization vs
-/// streamed per-segment prefetch ("cold_start" rows of BENCH_serve.json).
+/// One tenant's cold start: the modelled flat whole-plan reload vs the
+/// double-buffered streamed stall, plus the measured wall time to first
+/// response ("cold_start" rows of BENCH_serve.json).
 struct ColdStartRow {
   std::string name;
   double pass_ms = 0.0;           ///< modelled single-request inference pass
   double whole_reload_ms = 0.0;   ///< flat whole-plan DDR reload price
   double streamed_stall_ms = 0.0; ///< non-overlapped remainder under prefetch
-  double wall_whole_ms = 0.0;     ///< measured TTFR, materializing resolve
-  double wall_streamed_ms = 0.0;  ///< measured TTFR, streamed resolve
-  bool bit_identical = true;      ///< cold responses match the hot rerun
+  double wall_ttfr_ms = 0.0;      ///< measured TTFR of the cold request
+  bool bit_identical = true;      ///< cold response matches the hot rerun
   bool gate_ok = true;            ///< modelled streamed strictly < whole-plan
 };
 
@@ -172,11 +173,11 @@ void write_json(const char* path, const std::vector<Row>& rows,
                  "    {\"model\": \"%s\", \"pass_ms\": %.6f, "
                  "\"whole_reload_ms\": %.6f, \"streamed_stall_ms\": %.6f, "
                  "\"ttfr_whole_ms\": %.6f, \"ttfr_streamed_ms\": %.6f, "
-                 "\"wall_whole_ms\": %.3f, \"wall_streamed_ms\": %.3f, "
+                 "\"wall_ttfr_ms\": %.3f, "
                  "\"bit_identical\": %s, \"streamed_cheaper\": %s}%s\n",
                  c.name.c_str(), c.pass_ms, c.whole_reload_ms, c.streamed_stall_ms,
                  c.pass_ms + c.whole_reload_ms, c.pass_ms + c.streamed_stall_ms,
-                 c.wall_whole_ms, c.wall_streamed_ms,
+                 c.wall_ttfr_ms,
                  c.bit_identical ? "true" : "false", c.gate_ok ? "true" : "false",
                  i + 1 < cold_rows.size() ? "," : "");
   }
@@ -267,108 +268,88 @@ int main(int argc, char** argv) {
 
   const core::AcceleratorConfig accel_config = bench::serve_accel_config();
 
-  // --- cold-start: whole-plan reload vs streamed per-layer prefetch --------
-  // Time-to-first-response for an evicted tenant under both cold-resolve
-  // strategies: MATERIALIZE the whole plan before serving (pre-segment
-  // behaviour; modelled TTFR = pass + flat DDR reload of every weight byte)
-  // vs STREAM segments through the double-buffered prefetch source
-  // (modelled TTFR = pass + only the non-overlapped stall remainder —
-  // layer k+1's burst rides behind layer k's compute). The modelled
-  // comparison is a HARD GATE: streamed must be strictly cheaper for every
-  // tenant. Wall TTFRs are reported for reference only — on a 1-core host
-  // segment builds and compute serialize, compressing the wall gap. Every
-  // cold response must be bit-identical to the hot rerun on the same
-  // stream id (hard gate), proving rebuilt segments are pure functions of
-  // the kept constants. Each (tenant, mode) cell uses a FRESH server so
-  // the first request genuinely exercises the cold path instead of a
-  // cached replica bind. --stream-smoke runs only this section (the
-  // bench.stream_smoke ctest entry).
+  // --- cold-start: modelled whole-plan reload vs streamed stall ------------
+  // Time-to-first-response for an evicted tenant. The registry rebuilds its
+  // missing segments before the first pass; what the board would pay for
+  // the reload is priced two ways: a flat DDR reload of every weight byte
+  // ahead of the pass (modelled TTFR = pass + whole reload) vs the
+  // double-buffered stream the server actually charges (modelled TTFR =
+  // pass + only the non-overlapped stall remainder — layer k+1's burst
+  // rides behind layer k's compute). The modelled comparison is a HARD
+  // GATE: streamed must be strictly cheaper for every tenant. The wall
+  // TTFR is reported for reference. Every cold response must be
+  // bit-identical to the hot rerun on the same stream id (hard gate),
+  // proving rebuilt segments are pure functions of the kept constants.
+  // Each tenant uses a FRESH server so the first request genuinely
+  // exercises the cold path instead of a cached replica bind.
+  // --stream-smoke runs only this section (the bench.stream_smoke ctest
+  // entry).
   std::vector<ColdStartRow> cold_rows;
   const auto run_cold_start = [&]() -> bool {
     const bench::ServeFixture cnn_b = bench::make_cnn12b_fixture();
     const bench::ServeFixture* fixtures[3] = {&cnn, &mlp, &cnn_b};
     const std::vector<std::string> names = {"cnn12", "mlp49", "cnn12b"};
 
-    // Probe publish to harvest per-version payload accounting for the
-    // modelled numbers (weight_bytes + per-segment bytes).
-    serve::CostModel cost(core::PerfConfig{accel_config.nne, accel_config.ddr},
-                          accel_config.use_intermediate_caching);
-    std::vector<std::vector<int>> all_missing(3);
-    {
-      serve::ModelRegistry probe;
-      for (int m = 0; m < 3; ++m) {
-        serve::ModelConfig model_config;
-        model_config.workload_id = fixtures[m]->workload_id;
-        const auto version = probe.publish(names[m], fixtures[m]->qnet, model_config);
-        cost.bind_model(static_cast<serve::ModelKey>(m), version->network->describe(),
-                        version->weight_bytes, nullptr, version->segment_bytes);
-        for (int l = 0; l < static_cast<int>(version->segment_bytes.size()); ++l)
-          all_missing[m].push_back(l);
-      }
-    }
-
-    util::TextTable cold_table(
-        "cold start — whole-plan materialization vs streamed segment prefetch");
+    util::TextTable cold_table("cold start — modelled whole-plan reload vs streamed stall");
     cold_table.set_header({"model", "pass ms", "whole reload ms", "streamed stall ms",
-                           "TTFR whole", "TTFR streamed", "wall whole", "wall streamed",
-                           "bit-identical"});
+                           "TTFR whole", "TTFR streamed", "wall TTFR ms", "bit-identical"});
     bool ok = true;
     for (int m = 0; m < 3; ++m) {
+      auto registry = std::make_shared<serve::ModelRegistry>();
+      for (int t = 0; t < 3; ++t) {
+        serve::ModelConfig model_config;
+        model_config.workload_id = fixtures[t]->workload_id;
+        registry->publish(names[t], fixtures[t]->qnet, model_config);
+      }
+      // The modelled prices of reloading every segment of tenant m.
+      const auto version = registry->current(names[m]);
+      serve::CostModel cost(core::PerfConfig{accel_config.nne, accel_config.ddr},
+                            accel_config.use_intermediate_caching);
+      cost.bind_model(version->key, version->network->describe(), version->weight_bytes,
+                      nullptr, version->segment_bytes);
+      std::vector<int> all_missing(version->segment_bytes.size());
+      std::iota(all_missing.begin(), all_missing.end(), 0);
       ColdStartRow row;
       row.name = names[m];
-      row.pass_ms = cost.modelled_ms(static_cast<serve::ModelKey>(m), -1, num_samples);
-      row.whole_reload_ms = cost.cold_reload_ms(static_cast<serve::ModelKey>(m));
-      row.streamed_stall_ms =
-          cost.streamed_reload_ms(static_cast<serve::ModelKey>(m), all_missing[m]);
+      row.pass_ms = cost.modelled_ms(version->key, -1, num_samples);
+      row.whole_reload_ms = cost.cold_reload_ms(version->key);
+      row.streamed_stall_ms = cost.streamed_reload_ms(version->key, all_missing);
       row.gate_ok = row.streamed_stall_ms < row.whole_reload_ms;
 
-      for (const bool streamed : {false, true}) {
-        serve::RegistryConfig registry_config;
-        registry_config.stream_cold_plans = streamed;
-        auto registry = std::make_shared<serve::ModelRegistry>(registry_config);
-        for (int t = 0; t < 3; ++t) {
-          serve::ModelConfig model_config;
-          model_config.workload_id = fixtures[t]->workload_id;
-          registry->publish(names[t], fixtures[t]->qnet, model_config);
-        }
-        serve::ServerConfig server_config;
-        server_config.max_batch = 1;
-        server_config.default_model = names[0];
-        serve::Server server(registry, accel_config, server_config);
-        registry->evict_segments(names[m]);  // force the tenant fully cold
+      serve::ServerConfig server_config;
+      server_config.max_batch = 1;
+      server_config.default_model = names[0];
+      serve::Server server(registry, accel_config, server_config);
+      registry->evict_segments(names[m]);  // force the tenant fully cold
 
-        serve::Request request;
-        request.image = bench::fixture_image(*fixtures[m], serve::ScenarioEvent{});
-        request.options.num_samples = num_samples;
-        request.model = names[m];
-        request.stream_id = static_cast<std::uint64_t>(m);
+      serve::Request request;
+      request.image = bench::fixture_image(*fixtures[m], serve::ScenarioEvent{});
+      request.options.num_samples = num_samples;
+      request.model = names[m];
+      request.stream_id = static_cast<std::uint64_t>(m);
 
-        util::Stopwatch watch;
-        serve::Request cold_request = request;
-        const serve::Response cold = server.submit(std::move(cold_request)).get();
-        const double wall_ms = watch.elapsed_seconds() * 1e3;
-        const serve::Response hot = server.submit(std::move(request)).get();
-        row.bit_identical = row.bit_identical && cold.cold_start &&
-                            cold.probs.max_abs_diff(hot.probs) == 0.0f &&
-                            cold.escalated == hot.escalated;
-        (streamed ? row.wall_streamed_ms : row.wall_whole_ms) = wall_ms;
-      }
+      util::Stopwatch watch;
+      serve::Request cold_request = request;
+      const serve::Response cold = server.submit(std::move(cold_request)).get();
+      row.wall_ttfr_ms = watch.elapsed_seconds() * 1e3;
+      const serve::Response hot = server.submit(std::move(request)).get();
+      row.bit_identical = cold.cold_start && cold.probs.max_abs_diff(hot.probs) == 0.0f &&
+                          cold.escalated == hot.escalated;
       ok = ok && row.bit_identical && row.gate_ok;
       cold_table.add_row({row.name, util::fixed(row.pass_ms, 4),
                           util::fixed(row.whole_reload_ms, 4),
                           util::fixed(row.streamed_stall_ms, 4),
                           util::fixed(row.pass_ms + row.whole_reload_ms, 4),
                           util::fixed(row.pass_ms + row.streamed_stall_ms, 4),
-                          util::fixed(row.wall_whole_ms, 2),
-                          util::fixed(row.wall_streamed_ms, 2),
+                          util::fixed(row.wall_ttfr_ms, 2),
                           row.bit_identical ? "yes" : "NO"});
       cold_rows.push_back(row);
     }
     std::printf("%s\n", cold_table.to_string().c_str());
     if (!ok)
       std::fprintf(stderr,
-                   "FATAL: cold start — a streamed TTFR failed to undercut the "
-                   "whole-plan baseline, or a cold response diverged\n");
+                   "FATAL: cold start — a modelled streamed stall failed to undercut "
+                   "the whole-plan reload, or a cold response diverged\n");
     return ok;
   };
   if (stream_smoke) return run_cold_start() ? 0 : 1;
@@ -399,7 +380,8 @@ int main(int argc, char** argv) {
     server_config.dispatch_mode = wave.dispatch;
     server_config.latency_target_ms = wave.latency_target_ms;
     const bench::ServeFixture& fixture = fixture_for(wave.kind);
-    serve::Server server(core::Accelerator(fixture.qnet, accel_config), server_config);
+    serve::Server server(bench::single_model_registry(fixture.qnet), accel_config,
+                         server_config);
     const std::vector<serve::ScenarioEvent> events = serve::generate_scenario(spec_for(wave));
     std::vector<std::optional<serve::Response>> responses = serve::play_scenario(
         server, events,
@@ -579,7 +561,7 @@ int main(int argc, char** argv) {
       // Auto target: 2x the p99 of a sequential (unsaturated) probe — an
       // achievable bound that saturated queueing clearly violates, so the
       // adaptive row actually sheds on this host whatever its speed.
-      serve::Server probe(core::Accelerator(cnn.qnet, accel_config), {});
+      serve::Server probe(bench::single_model_registry(cnn.qnet), accel_config);
       serve::ScenarioSpec probe_spec = spec_for(reference_wave);
       probe_spec.num_requests = std::min(6, num_requests);
       probe_spec.warm_requests = probe_spec.num_requests;  // fully closed-loop
@@ -717,8 +699,8 @@ int main(int argc, char** argv) {
         if (event.model_index == m) mine.push_back(event);
       serve::ServerConfig base_config;
       base_config.max_batch = 1;
-      serve::Server base(core::Accelerator(tenant_fixtures[m]->qnet, accel_config),
-                         base_config);
+      serve::Server base(bench::single_model_registry(tenant_fixtures[m]->qnet),
+                         accel_config, base_config);
       auto responses = serve::play_scenario(
           base, mine,
           [&](const serve::ScenarioEvent& event) {
@@ -810,9 +792,7 @@ int main(int argc, char** argv) {
       "Reading the tables: larger max_batch coalesces more requests per\n"
       "accelerator pass; replica rows (R>1) pull per-shape batch groups\n"
       "concurrently, each replica on its slice of the shared pool —\n"
-      "throughput scales with physical cores, so a 1-core container reports\n"
-      "flat req/s (and FIFO-vs-LPT p99 differences compress toward zero,\n"
-      "since all compute serializes anyway). The dispatch table's cost-aware\n"
+      "throughput scales with physical cores. The dispatch table's cost-aware\n"
       "rows rank queued shape groups with serve::CostModel (the paper's\n"
       "performance model) and serve the costliest first. The overload table\n"
       "saturates a depth-6 queue: adaptive downgrades routed requests to the\n"

@@ -41,9 +41,8 @@ int main() {
     config.num_replicas = 1;
     config.num_threads = 1;
     config.trace_path = trace_path;
-    config.trace_workload_id = fixture.workload_id;
-    serve::Server server(core::Accelerator(fixture.qnet, bench::serve_accel_config()),
-                         config);
+    serve::Server server(bench::single_model_registry(fixture.qnet, {fixture.workload_id}),
+                         bench::serve_accel_config(), config);
     const auto responses = serve::play_scenario(
         server, events,
         [&](const serve::ScenarioEvent& event) {
@@ -60,12 +59,15 @@ int main() {
               static_cast<unsigned long long>(trace.meta.sampler_seed));
 
   std::printf("== 3. replay under a DIFFERENT configuration (R=2, threads=2) ==\n");
-  const core::Accelerator accelerator(fixture.qnet, bench::serve_accel_config());
+  // The replayer's registry publishes the same fixture under the recorded
+  // (empty) tenant name.
+  const auto registry = bench::single_model_registry(fixture.qnet);
   serve::ReplayConfig replay_config;
   replay_config.num_replicas = 2;
   replay_config.num_threads = 2;
   replay_config.dispatch_mode = serve::DispatchMode::cost_aware;
-  const serve::ReplayReport clean = serve::replay_trace(trace, accelerator, replay_config);
+  const serve::ReplayReport clean =
+      serve::replay_trace(trace, registry, bench::serve_accel_config(), replay_config);
   std::printf("   %s\n", serve::replay_summary(clean).c_str());
   if (!clean.ok() || clean.matched != trace.records.size()) {
     std::fprintf(stderr, "FATAL: clean replay diverged — bit-identity broken\n");
@@ -76,7 +78,7 @@ int main() {
   const std::size_t victim = trace.records.size() / 2;
   trace.records[victim].checksum ^= 0xdeadbeefull;
   const serve::ReplayReport corrupted =
-      serve::replay_trace(trace, accelerator, replay_config);
+      serve::replay_trace(trace, registry, bench::serve_accel_config(), replay_config);
   std::printf("   %s\n", serve::replay_summary(corrupted).c_str());
   if (corrupted.divergences.size() != 1 ||
       corrupted.divergences.front().seq != trace.records[victim].seq) {

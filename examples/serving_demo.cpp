@@ -1,8 +1,8 @@
 // Serving demo: the batched request-level front end in one file.
 //
 //   1. train + quantize a tiny CNN (as in quickstart),
-//   2. start a serve::Server over the simulated accelerator and the
-//      process-wide shared thread pool,
+//   2. publish the network into a one-entry model registry and start a
+//      serve::Server over it and the process-wide shared thread pool,
 //   3. submit a mixed wave of requests — different per-request S and L,
 //      some routed through the Opt-Uncertainty screening pass,
 //   4. read predictions, entropy, escalation decisions and modelled
@@ -11,6 +11,7 @@
 // Build & run:  ./build/examples/serving_demo
 #include <cstdio>
 #include <future>
+#include <memory>
 #include <vector>
 
 #include "data/synth.h"
@@ -43,7 +44,11 @@ int main() {
   accel_config.num_threads = 0;  // use every lane of the shared pool
   serve::ServerConfig server_config;
   server_config.max_batch = 8;
-  serve::Server server(core::Accelerator(qnet, accel_config), server_config);
+  // A single-model server fronts a one-entry registry; the empty name is
+  // the default ServerConfig::default_model.
+  auto registry = std::make_shared<serve::ModelRegistry>();
+  registry->publish("", std::move(qnet));
+  serve::Server server(registry, accel_config, server_config);
   std::printf("server up: coalescing up to %d requests per accelerator batch\n",
               server_config.max_batch);
 

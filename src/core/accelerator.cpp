@@ -73,18 +73,6 @@ Accelerator::Accelerator(std::shared_ptr<const quant::QuantNetwork> network,
   (void)lfsrs_for_probability(network_->dropout_p);
 }
 
-Accelerator::Accelerator(std::shared_ptr<const quant::QuantNetwork> network,
-                         std::shared_ptr<quant::PlanSource> source,
-                         AcceleratorConfig config)
-    : network_(std::move(network)), source_(std::move(source)), config_(config) {
-  util::require(network_ != nullptr, "accelerator: null network");
-  util::require(source_ != nullptr, "accelerator: null plan source");
-  util::require(source_->num_layers() == static_cast<int>(network_->layers.size()),
-                "accelerator: plan source does not match the network");
-  desc_ = network_->describe();
-  (void)lfsrs_for_probability(network_->dropout_p);
-}
-
 std::uint64_t Accelerator::sample_stream_seed(std::uint64_t base_seed,
                                               std::uint64_t stream_id, int sample) {
   return util::Rng(base_seed)
@@ -204,20 +192,9 @@ Accelerator::BatchPrediction Accelerator::predict_batch(
         layer.input_source < 0 ? image : stored(layer.input_source);
     const quant::QTensor* shortcut =
         layer.geom.has_shortcut ? &stored(layer.shortcut_source) : nullptr;
-    // Streaming path: hint the NEXT layer's segment before resolving this
-    // one (the double-buffer overlap — layer k+1's modelled reload starts
-    // while layer k computes), then hold segment k for the duration of the
-    // kernel call. Fully-resident path reads the prebuilt plan directly.
-    quant::PlanSegment streamed;
-    if (source_ != nullptr) {
-      if (index + 1 < source_->num_layers()) source_->prefetch(index + 1);
-      streamed = source_->segment(index);
-    }
-    const quant::LayerExecPlan& plan_layer =
-        source_ != nullptr ? *streamed : plan_->layer(index);
     const NneLayerStats stats = nne_run_layer_into(
-        layer, plan_layer, input, shortcut, site_active, masks, network_->dropout_keep,
-        config_.nne, config_.kernel_tier, scratch, out);
+        layer, plan_->layer(index), input, shortcut, site_active, masks,
+        network_->dropout_keep, config_.nne, config_.kernel_tier, scratch, out);
     cycles += stats.compute_cycles;
   };
 

@@ -83,16 +83,6 @@ class Accelerator {
   Accelerator(std::shared_ptr<const quant::QuantNetwork> network,
               std::shared_ptr<const quant::NetworkExecPlan> plan, AcceleratorConfig config);
 
-  /// Streams exec-plan segments from `source` instead of holding a whole
-  /// prebuilt plan: each layer's segment is resolved on first use, and the
-  /// NEXT layer's segment is prefetched (double-buffer style) while the
-  /// current layer computes. Because segments are pure functions of the
-  /// network constants, output is bit-identical to the whole-plan ctor —
-  /// only the modelled weight-residency timeline differs. The registry's
-  /// streamed cold-start path binds replicas this way.
-  Accelerator(std::shared_ptr<const quant::QuantNetwork> network,
-              std::shared_ptr<quant::PlanSource> source, AcceleratorConfig config);
-
   /// Per-image knobs of one batched prediction — the request-level unit of
   /// the serving layer. The paper's L (Bayesian depth) and S (MC samples)
   /// are free per image; `stream_id` names the sampler-lane family so a
@@ -159,10 +149,6 @@ class Accelerator {
   /// The shared execution-plan handle (for binding further accelerators to
   /// the same model without a plan rebuild).
   const std::shared_ptr<const quant::NetworkExecPlan>& shared_plan() const { return plan_; }
-
-  /// The segment source when this accelerator streams its plan (null for
-  /// the whole-plan ctors).
-  const std::shared_ptr<quant::PlanSource>& plan_source() const { return source_; }
   const AcceleratorConfig& config() const { return config_; }
 
   /// Replaces the executor used by subsequent predict calls (see
@@ -202,9 +188,6 @@ class Accelerator {
   // Prebuilt kernel execution plans (index tables, packed weight masks),
   // one per layer — shared read-only by every lane and every replica copy.
   std::shared_ptr<const quant::NetworkExecPlan> plan_;
-  // On-demand segment source for the streaming ctor (null when plan_ was
-  // supplied whole). Exactly one of plan_/source_ drives run_layer.
-  std::shared_ptr<quant::PlanSource> source_;
   AcceleratorConfig config_;
   nn::NetworkDesc desc_;
   std::int64_t functional_cycles_ = 0;

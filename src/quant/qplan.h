@@ -74,8 +74,8 @@ struct LayerExecPlan {
 
 // One independently buildable, independently evictable unit of exec-plan
 // state. Segments are immutable once built (build_layer_exec_plan is a pure
-// function of the QLayer constants), so any number of plans, providers, and
-// in-flight requests may share one.
+// function of the QLayer constants), so any number of plans, segment tables,
+// and in-flight requests may share one.
 using PlanSegment = std::shared_ptr<const LayerExecPlan>;
 
 struct NetworkExecPlan {
@@ -92,36 +92,6 @@ struct NetworkExecPlan {
       if (segment != nullptr) total += segment->weight_bytes;
     return total;
   }
-};
-
-// Resolves exec-plan segments on demand — the interface through which the
-// accelerator consumes a partially-resident plan. segment(i) blocks until
-// segment i is available (building it if needed) and MUST return the same
-// bits a whole-plan build would: segments are pure functions of the network
-// constants, so consumers stay bit-identical across residency states.
-// prefetch(i) is the double-buffer hook: a hint that segment i is needed
-// next, letting an implementation start (or model) layer i's weight reload
-// while layer i-1 computes. The default is a no-op.
-class PlanSource {
- public:
-  virtual ~PlanSource() = default;
-  virtual int num_layers() const = 0;
-  virtual PlanSegment segment(int index) = 0;
-  virtual void prefetch(int index) { (void)index; }
-};
-
-// Trivial PlanSource over a fully-resident plan (everything already built).
-class ResidentPlanSource final : public PlanSource {
- public:
-  explicit ResidentPlanSource(std::shared_ptr<const NetworkExecPlan> plan)
-      : plan_(std::move(plan)) {}
-  int num_layers() const override { return plan_->num_layers(); }
-  PlanSegment segment(int index) override {
-    return plan_->layers[static_cast<std::size_t>(index)];
-  }
-
- private:
-  std::shared_ptr<const NetworkExecPlan> plan_;
 };
 
 LayerExecPlan build_layer_exec_plan(const QLayer& layer);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/accelerator.h"
 #include "serve/server.h"
 #include "util/check.h"
 
@@ -10,21 +9,6 @@ namespace bnn::serve {
 
 CostModel::CostModel(core::PerfConfig config, bool use_intermediate_caching)
     : config_(config), use_intermediate_caching_(use_intermediate_caching) {}
-
-CostModel::CostModel(nn::NetworkDesc desc, core::PerfConfig config,
-                     bool use_intermediate_caching)
-    : CostModel(config, use_intermediate_caching) {
-  bind_model(0, std::move(desc), 0);
-}
-
-std::unique_ptr<CostModel> CostModel::for_accelerator(const core::Accelerator& accelerator) {
-  const core::AcceleratorConfig& config = accelerator.config();
-  auto model = std::make_unique<CostModel>(core::PerfConfig{config.nne, config.ddr},
-                                           config.use_intermediate_caching);
-  model->bind_model(0, accelerator.network().describe(),
-                    accelerator.network().resident_weight_bytes());
-  return model;
-}
 
 void CostModel::bind_model(ModelKey key, nn::NetworkDesc desc, std::uint64_t weight_bytes,
                            const void* tag, std::vector<std::uint64_t> segment_bytes) {
@@ -36,9 +20,6 @@ void CostModel::bind_model(ModelKey key, nn::NetworkDesc desc, std::uint64_t wei
   entry->weight_bytes = weight_bytes;
   entry->segment_bytes = std::move(segment_bytes);
   entry->tag = tag;
-  // A swap keeps the tenant's calibration override: the scale corrects for
-  // simulator-vs-model skew of the HOST, not of one weight set.
-  if (entries_[key] != nullptr) entry->calibration = entries_[key]->calibration;
   entries_[key] = std::move(entry);
 }
 
@@ -46,11 +27,6 @@ const void* CostModel::bound_tag(ModelKey key) const {
   std::lock_guard<std::mutex> lock(mutex_);
   if (key >= entries_.size() || entries_[key] == nullptr) return nullptr;
   return entries_[key]->tag;
-}
-
-bool CostModel::has_model(ModelKey key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return key < entries_.size() && entries_[key] != nullptr;
 }
 
 CostModel::Entry& CostModel::entry_locked(ModelKey key) const {
@@ -149,24 +125,6 @@ double CostModel::streamed_reload_ms(ModelKey key, const std::vector<int>& missi
     }
   }
   return stall_cycles / (config_.nne.clock_mhz * 1e3);
-}
-
-void CostModel::set_model_calibration(ModelKey key, core::PerfCalibration calibration) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entry_locked(key).calibration = calibration;
-}
-
-double CostModel::wall_ms(ModelKey key, double modelled) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (key < entries_.size() && entries_[key] != nullptr &&
-      entries_[key]->calibration.has_value())
-    return modelled * entries_[key]->calibration->wall_ms_per_modelled_ms;
-  return modelled * calibration_.wall_ms_per_modelled_ms;
-}
-
-int CostModel::num_sites(ModelKey key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entry_locked(key).num_sites;
 }
 
 }  // namespace bnn::serve

@@ -12,23 +12,22 @@
 // latency target.
 //
 // Multi-tenancy: the model is KEYED PER MODEL (serve::ModelKey). Each bound
-// tenant carries its own NetworkDesc, (L, S) cache, weight footprint, and
-// optional calibration override; bind_model() replaces an entry on hot-swap
-// (the `tag` lets callers detect staleness by version-pointer identity).
-// cold_reload_ms() prices streaming an evicted tenant's weights back from
-// DDR (core::DdrModel at the accelerator clock), which is how dispatch and
-// admission learn that a cold model is costlier than a hot one. The legacy
-// single-model methods delegate to key 0.
+// tenant carries its own NetworkDesc, (L, S) cache, and weight footprint;
+// bind_model() replaces an entry on hot-swap (the `tag` lets callers detect
+// staleness by version-pointer identity). cold_reload_ms() prices streaming
+// an evicted tenant's weights back from DDR (core::DdrModel at the
+// accelerator clock), which is how dispatch and admission learn that a cold
+// model is costlier than a hot one.
 //
-// Modelled milliseconds are accelerator-clock milliseconds; a calibration
-// scale (core::PerfCalibration) maps them onto measured wall milliseconds
-// of the software simulator that actually serves the request. Relative
-// costs — all the LPT dispatcher needs — are calibration-free; only the
-// adaptive policy's comparison against `latency_target_ms` needs the
-// calibrated scale (serve::Server measures one anchor pass at startup).
+// Modelled milliseconds are accelerator-clock milliseconds; one global
+// calibration scale (core::PerfCalibration) maps them onto measured wall
+// milliseconds of the software simulator that actually serves the request.
+// Relative costs — all the LPT dispatcher needs — are calibration-free; only
+// the adaptive policy's comparison against `latency_target_ms` needs the
+// calibrated scale (serve::Server measures one calibration pass at startup).
 //
 // Determinism: modelled costs are a pure function of (network description,
-// NNE/DDR config, L, S) and the calibration scales are fixed after startup,
+// NNE/DDR config, L, S) and the calibration scale is fixed after startup,
 // so every decision derived from CostModel is reproducible given the same
 // queue contents and stats window.
 #ifndef BNN_SERVE_COST_MODEL_H
@@ -38,16 +37,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "core/perf_model.h"
 #include "nn/netdesc.h"
-
-namespace bnn::core {
-class Accelerator;
-}
 
 namespace bnn::serve {
 
@@ -56,16 +50,9 @@ using ModelKey = std::uint32_t;
 
 class CostModel {
  public:
-  // Empty multi-tenant model: bind tenants with bind_model().
+  // Empty model over one NNE/DDR configuration: bind tenants with
+  // bind_model().
   CostModel(core::PerfConfig config, bool use_intermediate_caching);
-
-  // Legacy single-model form: binds `desc` as key 0.
-  CostModel(nn::NetworkDesc desc, core::PerfConfig config, bool use_intermediate_caching);
-
-  // Builds the model for the network/config an accelerator serves (the
-  // same estimate_mc inputs as Accelerator::estimate), bound as key 0.
-  // Heap-allocated because the internal cache mutex pins the object.
-  static std::unique_ptr<CostModel> for_accelerator(const core::Accelerator& accelerator);
 
   // Registers (or on hot-swap replaces) tenant `key`: its description, its
   // resident weight footprint (the DDR reload payload), and an opaque
@@ -78,23 +65,16 @@ class CostModel {
                   const void* tag = nullptr, std::vector<std::uint64_t> segment_bytes = {});
   // Tag of the bound entry; nullptr when `key` is unbound (or bound tagless).
   const void* bound_tag(ModelKey key) const;
-  bool has_model(ModelKey key) const;
 
   // Modelled milliseconds of one image's MC inference at {L, S} on tenant
   // `key` — cached per (L, S) pair; thread-safe.
   double modelled_ms(ModelKey key, int bayes_layers, int num_samples) const;
-  double modelled_ms(int bayes_layers, int num_samples) const {
-    return modelled_ms(0, bayes_layers, num_samples);
-  }
 
   // Modelled cost of the FIRST accelerator pass a request triggers: the
   // screening pass for routed requests, the full-S pass otherwise. This is
   // the dispatcher's group-ranking unit (the escalation second pass is not
   // known at dispatch time).
   double first_pass_ms(ModelKey key, const RequestOptions& options) const;
-  double first_pass_ms(const RequestOptions& options) const {
-    return first_pass_ms(0, options);
-  }
 
   // Worst-case modelled total: first pass plus the escalation pass for
   // routed requests. The adaptive policy's admission unit — overload
@@ -103,7 +83,6 @@ class CostModel {
   // only the num_samples - screening_samples NEW samples, and the admission
   // bound tightens accordingly.
   double admission_ms(ModelKey key, const RequestOptions& options) const;
-  double admission_ms(const RequestOptions& options) const { return admission_ms(0, options); }
 
   // Mirrors ServerConfig::reuse_screening_samples into admission_ms. Set
   // once at startup, before concurrent readers exist.
@@ -112,9 +91,6 @@ class CostModel {
   // Modelled cost after a shedding downgrade: screening pass only for
   // routed requests (the downgrade's saving), the full pass otherwise.
   double downgraded_ms(ModelKey key, const RequestOptions& options) const;
-  double downgraded_ms(const RequestOptions& options) const {
-    return downgraded_ms(0, options);
-  }
 
   // Modelled milliseconds of streaming tenant `key`'s weights back from DDR
   // after an eviction (core::DdrModel transfer at the NNE clock). Charged
@@ -134,24 +110,17 @@ class CostModel {
   // falls back to cold_reload_ms when absent.
   double streamed_reload_ms(ModelKey key, const std::vector<int>& missing) const;
 
-  // Global calibration scale onto measured wall milliseconds (default
-  // identity). Set once at startup, before concurrent readers exist.
+  // Calibration scale onto measured wall milliseconds (default identity),
+  // shared by every tenant: it corrects for simulator-vs-model skew of the
+  // HOST, not of one weight set. Set once at startup, before concurrent
+  // readers exist.
   void set_calibration(core::PerfCalibration calibration) { calibration_ = calibration; }
   const core::PerfCalibration& calibration() const { return calibration_; }
 
-  // Per-tenant calibration override (a tenant whose measured/modelled ratio
-  // differs from the anchor's). Thread-safe.
-  void set_model_calibration(ModelKey key, core::PerfCalibration calibration);
-
-  // Modelled milliseconds mapped onto the calibrated wall clock — the
-  // tenant's override when set, the global scale otherwise.
-  double wall_ms(ModelKey key, double modelled) const;
+  // Modelled milliseconds mapped onto the calibrated wall clock.
   double wall_ms(double modelled) const {
     return modelled * calibration_.wall_ms_per_modelled_ms;
   }
-
-  int num_sites(ModelKey key) const;
-  int num_sites() const { return num_sites(0); }
 
  private:
   struct Entry {
@@ -163,7 +132,6 @@ class CostModel {
     // can hide behind. Filled lazily on first streamed_reload_ms call.
     std::vector<double> layer_cycles;
     const void* tag = nullptr;
-    std::optional<core::PerfCalibration> calibration;
     std::map<std::pair<int, int>, double> cache;
   };
 

@@ -4,31 +4,11 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/bernoulli_sampler.h"
 #include "serve/trace.h"
 #include "util/check.h"
 
 namespace bnn::serve {
-
-namespace {
-
-/// Bound::source implementation: on-demand segments over one version's
-/// table. prefetch is a synchronous dedup'd build — the overlap it models
-/// (layer k+1's DDR burst behind layer k's compute) is charged by
-/// CostModel::streamed_reload_ms; the build itself just has to be done by
-/// the time segment(k+1) is consumed, which acquire guarantees.
-class TenantPlanSource final : public quant::PlanSource {
- public:
-  explicit TenantPlanSource(std::shared_ptr<SegmentTable> table)
-      : table_(std::move(table)) {}
-  int num_layers() const override { return table_->num_layers(); }
-  quant::PlanSegment segment(int index) override { return table_->acquire(index); }
-  void prefetch(int index) override { (void)table_->acquire(index); }
-
- private:
-  std::shared_ptr<SegmentTable> table_;
-};
-
-}  // namespace
 
 SegmentTable::SegmentTable(std::shared_ptr<const quant::QuantNetwork> network,
                            std::shared_ptr<std::atomic<std::uint64_t>> clock,
@@ -228,6 +208,9 @@ std::shared_ptr<const ModelVersion> ModelRegistry::publish(
     ModelConfig config) {
   util::require(network != nullptr, "model registry: null network");
   util::require(!network->layers.empty(), "model registry: empty network");
+  // Reject here, not at the first replica bind: a rate the sampler cannot
+  // realize would otherwise throw from inside a replica worker.
+  (void)core::lfsrs_for_probability(network->dropout_p);
 
   // Everything expensive — segment builds, fingerprint — happens before the
   // mutex; the flip below is a pointer swap.
@@ -269,7 +252,7 @@ std::shared_ptr<const ModelVersion> ModelRegistry::publish(
   snapshot->name = name;
   snapshot->version = version;
   snapshot->key = key;
-  snapshot->workload_id = config.workload_id;
+  snapshot->config = config;
   snapshot->network = std::move(network);
   snapshot->fingerprint = fingerprint;
   snapshot->weight_bytes = weight_bytes;
@@ -278,7 +261,6 @@ std::shared_ptr<const ModelVersion> ModelRegistry::publish(
   entry->current = std::move(snapshot);
   entry->table = std::move(table);  // publishing makes (or keeps) the tenant resident
   entry->plan = std::move(plan);
-  entry->model_config = config;
   entry->last_use = ++tick_;
   enforce_budget_locked(entry);
   return entry->current;
@@ -292,44 +274,38 @@ ModelRegistry::Bound ModelRegistry::resolve(const std::string& name) {
     Entry& entry = entry_for(name);
     entry.last_use = ++tick_;
     bound.version = entry.current;
-    table = entry.table;
-    bound.missing = table->missing_indices();
+    bound.missing = entry.table->missing_indices();
     if (bound.missing.empty()) {
       // Warm: hand out the cached whole-plan assembly and refresh every
       // segment's LRU stamp — a warm tenant's layers are the HOTTEST.
       bound.plan = assembled_plan_locked(entry);
-      table->touch_all();
+      entry.table->touch_all();
       enforce_budget_locked(&entry);
-    } else {
-      // Segments missing: this resolve pays the (modelled) DDR reload.
-      ++stats_.reloads;
-      bound.cold_start = true;
+      return bound;
     }
+    // Segments missing: this resolve pays the (modelled) DDR reload.
+    ++stats_.reloads;
+    bound.cold_start = true;
+    table = entry.table;
   }
-  bound.source = std::make_shared<TenantPlanSource>(table);
-  if (!bound.cold_start) return bound;
 
-  if (!config_.stream_cold_plans) {
-    // Materialize every missing segment before returning. Builds run
-    // OUTSIDE the registry mutex and are deduplicated per slot, so N
-    // replicas resolving one cold tenant concurrently build each segment
-    // exactly once while other tenants keep resolving.
-    for (const int index : bound.missing) (void)table->acquire(index);
-  }
+  // Materialize every missing segment before returning. Builds run OUTSIDE
+  // the registry mutex and are deduplicated per slot, so N replicas
+  // resolving one cold tenant concurrently build each segment exactly once
+  // while other tenants keep resolving.
+  for (const int index : bound.missing) (void)table->acquire(index);
   std::lock_guard<std::mutex> lock(mutex_);
   Entry& entry = entry_for(name);
   if (entry.table == table) {
-    if (!config_.stream_cold_plans) bound.plan = assembled_plan_locked(entry);
+    bound.plan = assembled_plan_locked(entry);
     enforce_budget_locked(&entry);
   } else {
     // Hot-swapped mid-resolve: assemble from the snapshot table so the
     // caller still gets the version it resolved.
-    if (!config_.stream_cold_plans) {
-      auto plan = std::make_shared<quant::NetworkExecPlan>();
-      plan->layers.reserve(static_cast<std::size_t>(table->num_layers()));
-      for (int i = 0; i < table->num_layers(); ++i) plan->layers.push_back(table->acquire(i));
-      bound.plan = std::move(plan);
-    }
+    auto plan = std::make_shared<quant::NetworkExecPlan>();
+    plan->layers.reserve(static_cast<std::size_t>(table->num_layers()));
+    for (int i = 0; i < table->num_layers(); ++i) plan->layers.push_back(table->acquire(i));
+    bound.plan = std::move(plan);
     enforce_budget_locked(nullptr);
   }
   return bound;
@@ -356,11 +332,6 @@ bool ModelRegistry::hot(const std::string& name) const {
 std::shared_ptr<const ModelVersion> ModelRegistry::current(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return entry_for(name).current;
-}
-
-ModelConfig ModelRegistry::model_config(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entry_for(name).model_config;
 }
 
 int ModelRegistry::evict_segments(const std::string& name, int keep_first) {

@@ -29,13 +29,10 @@
 // function of the immutable network, so responses are bit-identical across
 // every residency state), flags the resolve cold_start, and reports WHICH
 // segments were missing so the serving layer can charge the non-overlapped
-// DDR reload remainder (CostModel::streamed_reload_ms) instead of a flat
-// whole-plan reload. With RegistryConfig::stream_cold_plans set, resolve()
-// returns immediately with a streaming PlanSource instead of materializing
-// the whole plan first: the accelerator then resolves segment k on first
-// use and prefetches segment k+1 while layer k computes (the double-buffer
-// overlap), so a cold tenant's first response does not wait for full
-// residency.
+// DDR reload remainder (CostModel::streamed_reload_ms — on the board,
+// layer k+1's burst hides behind layer k's compute) instead of a flat
+// whole-plan reload. Either way resolve() returns a fully-resident plan:
+// the rebuild itself is host work, and only its modelled cost differs.
 #ifndef BNN_SERVE_MODEL_REGISTRY_H
 #define BNN_SERVE_MODEL_REGISTRY_H
 
@@ -57,23 +54,6 @@ namespace bnn::serve {
 /// and per-tenant counters cheaply.
 using ModelKey = std::uint32_t;
 
-/// Immutable snapshot of one published model version. Requests hold one via
-/// shared_ptr for their whole flight, which is what makes hot-swap draining
-/// safe: the old weights outlive the flip for exactly as long as someone
-/// still computes on them.
-struct ModelVersion {
-  std::string name;
-  std::uint64_t version = 1;  ///< monotonic per tenant, starts at 1
-  ModelKey key = 0;
-  std::uint32_t workload_id = 0;  ///< trace/fixture hint (serve_fixture ids)
-  std::shared_ptr<const quant::QuantNetwork> network;
-  std::uint64_t fingerprint = 0;    ///< serve::network_fingerprint
-  std::uint64_t weight_bytes = 0;   ///< resident weight footprint (all layers)
-  /// Per-layer resident weight bytes — the segment-granular residency and
-  /// reload-cost currency (sums to weight_bytes).
-  std::vector<std::uint64_t> segment_bytes;
-};
-
 /// Per-tenant knobs fixed at publish time.
 struct ModelConfig {
   /// Fixture hint stamped into traces (bench/serve_fixture.h ids; 0 = none).
@@ -87,17 +67,29 @@ struct ModelConfig {
   bool pack_binarizable_weights = true;
 };
 
+/// Immutable snapshot of one published model version. Requests hold one via
+/// shared_ptr for their whole flight, which is what makes hot-swap draining
+/// safe: the old weights outlive the flip for exactly as long as someone
+/// still computes on them.
+struct ModelVersion {
+  std::string name;
+  std::uint64_t version = 1;  ///< monotonic per tenant, starts at 1
+  ModelKey key = 0;
+  /// The publish-time knobs of THIS version: a request reads its quota from
+  /// the version it resolved, so a concurrent hot-swap cannot retarget it.
+  ModelConfig config;
+  std::shared_ptr<const quant::QuantNetwork> network;
+  std::uint64_t fingerprint = 0;    ///< serve::network_fingerprint
+  std::uint64_t weight_bytes = 0;   ///< resident weight footprint (all layers)
+  /// Per-layer resident weight bytes — the segment-granular residency and
+  /// reload-cost currency (sums to weight_bytes).
+  std::vector<std::uint64_t> segment_bytes;
+};
+
 struct RegistryConfig {
   /// Resident-segment weight budget in bytes; past it the globally coldest
   /// segments evict (reload charged on next use). 0 = unlimited.
   std::uint64_t residency_budget_bytes = 0;
-  /// When true, resolve() of a not-fully-resident tenant returns
-  /// immediately with a streaming Bound::source (plan left null) instead of
-  /// materializing every missing segment up front — the accelerator streams
-  /// segments layer by layer with prefetch overlap. When false (default),
-  /// resolve() materializes all missing segments before returning, so
-  /// Bound::plan is always usable.
-  bool stream_cold_plans = false;
 };
 
 struct RegistryStats {
@@ -119,9 +111,9 @@ struct RegistryStats {
 /// slot empty installs an in-flight marker and builds outside the table
 /// lock; concurrent callers for the same slot block on the shared future
 /// instead of building again. Tables are immutable in shape (one slot per
-/// layer, network fixed) and shared: Bounds, PlanSources, and the registry
-/// all hold them via shared_ptr, so eviction of a segment never invalidates
-/// a segment handle someone already acquired.
+/// layer, network fixed) and shared: the registry and any resolve still
+/// rebuilding hold them via shared_ptr, so eviction of a segment never
+/// invalidates a segment handle someone already acquired.
 class SegmentTable {
  public:
   SegmentTable(std::shared_ptr<const quant::QuantNetwork> network,
@@ -180,14 +172,9 @@ class ModelRegistry {
   /// What a request (or a replica bind) holds while in flight.
   struct Bound {
     std::shared_ptr<const ModelVersion> version;
-    /// The fully-materialized plan. Null only in streaming mode
-    /// (RegistryConfig::stream_cold_plans) when this resolve found segments
-    /// missing — consume `source` instead.
+    /// The fully-materialized plan (never null): every segment this resolve
+    /// found missing was rebuilt before it returned.
     std::shared_ptr<const quant::NetworkExecPlan> plan;
-    /// On-demand segment source over this version's table (always set).
-    /// The streamed-bind path feeds it to the accelerator's PlanSource
-    /// ctor; segment(k) blocks until layer k is resident.
-    std::shared_ptr<quant::PlanSource> source;
     /// True when THIS resolve found segments missing (the request it admits
     /// should carry the DDR reload cost).
     bool cold_start = false;
@@ -199,7 +186,10 @@ class ModelRegistry {
   /// Registers `name`, or hot-swaps it when already present (version + 1).
   /// Annotates weight tiers and (per `config.pack_binarizable_weights`)
   /// packs binarizable layers before publishing; the published network is
-  /// immutable afterwards. Returns the new version snapshot.
+  /// immutable afterwards. Returns the new version snapshot. Throws
+  /// std::invalid_argument for a network whose dropout rate the sampler
+  /// cannot realize (see core::lfsrs_for_probability) — it could never
+  /// serve a request.
   std::shared_ptr<const ModelVersion> publish(const std::string& name,
                                               quant::QuantNetwork network,
                                               ModelConfig config = {});
@@ -227,8 +217,6 @@ class ModelRegistry {
   /// Current version snapshot (no LRU bump, no reload). Throws
   /// std::invalid_argument for an unknown name.
   std::shared_ptr<const ModelVersion> current(const std::string& name) const;
-  /// The publish-time per-tenant config. Throws on unknown name.
-  ModelConfig model_config(const std::string& name) const;
 
   /// Force-evicts the tenant's segments with layer index >= keep_first —
   /// the test/bench hook for pinning a specific partial-residency state.
@@ -246,7 +234,6 @@ class ModelRegistry {
     // bind caches). Non-null only while it reflects a fully-resident table;
     // any eviction invalidates it.
     std::shared_ptr<const quant::NetworkExecPlan> plan;
-    ModelConfig model_config;
     std::uint64_t last_use = 0;  // LRU stamp (resolve ticks)
   };
 

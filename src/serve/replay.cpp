@@ -17,7 +17,7 @@ namespace {
 /// recorded; downgraded records are re-submitted as never-escalating routed
 /// requests — the screening-pass-only request the bit-identity invariant
 /// documents as equivalent to a shed-downgraded response. `model` routes
-/// the record to its registry tenant (empty = the server's default).
+/// the record to its registry tenant.
 Request request_for(const TraceRecord& record, const std::string& model) {
   Request request;
   request.image = nn::Tensor::from_values(
@@ -50,12 +50,11 @@ std::map<std::uint32_t, const TraceModelInfo*> models_by_key(const Trace& trace)
   return by_key;
 }
 
-/// The shared submit/collect loop: re-serves every served/downgraded
-/// record on `server`, routing record r to model_for(r), and checks the
-/// golden checksums plus the recorded admission decisions.
+/// The submit/collect loop: re-serves every served/downgraded record on
+/// `server`, routing each to its model-table tenant, and checks the golden
+/// checksums plus the recorded admission decisions.
 ReplayReport run_replay(Server& server, const Trace& trace, const ReplayConfig& config,
-                        const std::map<std::uint32_t, const TraceModelInfo*>& by_key,
-                        bool route_models) {
+                        const std::map<std::uint32_t, const TraceModelInfo*>& by_key) {
   ReplayReport report;
   struct InFlight {
     const TraceRecord* record;
@@ -71,21 +70,18 @@ ReplayReport run_replay(Server& server, const Trace& trace, const ReplayConfig& 
       ++report.skipped;
       continue;
     }
-    std::string model;
-    if (route_models) {
-      const auto hit = by_key.find(record.model_key);
-      if (hit == by_key.end())
-        throw std::invalid_argument("replay: record " + std::to_string(record.seq) +
-                                    " references model key " +
-                                    std::to_string(record.model_key) +
-                                    " absent from the trace model table");
-      model = hit->second->name;
-    }
+    const auto hit = by_key.find(record.model_key);
+    if (hit == by_key.end())
+      throw std::invalid_argument("replay: record " + std::to_string(record.seq) +
+                                  " references model key " +
+                                  std::to_string(record.model_key) +
+                                  " absent from the trace model table");
     if (!config.as_fast_as_possible) {
       const auto due = start + std::chrono::microseconds(record.arrival_us);
       std::this_thread::sleep_until(due);
     }
-    in_flight.push_back(InFlight{&record, server.submit(request_for(record, model))});
+    in_flight.push_back(
+        InFlight{&record, server.submit(request_for(record, hit->second->name))});
   }
   for (InFlight& flight : in_flight) {
     const TraceRecord& record = *flight.record;
@@ -107,55 +103,7 @@ ReplayReport run_replay(Server& server, const Trace& trace, const ReplayConfig& 
   return report;
 }
 
-ServerConfig replay_server_config(const Trace& trace, const ReplayConfig& config) {
-  ServerConfig server_config;
-  server_config.max_batch = config.max_batch;
-  server_config.num_threads = config.num_threads;
-  server_config.num_replicas = config.num_replicas;
-  server_config.dispatch_mode = config.dispatch_mode;
-  server_config.overload_policy = OverloadPolicy::block;  // replay sheds nothing
-  server_config.max_queue_depth = 0;
-  server_config.reuse_screening_samples = trace.meta.reuse_screening_samples;
-  return server_config;
-}
-
 }  // namespace
-
-ReplayReport replay_trace(const Trace& trace, const core::Accelerator& accelerator,
-                          const ReplayConfig& config) {
-  util::require(config.num_replicas >= 1, "replay: num_replicas must be >= 1");
-  util::require(config.max_batch >= 1, "replay: max_batch must be >= 1");
-  if (trace.meta.models.size() > 1)
-    throw std::invalid_argument(
-        "replay: trace references " + std::to_string(trace.meta.models.size()) +
-        " models — replay it through the ModelRegistry overload");
-
-  if (config.verify_fingerprint) {
-    const std::uint64_t fingerprint = network_fingerprint(accelerator.network());
-    if (trace.meta.network_fingerprint != 0 &&
-        fingerprint != trace.meta.network_fingerprint) {
-      std::ostringstream message;
-      message << "replay: network fingerprint mismatch: trace was recorded against "
-              << std::hex << trace.meta.network_fingerprint
-              << " but the supplied accelerator serves " << fingerprint
-              << " — wrong weights, every checksum would diverge";
-      throw std::runtime_error(message.str());
-    }
-    if (accelerator.config().sampler_seed != trace.meta.sampler_seed) {
-      throw std::runtime_error(
-          "replay: sampler_seed mismatch: trace was recorded with seed " +
-          std::to_string(trace.meta.sampler_seed) + " but the accelerator uses " +
-          std::to_string(accelerator.config().sampler_seed) +
-          " — mask streams would differ");
-    }
-  }
-
-  const auto by_key = models_by_key(trace);
-  Server server(accelerator, replay_server_config(trace, config));
-  // Single-model: every record routes to the server's default tenant; the
-  // model table is informational only.
-  return run_replay(server, trace, config, by_key, /*route_models=*/false);
-}
 
 ReplayReport replay_trace(const Trace& trace, std::shared_ptr<ModelRegistry> registry,
                           const core::AcceleratorConfig& accel_config,
@@ -193,12 +141,18 @@ ReplayReport replay_trace(const Trace& trace, std::shared_ptr<ModelRegistry> reg
     }
   }
 
-  ServerConfig server_config = replay_server_config(trace, config);
+  ServerConfig server_config;
+  server_config.max_batch = config.max_batch;
+  server_config.num_threads = config.num_threads;
+  server_config.num_replicas = config.num_replicas;
+  server_config.dispatch_mode = config.dispatch_mode;
+  server_config.overload_policy = OverloadPolicy::block;  // replay sheds nothing
+  server_config.reuse_screening_samples = trace.meta.reuse_screening_samples;
   // The server needs SOME valid default tenant; route every record
   // explicitly by its table name, so any referenced tenant works.
   server_config.default_model = by_key.begin()->second->name;
   Server server(std::move(registry), accel_config, server_config);
-  return run_replay(server, trace, config, by_key, /*route_models=*/true);
+  return run_replay(server, trace, config, by_key);
 }
 
 std::string replay_summary(const ReplayReport& report) {

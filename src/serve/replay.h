@@ -1,14 +1,15 @@
 // Trace replay: re-serve a recorded request trace under an arbitrary
 // serving configuration and hard-fail on checksum divergence.
 //
-// replay_trace stands up a fresh serve::Server around a copy of the given
-// accelerator (replica/thread/dispatch knobs from ReplayConfig), re-submits
-// every served/downgraded record at its recorded stream id — downgraded
-// records as never-escalating routed requests, the transform the bit-
-// identity invariant guarantees is equivalent — and compares each replayed
-// Response's FNV-1a checksum against the recorded golden value. It then
-// re-evaluates the recorded adaptive admission log through the pure
-// adaptive_admission function, decision by decision. A trace recorded at
+// replay_trace stands up a fresh serve::Server over a registry holding the
+// trace's models (replica/thread/dispatch knobs from ReplayConfig),
+// re-submits every served/downgraded record to its recorded tenant at its
+// recorded stream id — downgraded records as never-escalating routed
+// requests, the transform the bit-identity invariant guarantees is
+// equivalent — and compares each replayed Response's FNV-1a checksum
+// against the recorded golden value. It then re-evaluates the recorded
+// adaptive admission log through the pure adaptive_admission function,
+// decision by decision. A trace recorded at
 // R=1/threads=1 must therefore replay clean at ANY R × threads × dispatch
 // mode; any divergence names the exact request.
 #ifndef BNN_SERVE_REPLAY_H
@@ -34,11 +35,11 @@ struct ReplayConfig {
   /// false: pace submissions to the recorded arrival_us offsets (original
   /// timing); true: submit back-to-back.
   bool as_fast_as_possible = true;
-  /// Require the accelerator's network fingerprint and sampler seed to
-  /// match the trace header before submitting anything — a replay against
-  /// the wrong weights fails fast with one clear error instead of
-  /// reporting every checksum as divergent. Disable only for tests that
-  /// hand-build fixtures without recording metadata.
+  /// Require every referenced tenant's fingerprint and the sampler seed to
+  /// match the trace before submitting anything — a replay against the
+  /// wrong weights fails fast with one clear error instead of reporting
+  /// every checksum as divergent. Disable only for tests that hand-build
+  /// fixtures without recording metadata.
   bool verify_fingerprint = true;
 };
 
@@ -64,22 +65,15 @@ struct ReplayReport {
   bool ok() const { return divergences.empty() && admission_mismatches == 0; }
 };
 
-/// Re-serves `trace` on a fresh Server built around a copy of
-/// `accelerator`. Throws std::runtime_error when verify_fingerprint is on
-/// and the accelerator does not match the trace header (fingerprint or
-/// sampler seed); std::invalid_argument on malformed records or on a
-/// MULTI-model trace (more than one model-table entry — replay those
-/// through the registry overload below).
-ReplayReport replay_trace(const Trace& trace, const core::Accelerator& accelerator,
-                          const ReplayConfig& config = {});
-
-/// Multi-model replay: re-serves `trace` on a fresh Server over `registry`,
-/// routing every record to the registry tenant its model-table entry names
-/// (so a trace recorded against a 3-tenant server replays against 3
-/// tenants). With verify_fingerprint on, every referenced tenant must be
-/// published and its CURRENT version's fingerprint must match the table
-/// entry — per-model, so one stale tenant fails fast by name. Throws
-/// std::invalid_argument when the table lists two versions of one model
+/// Re-serves `trace` on a fresh Server over `registry`, routing every
+/// record to the registry tenant its model-table entry names (so a trace
+/// recorded against a 3-tenant server replays against 3 tenants; a v1
+/// trace's synthesized one-entry table names the empty default tenant).
+/// With verify_fingerprint on, the sampler seed must match and every
+/// referenced tenant must be published with its CURRENT version's
+/// fingerprint matching the table entry — per-model, so one stale tenant
+/// fails fast by name (std::runtime_error). Throws std::invalid_argument on
+/// malformed records, and when the table lists two versions of one model
 /// key: a trace spanning a mid-run hot-swap pins two weight sets per name
 /// and is not replayable against a single registry state.
 ReplayReport replay_trace(const Trace& trace, std::shared_ptr<ModelRegistry> registry,

@@ -41,21 +41,6 @@ AdmissionAction adaptive_admission(const AdmissionInputs& inputs) {
   return AdmissionAction::reject;
 }
 
-Server::Server(core::Accelerator accelerator, ServerConfig config)
-    : config_(std::move(config)),
-      registry_(std::make_shared<ModelRegistry>()),
-      accel_config_(accelerator.config()) {
-  // Single-model compatibility shim: the accelerator's network becomes the
-  // internal registry's only tenant. The network handle is shared const
-  // (already annotated by the Accelerator constructor) and is published
-  // as-is — no in-place repacking of weights another holder may be using.
-  ModelConfig model_config;
-  model_config.workload_id = config_.trace_workload_id;
-  registry_->publish(config_.default_model, accelerator.shared_network(), model_config);
-  anchor_ = std::make_unique<core::Accelerator>(std::move(accelerator));
-  init();
-}
-
 Server::Server(std::shared_ptr<ModelRegistry> registry, core::AcceleratorConfig accel_config,
                ServerConfig config)
     : config_(std::move(config)),
@@ -64,16 +49,6 @@ Server::Server(std::shared_ptr<ModelRegistry> registry, core::AcceleratorConfig 
   util::require(registry_ != nullptr, "serve: null model registry");
   util::require(registry_->has(config_.default_model),
                 "serve: default_model is not published in the registry");
-  const ModelRegistry::Bound bound = registry_->resolve(config_.default_model);
-  anchor_ = bound.plan != nullptr
-                ? std::make_unique<core::Accelerator>(bound.version->network, bound.plan,
-                                                      accel_config_)
-                : std::make_unique<core::Accelerator>(bound.version->network, bound.source,
-                                                      accel_config_);
-  init();
-}
-
-void Server::init() {
   util::require(config_.max_batch >= 1, "serve: max_batch must be >= 1");
   util::require(config_.num_replicas >= 1, "serve: num_replicas must be >= 1");
   util::require(config_.max_queue_depth >= 0,
@@ -88,8 +63,8 @@ void Server::init() {
 
   // The dispatch/shedding oracle: the paper's performance model over the
   // shared NNE/DDR configuration. Tenants bind their network descriptions
-  // lazily at submit; the default model binds here so the calibration
-  // anchor below has an entry to price.
+  // lazily at submit; the default model binds here so the calibration pass
+  // below has an entry to price.
   if (config_.dispatch_mode == DispatchMode::cost_aware || adaptive) {
     cost_model_ = std::make_unique<CostModel>(
         core::PerfConfig{accel_config_.nne, accel_config_.ddr},
@@ -113,28 +88,27 @@ void Server::init() {
   const int per_replica = std::max(1, budget / config_.num_replicas);
   accel_config_.pool = config_.pool;
   accel_config_.num_threads = per_replica;
-  anchor_->set_thread_pool(config_.pool);
-  anchor_->set_num_threads(per_replica);
 
-  // Calibrate the cost model once against a measured anchor pass BEFORE
-  // any replica starts: the adaptive policy compares modelled cost against
-  // a wall-clock latency target, so modelled milliseconds must be mapped
-  // onto this host's wall clock. One warmup + one measured pass over a
-  // zero image at {L = num_sites, S = 2} on the default model. The scale
-  // is fixed afterwards — shedding decisions stay a pure function of
-  // (queue contents, stats window); other tenants inherit the global
-  // scale unless a per-model calibration is installed.
+  // Calibrate the cost model once against a measured pass BEFORE any
+  // replica starts: the adaptive policy compares modelled cost against a
+  // wall-clock latency target, so modelled milliseconds must be mapped onto
+  // this host's wall clock. One warmup + one measured pass over a zero
+  // image at {L = num_sites, S = 2} on a replica-sized bind of the default
+  // model. The scale is fixed afterwards — shedding decisions stay a pure
+  // function of (queue contents, stats window) — and every tenant shares it.
   if (adaptive && config_.calibrate_cost_model) {
-    const quant::QuantNetwork& net = anchor_->network();
+    const ModelRegistry::Bound bound = registry_->resolve(config_.default_model);
+    core::Accelerator accelerator(bound.version->network, bound.plan, accel_config_);
+    const quant::QuantNetwork& net = *bound.version->network;
     const nn::HwLayer& first = net.layers.front().geom;
     nn::Tensor probe(first.op == nn::HwLayer::Op::conv
                          ? std::vector<int>{1, first.in_c, first.in_h, first.in_w}
                          : std::vector<int>{1, static_cast<int>(first.in_elems()), 1, 1});
     const std::vector<core::Accelerator::ImageRequest> anchor{
         {net.num_sites, 2, /*stream_id=*/0}};
-    (void)anchor_->predict_batch(probe, anchor);  // warmup (pool spin-up etc.)
+    (void)accelerator.predict_batch(probe, anchor);  // warmup (pool spin-up etc.)
     const auto started = std::chrono::steady_clock::now();
-    (void)anchor_->predict_batch(probe, anchor);
+    (void)accelerator.predict_batch(probe, anchor);
     const double measured_ms = std::chrono::duration<double, std::milli>(
                                    std::chrono::steady_clock::now() - started)
                                    .count();
@@ -152,15 +126,15 @@ void Server::init() {
   // Further tenants enter the model table as their records arrive.
   if (!config_.trace_path.empty()) {
     TraceMeta meta;
-    meta.workload_id =
-        config_.trace_workload_id != 0 ? config_.trace_workload_id : def->workload_id;
+    meta.workload_id = config_.trace_workload_id != 0 ? config_.trace_workload_id
+                                                      : def->config.workload_id;
     meta.sampler_seed = accel_config_.sampler_seed;
     meta.network_fingerprint = def->fingerprint;
     meta.reuse_screening_samples = config_.reuse_screening_samples;
     TraceModelInfo info;
     info.model_key = def->key;
     info.model_version = def->version;
-    info.workload_id = def->workload_id;
+    info.workload_id = def->config.workload_id;
     info.fingerprint = def->fingerprint;
     info.name = def->name;
     meta.models.push_back(std::move(info));
@@ -285,7 +259,6 @@ std::future<Response> Server::submit(Request request) {
   const std::string& model_name =
       request.model.empty() ? config_.default_model : request.model;
   ModelRegistry::Bound bound = registry_->resolve(model_name);
-  const ModelConfig model_config = registry_->model_config(model_name);
   const quant::QuantNetwork& net = *bound.version->network;
 
   util::require(options.bayes_layers >= -1 && options.bayes_layers <= net.num_sites,
@@ -324,25 +297,23 @@ std::future<Response> Server::submit(Request request) {
     // description binds lazily, re-binding only when the version snapshot
     // changed (hot-swap); a cold resolve charges the modelled DDR weight
     // reload on top of both the dispatch and the admission cost. Stored
-    // values are CALIBRATED wall milliseconds so they compare across
-    // tenants with different calibration scales.
+    // values are CALIBRATED wall milliseconds, the unit of the latency
+    // target.
     if (cost_model_->bound_tag(key) !=
         static_cast<const void*>(pending.bound.version.get()))
       cost_model_->bind_model(key, net.describe(), pending.bound.version->weight_bytes,
                               pending.bound.version.get(),
                               pending.bound.version->segment_bytes);
-    pending.first_pass_ms =
-        cost_model_->wall_ms(key, cost_model_->first_pass_ms(key, options));
-    pending.admission_ms =
-        cost_model_->wall_ms(key, cost_model_->admission_ms(key, options));
+    pending.first_pass_ms = cost_model_->wall_ms(cost_model_->first_pass_ms(key, options));
+    pending.admission_ms = cost_model_->wall_ms(cost_model_->admission_ms(key, options));
     if (pending.bound.cold_start) {
       // Charge only the NON-OVERLAPPED remainder of reloading the segments
       // this resolve actually found missing: double-buffered prefetch hides
       // each layer's burst behind the previous layer's compute, so a
       // partially-resident tenant prices in far below a flat whole-plan
       // reload (streamed_reload_ms <= cold_reload_ms always).
-      const double reload = cost_model_->wall_ms(
-          key, cost_model_->streamed_reload_ms(key, pending.bound.missing));
+      const double reload =
+          cost_model_->wall_ms(cost_model_->streamed_reload_ms(key, pending.bound.missing));
       pending.first_pass_ms += reload;
       pending.admission_ms += reload;
     }
@@ -365,7 +336,7 @@ std::future<Response> Server::submit(Request request) {
     TraceModelInfo info;
     info.model_key = key;
     info.model_version = pending.bound.version->version;
-    info.workload_id = pending.bound.version->workload_id;
+    info.workload_id = pending.bound.version->config.workload_id;
     info.fingerprint = pending.bound.version->fingerprint;
     info.name = pending.bound.version->name;
     recorder_->ensure_model(info);
@@ -394,11 +365,13 @@ std::future<Response> Server::submit(Request request) {
     };
     // Per-tenant quota, ahead of every overload policy: a tenant over its
     // share is rejected, never blocked, so one tenant's burst cannot
-    // capture submitter threads or the whole queue.
+    // capture submitter threads or the whole queue. The quota comes from
+    // the version this request resolved, so a concurrent hot-swap cannot
+    // apply another version's limit to it.
+    const int max_queued = pending.bound.version->config.max_queued;
     const std::uint64_t tenant_queued =
         key < queued_by_key_.size() ? queued_by_key_[key] : 0;
-    if (model_config.max_queued > 0 &&
-        tenant_queued >= static_cast<std::uint64_t>(model_config.max_queued)) {
+    if (max_queued > 0 && tenant_queued >= static_cast<std::uint64_t>(max_queued)) {
       ++stats_.submitted;
       ++stats_.rejected;
       ++stats_.quota_rejected;
@@ -468,8 +441,7 @@ std::future<Response> Server::submit(Request request) {
           // to the screening pass — otherwise every queued downgrade would
           // inflate backlog_ms by its never-to-run escalation pass and
           // over-shed later arrivals.
-          pending.admission_ms =
-              cost_model_->wall_ms(key, cost_model_->downgraded_ms(key, options));
+          pending.admission_ms = cost_model_->wall_ms(cost_model_->downgraded_ms(key, options));
         }
         break;
       }
@@ -667,17 +639,11 @@ core::Accelerator& Server::bind_replica(Replica& replica,
   // evicted this tenant right after the batch was pulled, the plan (or
   // segment table) the requests resolved stays alive, and a later
   // re-resolve's rebuilt segments are pure functions of the same immutable
-  // weights — bit-identical. A streamed cold resolve has no materialized
-  // plan yet; its accelerator consumes segments on demand through the
-  // bound source, prefetching layer k+1 while layer k computes.
+  // weights — bit-identical.
   Bind bind;
   bind.version = bound.version;
   bind.accelerator =
-      bound.plan != nullptr
-          ? std::make_unique<core::Accelerator>(bound.version->network, bound.plan,
-                                                accel_config_)
-          : std::make_unique<core::Accelerator>(bound.version->network, bound.source,
-                                                accel_config_);
+      std::make_unique<core::Accelerator>(bound.version->network, bound.plan, accel_config_);
   bind.last_use = ++replica.bind_tick;
   replica.binds.push_back(std::move(bind));
   return *replica.binds.back().accelerator;
@@ -704,7 +670,6 @@ void Server::serve_batch(Replica& replica, std::vector<Pending> batch) {
   }
   batch.resize(keep);
 
-  core::Accelerator& accelerator = bind_replica(replica, batch.front().bound);
   const int count = static_cast<int>(batch.size());
   const int num_sites = batch.front().bound.version->network->num_sites;
   const auto resolve_layers = [num_sites](const RequestOptions& options) {
@@ -712,6 +677,10 @@ void Server::serve_batch(Replica& replica, std::vector<Pending> batch) {
   };
 
   try {
+    // Inside the try: a bind that throws fails this batch's futures instead
+    // of escaping the replica thread.
+    core::Accelerator& accelerator = bind_replica(replica, batch.front().bound);
+
     // Pass 1: full quality for direct requests, the cheap screening S for
     // routed ones — one coalesced accelerator batch either way. A
     // shed-downgraded request IS a routed request here; the downgrade only

@@ -25,9 +25,11 @@
 // but its resolve pays the non-overlapped remainder of the modelled DDR
 // segment reloads (CostModel::streamed_reload_ms — layer k+1's burst hides
 // behind layer k's compute) which inflates the request's
-// dispatch/admission cost and is counted in ServerStats::cold_starts. Per-tenant quotas (ModelConfig::max_queued)
-// bound how much of the queue one tenant may occupy; quota rejections
-// throw QuotaExceededError and count in ServerStats::quota_rejected.
+// dispatch/admission cost and is counted in ServerStats::cold_starts.
+// Per-tenant quotas (ModelConfig::max_queued, read from the version a
+// request resolved) bound how much of the queue one tenant may occupy;
+// quota rejections throw QuotaExceededError and count in
+// ServerStats::quota_rejected.
 //
 // Dispatch: by default the dispatcher is COST-AWARE — a serve::CostModel
 // (the paper's own performance model re-used as a serving oracle) estimates
@@ -154,8 +156,7 @@ struct Response {
   int samples_used = 0;  ///< S of the pass that produced `probs`
   int bayes_layers = 0;  ///< resolved L
   std::uint64_t stream_id = 0;
-  /// Which registry tenant/version served this request (key 0 / version 1
-  /// under the legacy single-model constructor).
+  /// Which registry tenant/version served this request.
   ModelKey model_key = 0;
   std::uint64_t model_version = 1;
   /// This request's resolve found its model evicted and paid the modelled
@@ -287,9 +288,7 @@ struct ServerConfig {
   /// documented above.
   bool reuse_screening_samples = false;
   /// Registry name served when Request::model is empty. Must name a
-  /// published model of the registry handed to the multi-tenant
-  /// constructor; the legacy single-model constructor publishes its
-  /// accelerator's network under exactly this name.
+  /// published model of the server's registry.
   std::string default_model;
   /// When non-empty, journal every submission to this trace file (see
   /// serve/trace.h): stimulus + golden response checksum per request, plus
@@ -415,23 +414,17 @@ struct AdmissionRecord {
 /// batches automatically.
 class Server {
  public:
-  /// Legacy single-model form: takes ownership of the accelerator,
-  /// publishes its network into an internal one-entry registry under
-  /// `config.default_model` (normally ""), and serves it replicated
-  /// `config.num_replicas` times; `config.pool`/`config.num_threads`
-  /// override the accelerator's own executor knobs. Under
-  /// OverloadPolicy::adaptive, `config.latency_target_ms` must be
-  /// positive, and (unless calibrate_cost_model is off) one measured
-  /// accelerator pass anchors the cost model's wall-clock scale before the
+  /// Serves every model of `registry` (which may keep gaining tenants and
+  /// hot-swaps while the server runs — publish() is the linearization point
+  /// for in-flight vs. new submissions). A single-model server is a
+  /// one-entry registry. `accel_config` is the shared accelerator
+  /// configuration every (replica, model) bind uses: sampler seed, NNE/DDR
+  /// geometry, kernel tier; `config.pool`/`config.num_threads` override its
+  /// executor knobs. `config.default_model` must already be published.
+  /// Under OverloadPolicy::adaptive, `config.latency_target_ms` must be
+  /// positive, and (unless calibrate_cost_model is off) one measured pass of
+  /// the default model anchors the cost model's wall-clock scale before the
   /// replicas start.
-  explicit Server(core::Accelerator accelerator, ServerConfig config = {});
-
-  /// Multi-tenant form: serves every model of `registry` (which may keep
-  /// gaining tenants and hot-swaps while the server runs — publish() is
-  /// the linearization point for in-flight vs. new submissions).
-  /// `accel_config` is the shared accelerator configuration every
-  /// (replica, model) bind uses: sampler seed, NNE/DDR geometry, kernel
-  /// tier. `config.default_model` must already be published.
   Server(std::shared_ptr<ModelRegistry> registry, core::AcceleratorConfig accel_config,
          ServerConfig config = {});
   ~Server();
@@ -464,8 +457,7 @@ class Server {
   /// in first-submission order.
   std::vector<ModelServeStats> model_stats() const;
 
-  /// The registry this server resolves models against (never null; the
-  /// legacy constructor's internal registry for single-model servers).
+  /// The registry this server resolves models against (never null).
   const std::shared_ptr<ModelRegistry>& registry() const { return registry_; }
 
   /// The dispatcher's cost oracle; nullptr when neither cost-aware
@@ -476,12 +468,6 @@ class Server {
   /// `admission_log_capacity` retained). Empty unless the adaptive policy
   /// and a positive capacity are configured.
   std::vector<AdmissionRecord> admission_log() const;
-
-  /// An accelerator bound to the default model's version at construction
-  /// (replica binds share its network and config). Retained for
-  /// single-model callers; under hot-swaps it keeps the construction-time
-  /// snapshot.
-  const core::Accelerator& accelerator() const { return *anchor_; }
 
   /// Latency-percentile window size (served requests retained for the
   /// ServerStats percentiles).
@@ -523,7 +509,6 @@ class Server {
     std::thread thread;
   };
 
-  void init();
   void replica_loop(Replica& replica);
   /// The replica's accelerator for this model version, binding (and LRU
   /// evicting) as needed. Worker-thread only.
@@ -543,7 +528,6 @@ class Server {
   ServerConfig config_;
   std::shared_ptr<ModelRegistry> registry_;
   core::AcceleratorConfig accel_config_;  // pool/threads resolved per replica
-  std::unique_ptr<core::Accelerator> anchor_;  // default model, construction-time
   std::unique_ptr<CostModel> cost_model_;  // set iff cost-aware or adaptive
   std::unique_ptr<TraceRecorder> recorder_;  // set iff trace_path configured
   std::vector<std::unique_ptr<Replica>> replicas_;

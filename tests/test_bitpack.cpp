@@ -489,12 +489,13 @@ TEST(BinaryCycleModel, CostModelChargesBinarizableLayersLess) {
   EXPECT_LT(binary_ms, plain_ms);
 
   // serve::CostModel wraps the same model, so the serving oracle sees the
-  // tier discount too.
+  // tier discount too (key 0: plain, key 1: binarizable).
+  serve::CostModel cost(config, true);
   desc.layers[0].weights_binarizable = false;
-  serve::CostModel plain_model(desc, config, true);
+  cost.bind_model(0, desc, 0);
   desc.layers[0].weights_binarizable = true;
-  serve::CostModel binary_model(desc, config, true);
-  EXPECT_LT(binary_model.modelled_ms(1, 4), plain_model.modelled_ms(1, 4));
+  cost.bind_model(1, desc, 0);
+  EXPECT_LT(cost.modelled_ms(1, 1, 4), cost.modelled_ms(0, 1, 4));
 }
 
 // --- sampler reseed (the lane arena's reuse contract) -----------------------

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/serve_fixture.h"
 #include "core/accelerator.h"
 #include "data/synth.h"
 #include "nn/models.h"
@@ -96,7 +97,7 @@ std::vector<serve::Response> single_model_baseline(
     const quant::QuantNetwork& net, const std::vector<serve::Request>& requests) {
   serve::ServerConfig config;
   config.max_batch = 1;
-  serve::Server server(core::Accelerator(net, accel_config(1)), config);
+  serve::Server server(bench::single_model_registry(net), accel_config(1), config);
   std::vector<serve::Response> responses;
   for (const serve::Request& request : requests) {
     serve::Request copy = request;
@@ -152,6 +153,38 @@ TEST(ModelRegistry, PublishResolveVersioningAndSwapStats) {
   EXPECT_EQ(stats.hot_models, 2u);
   EXPECT_EQ(stats.swaps, 1u);
   EXPECT_EQ(stats.evictions, 0u);
+}
+
+TEST(ModelRegistry, VersionsCarryTheirPublishTimeConfig) {
+  auto& fx = fixture();
+  serve::ModelRegistry registry;
+  serve::ModelConfig strict;
+  strict.workload_id = 7;
+  strict.max_queued = 1;
+  const auto v1 = registry.publish("a", fx.net_a, strict);
+  const auto v2 = registry.publish("a", fx.net_b);  // hot-swap, default config
+  // Each snapshot keeps its own knobs: a request that resolved v1 is
+  // admitted under v1's quota even after the swap.
+  EXPECT_EQ(v1->config.max_queued, 1);
+  EXPECT_EQ(v1->config.workload_id, 7u);
+  EXPECT_EQ(v2->config.max_queued, 0);
+  EXPECT_EQ(registry.resolve("a").version->config.max_queued, 0);
+}
+
+TEST(ModelRegistry, RejectsADropoutRateTheSamplerCannotRealize) {
+  auto& fx = fixture();
+  serve::ModelRegistry registry;
+  registry.publish("ok", fx.net_a);
+  quant::QuantNetwork bad = fx.net_b;
+  bad.dropout_p = 0.3;  // not 2^-k: no AND-tree of LFSRs draws it
+  // Rejected at publish, before the table changes: neither a new tenant
+  // nor a hot-swap of an existing one.
+  EXPECT_THROW(registry.publish("bad", bad), std::invalid_argument);
+  EXPECT_FALSE(registry.has("bad"));
+  EXPECT_THROW(registry.publish("ok", bad), std::invalid_argument);
+  EXPECT_EQ(registry.current("ok")->version, 1u);
+  EXPECT_EQ(registry.stats().models, 1u);
+  EXPECT_EQ(registry.stats().swaps, 0u);
 }
 
 TEST(ModelRegistry, ResidencyBudgetEvictsLruAndReloadsCold) {

@@ -45,10 +45,9 @@ serve::Trace record_scenario(const bench::ServeFixture& fixture,
   config.num_replicas = 1;
   config.num_threads = 1;
   config.trace_path = path;
-  config.trace_workload_id = fixture.workload_id;
   {
-    serve::Server server(core::Accelerator(fixture.qnet, bench::serve_accel_config()),
-                         config);
+    serve::Server server(bench::single_model_registry(fixture.qnet, {fixture.workload_id}),
+                         bench::serve_accel_config(), config);
     (void)serve::play_scenario(
         server, serve::generate_scenario(spec),
         [&fixture](const serve::ScenarioEvent& event) {
@@ -81,8 +80,13 @@ const serve::Trace& mixed_escalation_trace() {
   return trace;
 }
 
-core::Accelerator replay_accelerator(const bench::ServeFixture& fixture) {
-  return core::Accelerator(fixture.qnet, bench::serve_accel_config());
+// Re-serves `trace` on a one-entry registry holding `fixture` under the
+// recorded (empty) tenant name.
+serve::ReplayReport replay_on(
+    const serve::Trace& trace, const bench::ServeFixture& fixture,
+    const serve::ReplayConfig& config = {},
+    const core::AcceleratorConfig& accel = bench::serve_accel_config()) {
+  return serve::replay_trace(trace, bench::single_model_registry(fixture.qnet), accel, config);
 }
 
 // --- the acceptance matrix ---------------------------------------------------
@@ -109,7 +113,6 @@ TEST(Replay, RecordedTraceCarriesTheMixedEscalationWorkload) {
 
 TEST(Replay, ChecksumCleanAcrossReplicasThreadsAndDispatchModes) {
   const serve::Trace& trace = mixed_escalation_trace();
-  const core::Accelerator accelerator = replay_accelerator(bench::shared_mlp49_fixture());
   struct Cell {
     int replicas, threads;
     serve::DispatchMode mode;
@@ -123,7 +126,7 @@ TEST(Replay, ChecksumCleanAcrossReplicasThreadsAndDispatchModes) {
     config.num_replicas = cell.replicas;
     config.num_threads = cell.threads;
     config.dispatch_mode = cell.mode;
-    const serve::ReplayReport report = serve::replay_trace(trace, accelerator, config);
+    const serve::ReplayReport report = replay_on(trace, bench::shared_mlp49_fixture(), config);
     EXPECT_TRUE(report.ok()) << serve::replay_summary(report);
     EXPECT_EQ(report.replayed, trace.records.size());
     EXPECT_EQ(report.matched, trace.records.size());
@@ -137,8 +140,7 @@ TEST(Replay, OriginalTimingModeReplaysClean) {
   config.num_replicas = 2;
   config.num_threads = 2;
   config.as_fast_as_possible = false;  // pace to the recorded arrival_us
-  const serve::ReplayReport report = serve::replay_trace(
-      trace, replay_accelerator(bench::shared_mlp49_fixture()), config);
+  const serve::ReplayReport report = replay_on(trace, bench::shared_mlp49_fixture(), config);
   EXPECT_TRUE(report.ok()) << serve::replay_summary(report);
   EXPECT_EQ(report.matched, trace.records.size());
 }
@@ -147,8 +149,7 @@ TEST(Replay, MutatedChecksumIsReportedAsExactlyThatRequest) {
   serve::Trace trace = mixed_escalation_trace();  // copy
   const std::size_t victim = trace.records.size() / 3;
   trace.records[victim].checksum ^= 0x1ull;
-  const serve::ReplayReport report =
-      serve::replay_trace(trace, replay_accelerator(bench::shared_mlp49_fixture()));
+  const serve::ReplayReport report = replay_on(trace, bench::shared_mlp49_fixture());
   EXPECT_FALSE(report.ok());
   ASSERT_EQ(report.divergences.size(), 1u);
   EXPECT_EQ(report.divergences[0].seq, trace.records[victim].seq);
@@ -165,34 +166,32 @@ TEST(Replay, MutatedChecksumIsReportedAsExactlyThatRequest) {
 TEST(Replay, WrongWeightsOrSeedFailFastUnlessDisabled) {
   serve::Trace trace = mixed_escalation_trace();
   const bench::ServeFixture& fixture = bench::shared_mlp49_fixture();
+  ASSERT_EQ(trace.meta.models.size(), 1u);
 
   serve::Trace wrong_weights = trace;
-  wrong_weights.meta.network_fingerprint ^= 0xabcdull;
-  EXPECT_THROW((void)serve::replay_trace(wrong_weights, replay_accelerator(fixture)),
-               std::runtime_error);
+  wrong_weights.meta.models[0].fingerprint ^= 0xabcdull;
+  EXPECT_THROW((void)replay_on(wrong_weights, fixture), std::runtime_error);
 
   serve::Trace wrong_seed = trace;
   wrong_seed.meta.sampler_seed += 1;
-  EXPECT_THROW((void)serve::replay_trace(wrong_seed, replay_accelerator(fixture)),
-               std::runtime_error);
+  EXPECT_THROW((void)replay_on(wrong_seed, fixture), std::runtime_error);
 
-  // verify_fingerprint=false replays anyway; an accelerator REALLY built
-  // with a different sampler seed then shows up the honest way — as
-  // checksum divergences on every record (different mask streams).
+  // verify_fingerprint=false replays anyway; accelerators REALLY built with
+  // a different sampler seed then show up the honest way — as checksum
+  // divergences on every record (different mask streams).
   core::AcceleratorConfig off_seed_config = bench::serve_accel_config();
   off_seed_config.sampler_seed += 1;
-  const core::Accelerator off_seed(fixture.qnet, off_seed_config);
   serve::ReplayConfig no_verify;
   no_verify.verify_fingerprint = false;
-  const serve::ReplayReport report = serve::replay_trace(trace, off_seed, no_verify);
+  const serve::ReplayReport report = replay_on(trace, fixture, no_verify, off_seed_config);
   EXPECT_FALSE(report.ok());
   EXPECT_GT(report.divergences.size(), 0u);
 
   // A zero fingerprint (caller-supplied network, no recorded metadata)
   // skips the guard entirely.
   serve::Trace unverified = trace;
-  unverified.meta.network_fingerprint = 0;
-  EXPECT_TRUE(serve::replay_trace(unverified, replay_accelerator(fixture)).ok());
+  unverified.meta.models[0].fingerprint = 0;
+  EXPECT_TRUE(replay_on(unverified, fixture).ok());
 }
 
 // --- escalation-reuse flag ---------------------------------------------------
@@ -216,8 +215,8 @@ TEST(Replay, ReuseScreeningSamplesFlagTravelsInTheHeaderAndReplaysClean) {
   serve::ReplayConfig replay_config;
   replay_config.num_replicas = 2;
   replay_config.num_threads = 2;
-  const serve::ReplayReport report = serve::replay_trace(
-      trace, replay_accelerator(bench::shared_cnn12_fixture()), replay_config);
+  const serve::ReplayReport report =
+      replay_on(trace, bench::shared_cnn12_fixture(), replay_config);
   EXPECT_TRUE(report.ok()) << serve::replay_summary(report);
   EXPECT_EQ(report.matched, 6u);
 }
@@ -241,12 +240,11 @@ TEST(Replay, AdaptiveSheddingTraceReplaysDecisionsOutcomeForOutcome) {
   config.calibrate_cost_model = false;
   config.admission_log_capacity = 2;  // ring smaller than the trailer
   config.trace_path = path;
-  config.trace_workload_id = fixture.workload_id;
 
   std::vector<serve::AdmissionRecord> live_log;
   {
-    serve::Server server(core::Accelerator(fixture.qnet, bench::serve_accel_config()),
-                         config);
+    serve::Server server(bench::single_model_registry(fixture.qnet, {fixture.workload_id}),
+                         bench::serve_accel_config(), config);
     const auto request_for = [&](int n, serve::RequestOptions options,
                                  std::uint64_t stream_id) {
       serve::Request request;
@@ -312,8 +310,7 @@ TEST(Replay, AdaptiveSheddingTraceReplaysDecisionsOutcomeForOutcome) {
   serve::ReplayConfig replay_config;
   replay_config.num_replicas = 2;
   replay_config.num_threads = 2;
-  const serve::ReplayReport report =
-      serve::replay_trace(trace, replay_accelerator(fixture), replay_config);
+  const serve::ReplayReport report = replay_on(trace, fixture, replay_config);
   EXPECT_TRUE(report.ok()) << serve::replay_summary(report);
   EXPECT_EQ(report.replayed, 2u);
   EXPECT_EQ(report.matched, 2u);
@@ -324,8 +321,7 @@ TEST(Replay, AdaptiveSheddingTraceReplaysDecisionsOutcomeForOutcome) {
   // A tampered admission record is a mismatch, not a silent pass.
   serve::Trace tampered = trace;
   tampered.admission[2].action = serve::AdmissionAction::admit;
-  const serve::ReplayReport bad =
-      serve::replay_trace(tampered, replay_accelerator(fixture), replay_config);
+  const serve::ReplayReport bad = replay_on(tampered, fixture, replay_config);
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.admission_mismatches, 1u);
 }
@@ -439,10 +435,8 @@ TEST(Replay, MultiModelTraceReplaysThroughARebuiltRegistry) {
   for (const serve::TraceRecord& record : trace.records)
     EXPECT_EQ(record.model_key, record.seq % 3);
 
-  // The single-model overload refuses a multi-model trace outright.
-  const bench::ServeFixture cnn = bench::make_cnn12_fixture();
-  EXPECT_THROW((void)serve::replay_trace(trace, replay_accelerator(cnn), {}),
-               std::invalid_argument);
+  // A registry missing any referenced tenant refuses the trace by name.
+  EXPECT_THROW((void)replay_on(trace, bench::shared_cnn12_fixture()), std::runtime_error);
 
   // Registry replay: rebuild every tenant from its model-table workload id
   // (exactly what tools/trace_replay does) and re-serve under a scaled-up

@@ -1,14 +1,11 @@
 // Per-layer plan segments and the residency state machine threaded through
-// quant/qplan -> core/accelerator -> serve/model_registry -> serve/cost_model:
-//   - a streaming PlanSource accelerator is bit-identical to the monolithic
-//     whole-plan accelerator and actually prefetches ahead,
+// quant/qplan -> serve/model_registry -> serve/cost_model:
 //   - segment byte accounting sums to the whole-plan footprint,
 //   - forced partial-residency states (evict_segments) stay bit-identical
-//     across stream modes x replicas x threads x dispatch — the extension of
-//     the R x threads x dispatch acceptance matrix,
+//     across replicas x threads x dispatch — the extension of the
+//     R x threads x dispatch acceptance matrix,
 //   - concurrent resolve() of one evicted tenant builds its segment set
-//     EXACTLY once (counter-pinned) in both materializing and streaming
-//     modes,
+//     EXACTLY once (counter-pinned),
 //   - CostModel::streamed_reload_ms charges only the non-overlapped reload
 //     remainder and never exceeds the flat whole-plan price,
 //   - size-rotated trace segments are each independently valid and
@@ -18,7 +15,6 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <fstream>
 #include <future>
 #include <memory>
@@ -49,32 +45,7 @@ core::AcceleratorConfig accel_config(int num_threads = 1) {
   return config;
 }
 
-// A prebuilt segment source that counts pulls and prefetches — the probe
-// for the accelerator's double-buffer consumption pattern.
-class CountingSource final : public quant::PlanSource {
- public:
-  explicit CountingSource(const quant::QuantNetwork& network) {
-    for (const quant::QLayer& layer : network.layers)
-      segments_.push_back(quant::build_plan_segment(layer));
-  }
-  int num_layers() const override { return static_cast<int>(segments_.size()); }
-  quant::PlanSegment segment(int index) override {
-    ++acquired;
-    return segments_[static_cast<std::size_t>(index)];
-  }
-  void prefetch(int index) override {
-    (void)index;
-    ++prefetched;
-  }
-
-  std::atomic<int> acquired{0};
-  std::atomic<int> prefetched{0};
-
- private:
-  std::vector<quant::PlanSegment> segments_;
-};
-
-// --- qplan: segment accounting and streamed execution ------------------------
+// --- qplan: segment accounting ------------------------
 
 TEST(PlanSegments, AccountingSumsToWholePlanFootprint) {
   const bench::ServeFixture& fixture = bench::shared_cnn12_fixture();
@@ -93,28 +64,6 @@ TEST(PlanSegments, AccountingSumsToWholePlanFootprint) {
   // pure functions of the layer constants.
   const quant::PlanSegment rebuilt = quant::build_plan_segment(fixture.qnet.layers[0]);
   EXPECT_EQ(rebuilt->weight_bytes, plan.layer(0).weight_bytes);
-}
-
-TEST(PlanSegments, StreamingAcceleratorMatchesMonolithicAndPrefetchesAhead) {
-  const bench::ServeFixture& fixture = bench::shared_cnn12_fixture();
-  core::Accelerator whole(fixture.qnet, accel_config(2));
-  auto source = std::make_shared<CountingSource>(fixture.qnet);
-  // The streaming ctor shares an immutable network handle.
-  core::Accelerator streamed(std::make_shared<const quant::QuantNetwork>(fixture.qnet),
-                             source, accel_config(2));
-
-  const int sites = fixture.qnet.num_sites;
-  for (int image = 0; image < 3; ++image) {
-    const nn::Tensor input = fixture.dataset.images().batch_row(image);
-    const auto a = whole.predict(input, sites, 4);
-    const auto b = streamed.predict(input, sites, 4);
-    EXPECT_EQ(a.probs.max_abs_diff(b.probs), 0.0f) << "image " << image;
-  }
-  // Every layer run pulled its segment, and every non-final layer kicked a
-  // prefetch of its successor while computing.
-  EXPECT_GT(source->acquired.load(), 0);
-  EXPECT_GT(source->prefetched.load(), 0);
-  EXPECT_LT(source->prefetched.load(), source->acquired.load());
 }
 
 // --- registry: segment-granular residency ------------------------------------
@@ -143,7 +92,7 @@ TEST(SegmentResidency, ForcedEvictionWalksResidentPartialColdAndRebuilds) {
   EXPECT_EQ(registry.stats().resident_segments, 0u);
 
   // COLD -> RESIDENT via resolve: the missing list names every layer, the
-  // resolve counts as a reload, and (materializing mode) the plan is usable.
+  // resolve counts as a reload, and the plan is usable.
   const auto bound = registry.resolve("m");
   EXPECT_TRUE(bound.cold_start);
   EXPECT_EQ(bound.missing.size(), static_cast<std::size_t>(num_layers));
@@ -156,67 +105,48 @@ TEST(SegmentResidency, ForcedEvictionWalksResidentPartialColdAndRebuilds) {
 }
 
 TEST(SegmentResidency, ConcurrentColdResolveBuildsSegmentSetExactlyOnce) {
-  for (const bool streaming : {false, true}) {
-    serve::RegistryConfig config;
-    config.stream_cold_plans = streaming;
-    serve::ModelRegistry registry(config);
-    registry.publish("m", bench::shared_cnn12_fixture().qnet);
-    const int num_layers =
-        static_cast<int>(registry.current("m")->segment_bytes.size());
-    registry.evict_segments("m");
-    const std::uint64_t builds_before = registry.stats().segment_builds;
+  serve::ModelRegistry registry;
+  registry.publish("m", bench::shared_cnn12_fixture().qnet);
+  const int num_layers = static_cast<int>(registry.current("m")->segment_bytes.size());
+  registry.evict_segments("m");
+  const std::uint64_t builds_before = registry.stats().segment_builds;
 
-    // A start barrier so every thread's resolve races the same cold state.
-    constexpr int kThreads = 6;
-    std::promise<void> go;
-    std::shared_future<void> start = go.get_future().share();
-    std::vector<std::thread> threads;
-    std::vector<serve::ModelRegistry::Bound> bounds(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        start.wait();
-        serve::ModelRegistry::Bound bound = registry.resolve("m");
-        // Streaming mode hands back a lazy source; pull every segment the
-        // way a replica's accelerator would.
-        for (int i = 0; i < bound.source->num_layers(); ++i)
-          (void)bound.source->segment(i);
-        bounds[static_cast<std::size_t>(t)] = std::move(bound);
-      });
-    }
-    go.set_value();
-    for (std::thread& thread : threads) thread.join();
-
-    // The counter-pinned guarantee: N racing replicas, one build per layer.
-    EXPECT_EQ(registry.stats().segment_builds - builds_before,
-              static_cast<std::uint64_t>(num_layers))
-        << (streaming ? "streaming" : "materializing");
-    EXPECT_TRUE(registry.hot("m"));
-    // Whoever resolved first saw the cold state; racers arriving after the
-    // rebuild legitimately resolve warm. Everyone gets a servable bound.
-    int cold_resolves = 0;
-    for (const auto& bound : bounds) {
-      if (bound.cold_start) ++cold_resolves;
-      if (!streaming) {
-        ASSERT_NE(bound.plan, nullptr);
-      }
-    }
-    EXPECT_GT(cold_resolves, 0);
-
-    // The rebuilt segments serve bit-identically to a never-evicted net.
-    core::Accelerator reference(bench::shared_cnn12_fixture().qnet, accel_config());
-    core::Accelerator rebuilt =
-        bounds[0].plan != nullptr
-            ? core::Accelerator(bounds[0].version->network, bounds[0].plan,
-                                accel_config())
-            : core::Accelerator(bounds[0].version->network, bounds[0].source,
-                                accel_config());
-    const nn::Tensor image =
-        bench::shared_cnn12_fixture().dataset.images().batch_row(0);
-    const int sites = bench::shared_cnn12_fixture().qnet.num_sites;
-    EXPECT_EQ(reference.predict(image, sites, 3)
-                  .probs.max_abs_diff(rebuilt.predict(image, sites, 3).probs),
-              0.0f);
+  // A start barrier so every thread's resolve races the same cold state.
+  constexpr int kThreads = 6;
+  std::promise<void> go;
+  std::shared_future<void> start = go.get_future().share();
+  std::vector<std::thread> threads;
+  std::vector<serve::ModelRegistry::Bound> bounds(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.wait();
+      bounds[static_cast<std::size_t>(t)] = registry.resolve("m");
+    });
   }
+  go.set_value();
+  for (std::thread& thread : threads) thread.join();
+
+  // The counter-pinned guarantee: N racing replicas, one build per layer.
+  EXPECT_EQ(registry.stats().segment_builds - builds_before,
+            static_cast<std::uint64_t>(num_layers));
+  EXPECT_TRUE(registry.hot("m"));
+  // Whoever resolved first saw the cold state; racers arriving after the
+  // rebuild legitimately resolve warm. Everyone gets a servable plan.
+  int cold_resolves = 0;
+  for (const auto& bound : bounds) {
+    if (bound.cold_start) ++cold_resolves;
+    ASSERT_NE(bound.plan, nullptr);
+  }
+  EXPECT_GT(cold_resolves, 0);
+
+  // The rebuilt segments serve bit-identically to a never-evicted net.
+  core::Accelerator reference(bench::shared_cnn12_fixture().qnet, accel_config());
+  core::Accelerator rebuilt(bounds[0].version->network, bounds[0].plan, accel_config());
+  const nn::Tensor image = bench::shared_cnn12_fixture().dataset.images().batch_row(0);
+  const int sites = bench::shared_cnn12_fixture().qnet.num_sites;
+  EXPECT_EQ(reference.predict(image, sites, 3)
+                .probs.max_abs_diff(rebuilt.predict(image, sites, 3).probs),
+            0.0f);
 }
 
 // --- the partial-residency acceptance matrix ---------------------------------
@@ -246,9 +176,8 @@ TEST(SegmentResidency, PartialResidencyMatrixStaysBitIdentical) {
     serve::ServerConfig config;
     config.max_batch = 1;
     serve::Server server(
-        core::Accelerator(multi.fixtures[static_cast<std::size_t>(m)].qnet,
-                          accel_config(1)),
-        config);
+        bench::single_model_registry(multi.fixtures[static_cast<std::size_t>(m)].qnet),
+        accel_config(1), config);
     for (const Stimulus& stimulus : stimuli) {
       if (stimulus.tenant != m) continue;
       serve::Request request;
@@ -263,69 +192,61 @@ TEST(SegmentResidency, PartialResidencyMatrixStaysBitIdentical) {
   enum class Residency { full, partial, cold };
   for (const Residency residency :
        {Residency::full, Residency::partial, Residency::cold}) {
-    for (const bool streaming : {false, true}) {
-      for (const int replicas : {1, 2}) {
-        for (const int threads : {1, 2}) {
-          for (const serve::DispatchMode mode :
-               {serve::DispatchMode::fifo, serve::DispatchMode::cost_aware}) {
-            serve::RegistryConfig registry_config;
-            registry_config.stream_cold_plans = streaming;
-            auto registry =
-                std::make_shared<serve::ModelRegistry>(registry_config);
-            for (int m = 0; m < 3; ++m) {
-              serve::ModelConfig model_config;
-              model_config.workload_id =
-                  multi.fixtures[static_cast<std::size_t>(m)].workload_id;
-              registry->publish(multi.names[static_cast<std::size_t>(m)],
-                                multi.fixtures[static_cast<std::size_t>(m)].qnet,
-                                model_config);
-            }
-            serve::ServerConfig server_config;
-            server_config.max_batch = 4;
-            server_config.num_replicas = replicas;
-            server_config.num_threads = threads;
-            server_config.dispatch_mode = mode;
-            server_config.default_model = multi.names[0];
-            serve::Server server(registry, accel_config(threads), server_config);
+    for (const int replicas : {1, 2}) {
+      for (const int threads : {1, 2}) {
+        for (const serve::DispatchMode mode :
+             {serve::DispatchMode::fifo, serve::DispatchMode::cost_aware}) {
+          auto registry = std::make_shared<serve::ModelRegistry>();
+          for (int m = 0; m < 3; ++m) {
+            serve::ModelConfig model_config;
+            model_config.workload_id =
+                multi.fixtures[static_cast<std::size_t>(m)].workload_id;
+            registry->publish(multi.names[static_cast<std::size_t>(m)],
+                              multi.fixtures[static_cast<std::size_t>(m)].qnet,
+                              model_config);
+          }
+          serve::ServerConfig server_config;
+          server_config.max_batch = 4;
+          server_config.num_replicas = replicas;
+          server_config.num_threads = threads;
+          server_config.dispatch_mode = mode;
+          server_config.default_model = multi.names[0];
+          serve::Server server(registry, accel_config(threads), server_config);
 
-            // Pin the forced residency state AFTER server construction so
-            // the wave itself crosses it.
-            if (residency != Residency::full) {
-              for (const std::string& name : multi.names) {
-                const int num_layers = static_cast<int>(
-                    registry->current(name)->segment_bytes.size());
-                registry->evict_segments(
-                    name, residency == Residency::partial ? num_layers / 2 : 0);
-              }
-              EXPECT_GT(registry->stats().segment_evictions, 0u);
+          // Pin the forced residency state AFTER server construction so
+          // the wave itself crosses it.
+          if (residency != Residency::full) {
+            for (const std::string& name : multi.names) {
+              const int num_layers =
+                  static_cast<int>(registry->current(name)->segment_bytes.size());
+              registry->evict_segments(
+                  name, residency == Residency::partial ? num_layers / 2 : 0);
             }
+            EXPECT_GT(registry->stats().segment_evictions, 0u);
+          }
 
-            std::vector<std::future<serve::Response>> futures;
-            for (const Stimulus& stimulus : stimuli) {
-              serve::Request request;
-              request.image = stimulus.image;
-              request.options.num_samples = num_samples;
-              request.model = multi.names[static_cast<std::size_t>(stimulus.tenant)];
-              request.stream_id = stimulus.stream_id;
-              futures.push_back(server.submit(std::move(request)));
-            }
-            int cold_responses = 0;
-            for (int r = 0; r < num_requests; ++r) {
-              const serve::Response response =
-                  futures[static_cast<std::size_t>(r)].get();
-              if (response.cold_start) ++cold_responses;
-              const serve::Response& reference =
-                  baselines[static_cast<std::size_t>(r % 3)]
-                           [static_cast<std::size_t>(r / 3)];
-              EXPECT_EQ(response.probs.max_abs_diff(reference.probs), 0.0f)
-                  << "request " << r << " residency "
-                  << static_cast<int>(residency) << " streaming " << streaming
-                  << " R=" << replicas << " threads=" << threads << " dispatch="
-                  << static_cast<int>(mode);
-            }
-            if (residency != Residency::full) {
-              EXPECT_GT(cold_responses, 0);
-            }
+          std::vector<std::future<serve::Response>> futures;
+          for (const Stimulus& stimulus : stimuli) {
+            serve::Request request;
+            request.image = stimulus.image;
+            request.options.num_samples = num_samples;
+            request.model = multi.names[static_cast<std::size_t>(stimulus.tenant)];
+            request.stream_id = stimulus.stream_id;
+            futures.push_back(server.submit(std::move(request)));
+          }
+          int cold_responses = 0;
+          for (int r = 0; r < num_requests; ++r) {
+            const serve::Response response = futures[static_cast<std::size_t>(r)].get();
+            if (response.cold_start) ++cold_responses;
+            const serve::Response& reference =
+                baselines[static_cast<std::size_t>(r % 3)][static_cast<std::size_t>(r / 3)];
+            EXPECT_EQ(response.probs.max_abs_diff(reference.probs), 0.0f)
+                << "request " << r << " residency " << static_cast<int>(residency)
+                << " R=" << replicas << " threads=" << threads
+                << " dispatch=" << static_cast<int>(mode);
+          }
+          if (residency != Residency::full) {
+            EXPECT_GT(cold_responses, 0);
           }
         }
       }
@@ -382,11 +303,11 @@ TEST(TraceRotation, SegmentsAreIndependentlyValidAndReplayable) {
     serve::ServerConfig config;
     config.max_batch = 2;
     config.trace_path = base;
-    config.trace_workload_id = fixture.workload_id;
     // Small enough that a handful of ~700-byte records overflows it: the
     // recorder must roll several times across the wave.
     config.trace_max_bytes = 2048;
-    serve::Server server(core::Accelerator(fixture.qnet, accel_config()), config);
+    serve::Server server(bench::single_model_registry(fixture.qnet, {fixture.workload_id}),
+                         accel_config(), config);
     (void)serve::play_scenario(
         server, serve::generate_scenario(spec),
         [&fixture](const serve::ScenarioEvent& event) {
@@ -406,7 +327,7 @@ TEST(TraceRotation, SegmentsAreIndependentlyValidAndReplayable) {
   }
   ASSERT_GE(segment_paths.size(), 2u) << "trace_max_bytes never rolled";
 
-  core::Accelerator replayer(fixture.qnet, accel_config());
+  const auto replayer = bench::single_model_registry(fixture.qnet);
   std::size_t total_records = 0;
   std::uint64_t last_seq = 0;
   for (std::size_t s = 0; s < segment_paths.size(); ++s) {
@@ -421,7 +342,8 @@ TEST(TraceRotation, SegmentsAreIndependentlyValidAndReplayable) {
       ++total_records;
     }
     // Each segment replays checksum-clean on its own.
-    const serve::ReplayReport report = serve::replay_trace(trace, replayer);
+    const serve::ReplayReport report =
+        serve::replay_trace(trace, replayer, accel_config());
     EXPECT_TRUE(report.ok()) << segment_paths[s] << ": "
                              << serve::replay_summary(report);
   }
@@ -443,8 +365,8 @@ TEST(TicketAging, NeverChangesAServedBit) {
 
   serve::ServerConfig reference_config;
   reference_config.max_batch = 1;
-  serve::Server reference_server(core::Accelerator(fixture.qnet, accel_config(1)),
-                                 reference_config);
+  serve::Server reference_server(bench::single_model_registry(fixture.qnet),
+                                 accel_config(1), reference_config);
   const auto reference =
       serve::play_scenario(reference_server, events, image_for, true);
 
@@ -458,7 +380,8 @@ TEST(TicketAging, NeverChangesAServedBit) {
     config.num_threads = 2;
     config.dispatch_mode = serve::DispatchMode::cost_aware;
     config.aging_weight = aging_weight;
-    serve::Server server(core::Accelerator(fixture.qnet, accel_config(2)), config);
+    serve::Server server(bench::single_model_registry(fixture.qnet), accel_config(2),
+                         config);
     const auto responses = serve::play_scenario(server, events, image_for, true);
     ASSERT_EQ(responses.size(), reference.size());
     for (std::size_t r = 0; r < responses.size(); ++r) {

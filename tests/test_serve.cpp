@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bayes/predictive.h"
+#include "bench/serve_fixture.h"
 #include "core/accelerator.h"
 #include "data/synth.h"
 #include "metrics/metrics.h"
@@ -187,7 +188,7 @@ TEST(Server, ResponsesMatchDirectPredictBatchAndIgnoreBatchingOrder) {
   {
     serve::ServerConfig config;
     config.max_batch = 4;
-    serve::Server server(core::Accelerator(*fx.qnet, accel_config(0)), config);
+    serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(0), config);
     std::vector<std::future<serve::Response>> futures;
     for (int n = 0; n < 4; ++n)
       futures.push_back(server.submit(
@@ -209,7 +210,7 @@ TEST(Server, ResponsesMatchDirectPredictBatchAndIgnoreBatchingOrder) {
   {
     serve::ServerConfig config;
     config.max_batch = 1;
-    serve::Server server(core::Accelerator(*fx.qnet, accel_config(1)), config);
+    serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(1), config);
     for (int n = 3; n >= 0; --n) {
       const serve::Response response = server.infer(
           request_for(batch, n, options, static_cast<std::uint64_t>(10 + n)));
@@ -232,7 +233,7 @@ TEST(Server, RouterNeverEscalatesBelowThresholdAlwaysAbove) {
     options.use_uncertainty_router = true;
     options.screening_samples = 2;
     options.entropy_threshold_nats = 100.0;
-    serve::Server server(core::Accelerator(*fx.qnet, accel_config(0)), {});
+    serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(0));
     for (int n = 0; n < 3; ++n) {
       const serve::Response response = server.infer(request_for(batch, n, options));
       EXPECT_FALSE(response.escalated);
@@ -258,7 +259,7 @@ TEST(Server, RouterNeverEscalatesBelowThresholdAlwaysAbove) {
     direct.num_samples = 8;
     direct.bayes_layers = 2;
 
-    serve::Server server(core::Accelerator(*fx.qnet, accel_config(0)), {});
+    serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(0));
     for (int n = 0; n < 3; ++n) {
       const serve::Response escalated =
           server.infer(request_for(batch, n, routed, 55u + n));
@@ -287,7 +288,7 @@ TEST(Server, EscalationReuseMergesScreeningWithTheTailSampleWindow) {
 
   serve::ServerConfig config;
   config.reuse_screening_samples = true;
-  serve::Server server(core::Accelerator(*fx.qnet, accel_config(0)), config);
+  serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(0), config);
 
   core::Accelerator direct(*fx.qnet, accel_config(1));
   for (int n = 0; n < 3; ++n) {
@@ -355,7 +356,7 @@ TEST(Server, RouterPartitionsExactlyByScreeningEntropy) {
 
   serve::ServerConfig config;
   config.max_batch = count;
-  serve::Server server(core::Accelerator(*fx.qnet, accel_config(0)), config);
+  serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(0), config);
   std::vector<std::future<serve::Response>> futures;
   for (int n = 0; n < count; ++n)
     futures.push_back(
@@ -408,7 +409,7 @@ TEST(Server, ReplicasBitIdenticalAcrossCountsAndThreadCounts) {
       config.max_batch = 3;  // forces several batch groups per wave
       config.num_replicas = replicas;
       config.num_threads = threads;
-      serve::Server server(core::Accelerator(*fx.qnet, accel_config(0)), config);
+      serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(0), config);
       std::vector<std::future<serve::Response>> futures;
       for (int n = 0; n < count; ++n)
         futures.push_back(server.submit(request_for(
@@ -484,7 +485,7 @@ TEST(Server, CostAwareDispatchBitIdenticalAcrossModesReplicasAndThreads) {
         config.num_replicas = replicas;
         config.num_threads = threads;
         config.dispatch_mode = mode;
-        serve::Server server(core::Accelerator(*fx.qnet, accel_config(0)), config);
+        serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(0), config);
         EXPECT_EQ(server.cost_model() != nullptr,
                   mode == serve::DispatchMode::cost_aware);
         std::vector<std::future<serve::Response>> futures;
@@ -512,19 +513,17 @@ TEST(Server, ReplicasShareOneNetworkCopy) {
   auto& fx = fixture();
   serve::ServerConfig config;
   config.num_replicas = 4;
-  serve::Server server(core::Accelerator(*fx.qnet, accel_config(1)), config);
-  // The registry publishes the accelerator's network HANDLE — no deep copy
-  // of the weights on the way in.
-  EXPECT_EQ(server.registry()->current("")->network.get(),
-            server.accelerator().shared_network().get());
-  // Replica binds share that same handle: after serving, the network has
-  // extra shared references (anchor + registry + the serving bind), never
-  // a duplicated weight set.
+  serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(1), config);
+  const std::shared_ptr<const quant::QuantNetwork> network =
+      server.registry()->current("")->network;
+  const long before = network.use_count();
+  // The replica bind that serves shares the registry's network HANDLE: one
+  // more shared reference, never a duplicated weight set.
   serve::Request request;
   request.image = fx.dataset->images().batch_row(0);
   request.options.num_samples = 4;
   (void)server.infer(std::move(request));
-  EXPECT_GE(server.accelerator().shared_network().use_count(), 3);
+  EXPECT_EQ(network.use_count(), before + 1);
 }
 
 TEST(Server, ValidatesReplicaAndQueueDepthConfig) {
@@ -532,13 +531,13 @@ TEST(Server, ValidatesReplicaAndQueueDepthConfig) {
   {
     serve::ServerConfig config;
     config.num_replicas = 0;
-    EXPECT_THROW(serve::Server(core::Accelerator(*fx.qnet, accel_config(1)), config),
+    EXPECT_THROW(serve::Server(bench::single_model_registry(*fx.qnet), accel_config(1), config),
                  std::invalid_argument);
   }
   {
     serve::ServerConfig config;
     config.max_queue_depth = -1;
-    EXPECT_THROW(serve::Server(core::Accelerator(*fx.qnet, accel_config(1)), config),
+    EXPECT_THROW(serve::Server(bench::single_model_registry(*fx.qnet), accel_config(1), config),
                  std::invalid_argument);
   }
 }
@@ -546,7 +545,7 @@ TEST(Server, ValidatesReplicaAndQueueDepthConfig) {
 TEST(Server, ValidatesRequestsAndRejectsAfterShutdown) {
   auto& fx = fixture();
   const data::Batch batch = fx.dataset->batch(0, 1);
-  serve::Server server(core::Accelerator(*fx.qnet, accel_config(1)), {});
+  serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(1));
 
   serve::RequestOptions bad_samples;
   bad_samples.num_samples = 0;
@@ -606,7 +605,7 @@ TEST(Server, MixedShapeWaveIsSplitPerShapeAndEveryRequestResolves) {
   serve::ServerConfig config;
   config.max_batch = 8;
   config.batch_linger = std::chrono::milliseconds(20);  // force coalescing
-  serve::Server server(core::Accelerator(*fx.qnet, accel_config(1)), config);
+  serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(1), config);
 
   serve::RequestOptions options;
   options.num_samples = 3;
@@ -659,7 +658,7 @@ TEST(Server, CostAwareDispatchHandlesMixedShapeGroups) {
     config.num_replicas = 2;
     config.batch_linger = std::chrono::milliseconds(10);  // force coalescing
     config.dispatch_mode = mode;
-    serve::Server server(core::Accelerator(*fx.qnet, accel_config(1)), config);
+    serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(1), config);
 
     // Flat/square views of the same pixels, with the square half heavy
     // (S=6, L=2) and the flat half cheap (S=2, L=1): the cost-aware
@@ -685,7 +684,7 @@ TEST(Server, CostAwareDispatchHandlesMixedShapeGroups) {
     serve::ServerConfig replay_config;
     replay_config.max_batch = 1;
     replay_config.num_threads = 1;
-    serve::Server replay(core::Accelerator(*fx.qnet, accel_config(1)), replay_config);
+    serve::Server replay(bench::single_model_registry(*fx.qnet), accel_config(1), replay_config);
     for (int n = 0; n < 4; ++n) {
       const serve::Response flat = futures[static_cast<std::size_t>(2 * n)].get();
       const serve::Response square = futures[static_cast<std::size_t>(2 * n + 1)].get();
@@ -711,7 +710,7 @@ TEST(Server, CostAwareDispatchHandlesMixedShapeGroups) {
 TEST(Server, KeepsServingAfterARejectedSubmission) {
   auto& fx = fixture();
   const data::Batch batch = fx.dataset->batch(0, 2);
-  serve::Server server(core::Accelerator(*fx.qnet, accel_config(1)), {});
+  serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(1));
 
   serve::Request wrong_shape;
   wrong_shape.image = nn::Tensor({1, 1, 5, 5});
@@ -748,7 +747,7 @@ TEST(LatencyPercentile, InterpolatesBetweenClosestRanks) {
 TEST(Server, StatsReportOrderedLatencyPercentiles) {
   auto& fx = fixture();
   const data::Batch batch = fx.dataset->batch(0, 3);
-  serve::Server server(core::Accelerator(*fx.qnet, accel_config(1)), {});
+  serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(1));
 
   EXPECT_EQ(server.stats().latency_p50_ms, 0.0);  // no traffic yet
 
@@ -768,7 +767,7 @@ TEST(Server, DestructorDrainsAcceptedRequests) {
   {
     serve::ServerConfig config;
     config.max_batch = 2;
-    serve::Server server(core::Accelerator(*fx.qnet, accel_config(0)), config);
+    serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(0), config);
     for (int n = 0; n < 3; ++n)
       futures.push_back(server.submit(request_for(batch, n, serve::RequestOptions{})));
   }  // destructor joins after serving everything accepted

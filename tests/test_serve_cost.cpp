@@ -18,6 +18,7 @@
 #include <memory>
 #include <vector>
 
+#include "bench/serve_fixture.h"
 #include "core/accelerator.h"
 #include "core/software_metrics.h"
 #include "data/synth.h"
@@ -76,55 +77,61 @@ serve::Request request_for(const data::Batch& batch, int n, serve::RequestOption
 
 // --- CostModel --------------------------------------------------------------
 
+// The fixture network's cost model, bound as key 0: the same estimate_mc
+// inputs as Accelerator::estimate. Heap-allocated because the internal
+// cache mutex pins the object.
+std::unique_ptr<serve::CostModel> fixture_cost_model() {
+  const core::AcceleratorConfig config = accel_config(1);
+  auto model = std::make_unique<serve::CostModel>(core::PerfConfig{config.nne, config.ddr},
+                                                  config.use_intermediate_caching);
+  model->bind_model(0, fixture().qnet->describe(), fixture().qnet->resident_weight_bytes());
+  return model;
+}
+
 TEST(CostModel, MatchesEstimateMcAndIsMonotoneInSamples) {
   auto& fx = fixture();
   core::Accelerator accelerator(*fx.qnet, accel_config(1));
-  const auto model = serve::CostModel::for_accelerator(accelerator);
+  const auto model = fixture_cost_model();
 
-  EXPECT_EQ(model->num_sites(), fx.qnet->num_sites);
   // The model is the accelerator's own estimate, cached.
   for (const int samples : {1, 4, 10}) {
-    EXPECT_DOUBLE_EQ(model->modelled_ms(2, samples),
+    EXPECT_DOUBLE_EQ(model->modelled_ms(0, 2, samples),
                      accelerator.estimate(2, samples).latency_ms);
   }
   // More samples never model as cheaper; more Bayesian depth at fixed S
   // never models as cheaper either (longer stochastic suffix).
-  EXPECT_LT(model->modelled_ms(2, 2), model->modelled_ms(2, 10));
-  EXPECT_LE(model->modelled_ms(1, 10), model->modelled_ms(fx.qnet->num_sites, 10));
+  EXPECT_LT(model->modelled_ms(0, 2, 2), model->modelled_ms(0, 2, 10));
+  EXPECT_LE(model->modelled_ms(0, 1, 10), model->modelled_ms(0, fx.qnet->num_sites, 10));
   // L = -1 resolves to every site.
-  EXPECT_DOUBLE_EQ(model->modelled_ms(-1, 5),
-                   model->modelled_ms(fx.qnet->num_sites, 5));
+  EXPECT_DOUBLE_EQ(model->modelled_ms(0, -1, 5),
+                   model->modelled_ms(0, fx.qnet->num_sites, 5));
 }
 
 TEST(CostModel, RequestCostsReflectRoutingAndDowngrade) {
-  auto& fx = fixture();
-  core::Accelerator accelerator(*fx.qnet, accel_config(1));
-  const auto model = serve::CostModel::for_accelerator(accelerator);
+  const auto model = fixture_cost_model();
 
   serve::RequestOptions direct;
   direct.num_samples = 10;
   direct.bayes_layers = 2;
   // A direct request is one full pass, worst case included.
-  EXPECT_DOUBLE_EQ(model->first_pass_ms(direct), model->modelled_ms(2, 10));
-  EXPECT_DOUBLE_EQ(model->admission_ms(direct), model->modelled_ms(2, 10));
-  EXPECT_DOUBLE_EQ(model->downgraded_ms(direct), model->modelled_ms(2, 10));
+  EXPECT_DOUBLE_EQ(model->first_pass_ms(0, direct), model->modelled_ms(0, 2, 10));
+  EXPECT_DOUBLE_EQ(model->admission_ms(0, direct), model->modelled_ms(0, 2, 10));
+  EXPECT_DOUBLE_EQ(model->downgraded_ms(0, direct), model->modelled_ms(0, 2, 10));
 
   serve::RequestOptions routed = direct;
   routed.use_uncertainty_router = true;
   routed.screening_samples = 2;
   // Routed: first pass is the cheap screening pass; admission assumes the
   // escalation pass on top; a downgrade strips it back to screening only.
-  EXPECT_DOUBLE_EQ(model->first_pass_ms(routed), model->modelled_ms(2, 2));
-  EXPECT_DOUBLE_EQ(model->admission_ms(routed),
-                   model->modelled_ms(2, 2) + model->modelled_ms(2, 10));
-  EXPECT_DOUBLE_EQ(model->downgraded_ms(routed), model->modelled_ms(2, 2));
-  EXPECT_LT(model->downgraded_ms(routed), model->admission_ms(routed));
+  EXPECT_DOUBLE_EQ(model->first_pass_ms(0, routed), model->modelled_ms(0, 2, 2));
+  EXPECT_DOUBLE_EQ(model->admission_ms(0, routed),
+                   model->modelled_ms(0, 2, 2) + model->modelled_ms(0, 2, 10));
+  EXPECT_DOUBLE_EQ(model->downgraded_ms(0, routed), model->modelled_ms(0, 2, 2));
+  EXPECT_LT(model->downgraded_ms(0, routed), model->admission_ms(0, routed));
 }
 
 TEST(CostModel, EscalationReuseTightensRoutedAdmission) {
-  auto& fx = fixture();
-  core::Accelerator accelerator(*fx.qnet, accel_config(1));
-  auto model = serve::CostModel::for_accelerator(accelerator);
+  const auto model = fixture_cost_model();
 
   serve::RequestOptions routed;
   routed.num_samples = 10;
@@ -135,17 +142,17 @@ TEST(CostModel, EscalationReuseTightensRoutedAdmission) {
   direct.num_samples = 10;
   direct.bayes_layers = 2;
 
-  const double classic = model->admission_ms(routed);
+  const double classic = model->admission_ms(0, routed);
   model->set_escalation_reuse(true);
   // With screening-sample reuse the escalation pass only runs the NEW
   // samples, so worst-case admission is screening + (full - screening).
-  EXPECT_DOUBLE_EQ(model->admission_ms(routed),
-                   model->modelled_ms(2, 2) + model->modelled_ms(2, 8));
-  EXPECT_LT(model->admission_ms(routed), classic);
+  EXPECT_DOUBLE_EQ(model->admission_ms(0, routed),
+                   model->modelled_ms(0, 2, 2) + model->modelled_ms(0, 2, 8));
+  EXPECT_LT(model->admission_ms(0, routed), classic);
   // Non-routed requests have no escalation pass to shrink.
-  EXPECT_DOUBLE_EQ(model->admission_ms(direct), model->modelled_ms(2, 10));
+  EXPECT_DOUBLE_EQ(model->admission_ms(0, direct), model->modelled_ms(0, 2, 10));
   model->set_escalation_reuse(false);
-  EXPECT_DOUBLE_EQ(model->admission_ms(routed), classic);
+  EXPECT_DOUBLE_EQ(model->admission_ms(0, routed), classic);
 }
 
 // --- calibration ------------------------------------------------------------
@@ -194,7 +201,7 @@ TEST(Server, AdaptiveCalibratesCostModelAtStartup) {
   config.overload_policy = serve::OverloadPolicy::adaptive;
   config.latency_target_ms = 50.0;
   config.calibrate_cost_model = true;
-  serve::Server server(core::Accelerator(*fx.qnet, accel_config(1)), config);
+  serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(1), config);
   ASSERT_NE(server.cost_model(), nullptr);
   // A measured anchor replaced the identity scale with this host's
   // simulator-vs-model ratio (any positive finite value).
@@ -243,7 +250,7 @@ TEST(Server, AdaptiveRequiresPositiveLatencyTarget) {
   serve::ServerConfig config;
   config.overload_policy = serve::OverloadPolicy::adaptive;
   config.latency_target_ms = 0.0;
-  EXPECT_THROW(serve::Server(core::Accelerator(*fx.qnet, accel_config(1)), config),
+  EXPECT_THROW(serve::Server(bench::single_model_registry(*fx.qnet), accel_config(1), config),
                std::invalid_argument);
 }
 
@@ -263,7 +270,7 @@ TEST(Server, AdaptiveDowngradesRoutedAndRejectsCostlyBitIdentically) {
   config.latency_target_ms = 1e-9;  // always "overloaded" once warm
   config.calibrate_cost_model = false;
   config.admission_log_capacity = 64;
-  serve::Server server(core::Accelerator(*fx.qnet, accel_config(1)), config);
+  serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(1), config);
 
   // Warm request: the window is empty, p99 = 0 <= target fails the
   // overload gate... (0 > 1e-9 is false) so it is admitted normally.
@@ -310,7 +317,7 @@ TEST(Server, AdaptiveDowngradesRoutedAndRejectsCostlyBitIdentically) {
   serve::ServerConfig plain_config;
   plain_config.max_batch = 1;
   plain_config.num_threads = 1;
-  serve::Server plain(core::Accelerator(*fx.qnet, accel_config(1)), plain_config);
+  serve::Server plain(bench::single_model_registry(*fx.qnet), accel_config(1), plain_config);
   serve::RequestOptions never_escalate = routed;
   never_escalate.entropy_threshold_nats = 1e9;
   const serve::Response reference = plain.infer(request_for(batch, 1, never_escalate, 101));
@@ -346,7 +353,7 @@ TEST(Server, AdaptiveHonoursQueueBoundAndLogCapacity) {
   config.latency_target_ms = 1e9;  // never "overloaded": only the bound sheds
   config.calibrate_cost_model = false;
   config.admission_log_capacity = 4;
-  serve::Server server(core::Accelerator(*fx.qnet, accel_config(1)), config);
+  serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(1), config);
 
   serve::RequestOptions slow;
   slow.num_samples = 400;
@@ -390,7 +397,7 @@ TEST(Server, AdaptiveHonoursQueueBoundAndLogCapacity) {
 TEST(Server, StatsReportWindowCountAndSingleSamplePercentiles) {
   auto& fx = fixture();
   const data::Batch batch = fx.dataset->batch(0, 1);
-  serve::Server server(core::Accelerator(*fx.qnet, accel_config(1)), {});
+  serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(1));
 
   // Empty window: zero percentiles, zero count (not an exception).
   serve::ServerStats before = server.stats();

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/serve_fixture.h"
 #include "core/accelerator.h"
 #include "data/synth.h"
 #include "nn/models.h"
@@ -134,7 +135,7 @@ TEST(ServeStress, ConcurrentRandomTrafficMatchesSingleThreadedReplay) {
     config.num_replicas = 2;
     config.max_queue_depth = 16;
     config.overload_policy = serve::OverloadPolicy::block;  // nothing rejected
-    serve::Server server(core::Accelerator(*fx.qnet, accel_config(0)), config);
+    serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(0), config);
 
     std::vector<std::thread> submitters;
     for (int t = 0; t < kSubmitters; ++t) {
@@ -162,7 +163,7 @@ TEST(ServeStress, ConcurrentRandomTrafficMatchesSingleThreadedReplay) {
   serve::ServerConfig replay_config;
   replay_config.max_batch = 1;
   replay_config.num_threads = 1;
-  serve::Server replay(core::Accelerator(*fx.qnet, accel_config(1)), replay_config);
+  serve::Server replay(bench::single_model_registry(*fx.qnet), accel_config(1), replay_config);
 
   int resolved = 0;
   for (auto& thread_issued : issued) {
@@ -196,7 +197,7 @@ TEST(ServeStress, MixedShapeConcurrentWaveWithShutdownWhileQueued) {
   std::atomic<int> shutdown_rejections{0};
 
   auto server = std::make_unique<serve::Server>(
-      core::Accelerator(*fx.qnet, accel_config(1)), [] {
+      bench::single_model_registry(*fx.qnet), accel_config(1), [] {
         serve::ServerConfig config;
         config.max_batch = 8;
         config.num_replicas = 2;
@@ -255,7 +256,7 @@ TEST(ServeStress, MixedShapeConcurrentWaveWithShutdownWhileQueued) {
   serve::ServerConfig replay_config;
   replay_config.max_batch = 1;
   replay_config.num_threads = 1;
-  serve::Server replay(core::Accelerator(*fx.qnet, accel_config(1)), replay_config);
+  serve::Server replay(bench::single_model_registry(*fx.qnet), accel_config(1), replay_config);
   for (Issued& entry : issued) {
     ASSERT_EQ(entry.future.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
@@ -290,7 +291,7 @@ TEST(ServeBackpressure, FailFastRejectsWithDistinctErrorAndConsistentCounters) {
   config.num_threads = 1;
   config.max_queue_depth = 2;
   config.overload_policy = serve::OverloadPolicy::fail_fast;
-  serve::Server server(core::Accelerator(*fx.qnet, accel_config(1)), config);
+  serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(1), config);
 
   // A slow head request keeps the single replica busy while the rest of
   // the wave lands: at most max_queue_depth of them can be queued, the
@@ -334,7 +335,7 @@ TEST(ServeBackpressure, BlockPolicyBoundsQueueAndNeverDeadlocks) {
   config.num_replicas = 2;
   config.max_queue_depth = 2;
   config.overload_policy = serve::OverloadPolicy::block;
-  serve::Server server(core::Accelerator(*fx.qnet, accel_config(1)), config);
+  serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(1), config);
 
   // More submitters than queue slots: every submission eventually lands
   // (blocking, never rejecting) and the queue bound holds throughout.
@@ -370,7 +371,7 @@ TEST(ServeBackpressure, ShutdownReleasesBlockedSubmitters) {
   config.num_threads = 1;
   config.max_queue_depth = 1;
   config.overload_policy = serve::OverloadPolicy::block;
-  serve::Server server(core::Accelerator(*fx.qnet, accel_config(1)), config);
+  serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(1), config);
 
   // Occupy the replica and fill the queue, then point extra submitters at
   // the full queue; shutdown must release every blocked one with the
@@ -428,7 +429,7 @@ TEST(ServeBackpressure, AdaptiveShutdownRaceResolvesEveryOutcomeExactlyOnce) {
   config.latency_target_ms = 1e-9;  // sheds as soon as the window is warm
   config.calibrate_cost_model = false;
   config.admission_log_capacity = 256;
-  serve::Server server(core::Accelerator(*fx.qnet, accel_config(1)), config);
+  serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(1), config);
 
   // Warm the window so the shedding path is live during the race.
   (void)server.infer(slow_request(*fx.dataset, 0, 2, 1000));

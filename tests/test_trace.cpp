@@ -509,8 +509,8 @@ TEST(TraceRecorder, RecordedChecksumsAreStableAcrossServerInstances) {
     config.num_threads = 1;
     config.trace_path = path;
     config.trace_workload_id = fixture.workload_id;
-    serve::Server server(core::Accelerator(fixture.qnet, bench::serve_accel_config()),
-                         config);
+    serve::Server server(bench::single_model_registry(fixture.qnet),
+                         bench::serve_accel_config(), config);
     std::vector<std::future<serve::Response>> futures;
     for (int i = 0; i < 4; ++i) {
       serve::Request request;

@@ -19,10 +19,11 @@
 // replaying as fast as possible. --matrix runs the full acceptance grid —
 // R in {1,2,4} x threads in {1,2,8} x both dispatch modes (18 replays) —
 // the gate that a trace recorded at R=1/threads=1 replays checksum-clean
-// under every serving configuration. A multi-model (v2) trace is replayed
-// through a ModelRegistry rebuilt from its model table: each table entry's
-// workload id names a shared bench fixture, published under the recorded
-// tenant name, and every record routes back to its recorded tenant.
+// under every serving configuration. Every trace is replayed through a
+// ModelRegistry rebuilt from its model table: each table entry's workload
+// id names a shared bench fixture, published under the recorded tenant
+// name, and every record routes back to its recorded tenant. A v1 trace's
+// table is the one entry read_trace synthesizes from its header.
 //
 // --diff compares two recorded traces record-by-record (outcome, model,
 // stream id, golden checksum) without serving anything, and names the
@@ -102,37 +103,29 @@ int replay_one_trace(const std::string& trace_path, const serve::ReplayConfig& c
               trace.meta.models.size(),
               trace.meta.reuse_screening_samples ? ", escalation reuse" : "");
 
-  // The header (or, multi-model, each model-table entry) names the
-  // fixture; the sampler seed travels with the trace so the replaying
-  // accelerator consumes identical mask streams.
+  // Each model-table entry names its fixture; the sampler seed travels with
+  // the trace so the replaying accelerators consume identical mask streams.
   core::AcceleratorConfig accel_config = bench::serve_accel_config();
   accel_config.sampler_seed = trace.meta.sampler_seed;
 
-  const bool multi_model = trace.meta.models.size() > 1;
-  std::shared_ptr<serve::ModelRegistry> registry;
-  std::unique_ptr<core::Accelerator> accelerator;
-  if (multi_model) {
-    registry = std::make_shared<serve::ModelRegistry>();
-    for (const serve::TraceModelInfo& info : trace.meta.models) {
-      bench::ServeFixture fixture = bench::make_workload_fixture(info.workload_id);
-      serve::ModelConfig model_config;
-      model_config.workload_id = fixture.workload_id;
-      registry->publish(info.name, std::move(fixture.qnet), model_config);
-      std::printf("  tenant '%s' (key %u, version %llu): workload %u rebuilt\n",
-                  info.name.c_str(), info.model_key,
-                  static_cast<unsigned long long>(info.model_version),
-                  info.workload_id);
-    }
-  } else {
-    bench::ServeFixture fixture =
-        bench::make_workload_fixture(trace.meta.workload_id);
-    accelerator = std::make_unique<core::Accelerator>(std::move(fixture.qnet),
-                                                      accel_config);
+  const auto registry = std::make_shared<serve::ModelRegistry>();
+  for (const serve::TraceModelInfo& info : trace.meta.models) {
+    // An entry without a workload id (a tenant published without one, its
+    // fixture named only by ServerConfig::trace_workload_id) falls back to
+    // the header's.
+    const std::uint32_t workload_id =
+        info.workload_id != 0 ? info.workload_id : trace.meta.workload_id;
+    bench::ServeFixture fixture = bench::make_workload_fixture(workload_id);
+    serve::ModelConfig model_config;
+    model_config.workload_id = fixture.workload_id;
+    registry->publish(info.name, std::move(fixture.qnet), model_config);
+    std::printf("  tenant '%s' (key %u, version %llu): workload %u rebuilt\n",
+                info.name.c_str(), info.model_key,
+                static_cast<unsigned long long>(info.model_version), workload_id);
   }
 
   const auto replay_cell = [&](const serve::ReplayConfig& cell) {
-    return multi_model ? serve::replay_trace(trace, registry, accel_config, cell)
-                       : serve::replay_trace(trace, *accelerator, cell);
+    return serve::replay_trace(trace, registry, accel_config, cell);
   };
 
   if (!matrix) return report_result(replay_cell(config), config);
