@@ -1,6 +1,6 @@
 #include "core/accelerator.h"
 
-#include <algorithm>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -122,6 +122,8 @@ Accelerator::BatchPrediction Accelerator::predict_batch(
     const ImageRequest& request = requests[static_cast<std::size_t>(n)];
     util::require(request.num_samples >= 1, "accelerator: need at least one sample");
     util::require(request.sample_offset >= 0, "accelerator: sample_offset must be >= 0");
+    util::require(request.sample_offset <= std::numeric_limits<int>::max() - request.num_samples,
+                  "accelerator: sample_offset + num_samples overflows int");
     util::require(request.bayes_layers >= 0 && request.bayes_layers <= network_->num_sites,
                   "accelerator: bayes_layers out of range");
     ImagePlan& plan = plans[static_cast<std::size_t>(n)];
@@ -273,26 +275,7 @@ Accelerator::BatchPrediction Accelerator::predict_batch(
           quant::QTensor& masked = arena.outputs[static_cast<std::size_t>(cut)];
           if (boundary.data.size() > masked.data.capacity()) ++arena.grow_events;
           masked = boundary;
-          {
-            const quant::QLayer& cut_layer =
-                network_->layers[static_cast<std::size_t>(cut)];
-            const std::int32_t zp = cut_layer.out.zero_point;
-            const int plane = masked.height() * masked.width();
-            for (int f = 0; f < masked.channels(); ++f) {
-              const bool drop = sampler.next_drop();
-              std::int8_t* row =
-                  masked.data.data() + static_cast<std::size_t>(f) * plane;
-              if (drop) {
-                std::fill(row, row + plane, quant::saturate_int8(zp));
-              } else {
-                for (int i = 0; i < plane; ++i)
-                  row[i] = quant::saturate_int8(
-                      quant::fixed_multiply(static_cast<std::int32_t>(row[i]) - zp,
-                                            network_->dropout_keep) +
-                      zp);
-              }
-            }
-          }
+          apply_dropout_unit(masked, sampler, network_->dropout_keep);
 
           // Suffix layers into the arena's true-index slots; inputs before
           // the cut resolve against the shared prefix, the cut itself to

@@ -100,6 +100,7 @@ class Accelerator {
     /// would. The AVERAGES then differ from the single-request result only
     /// in float summation order (each window is averaged before merging) —
     /// deterministic, but not bit-identical to the unsplit reduction.
+    /// Must be >= 0, and sample_offset + num_samples must not exceed INT_MAX.
     int sample_offset = 0;
   };
 

@@ -123,9 +123,9 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
   const std::int32_t* term_off = plan.term_off.data();
 
   // Packed-weight layers dropped their byte rows. The bitpack interior path
-  // reads only the masks, but the int8/scalar tiers and conv border windows
-  // still need byte rows — materialize them into the arena once per layer
-  // call (exact reconstruction, so bits are unchanged).
+  // reads only the masks, but the int8 tier and conv border windows still
+  // need byte rows — materialize them into the arena once per layer call
+  // (exact reconstruction, so bits are unchanged).
   const bool has_border =
       !is_linear &&
       (g.pad > 0 || (g.conv_out_h - 1) * g.stride + g.kernel > g.in_h ||
@@ -145,8 +145,8 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
   // Packed-activation prepass (bitpack tier only): sign-pack the input once
   // per layer so every filter row reuses the same window words. Linear
   // layers pack the whole input vector; conv layers pack each INTERIOR
-  // window (border windows keep the checked scalar loop in every tier, so
-  // border bits agree across tiers by construction).
+  // window (border windows keep the checked loop in both tiers, so border
+  // bits agree across tiers by construction).
   std::int32_t x_pop_linear = 0;
   if (tier == Tier::bitpack) {
     if (is_linear) {
@@ -240,27 +240,20 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
             for (int vl = 0; vl < p_count; ++vl) {
               const int position = p_base + vl;
               // Adder-tree partial sum for this cycle. int32 accumulation is
-              // exact, so routing through the vectorized dot kernels is
-              // bit-identical to the original per-term loop.
+              // exact, so the vectorized dot kernels are bit-identical to the
+              // spec's per-term loop.
               std::int32_t tree = 0;
               if (is_linear) {
-                if (tier == Tier::int8) {
-                  tree = nn::kernels::dot_i8_zp(in_data + t_base, w + t_base, t_count, zp_in);
-                } else {
-                  for (int t = t_base; t < t_base + t_count; ++t)
-                    tree += (static_cast<std::int32_t>(in_data[t]) - zp_in) *
-                            static_cast<std::int32_t>(w[t]);
-                }
+                tree = nn::kernels::dot_i8_zp(in_data + t_base, w + t_base, t_count, zp_in);
               } else {
                 const int oh = position / g.conv_out_w;
                 const int ow = position % g.conv_out_w;
                 const int ih0 = oh * g.stride - g.pad;
                 const int iw0 = ow * g.stride - g.pad;
-                if (tier == Tier::int8 && ih0 >= 0 && iw0 >= 0 &&
-                    ih0 + g.kernel <= g.in_h && iw0 + g.kernel <= g.in_w) {
+                if (ih0 >= 0 && iw0 >= 0 && ih0 + g.kernel <= g.in_h &&
+                    iw0 + g.kernel <= g.in_w) {
                   // Interior window: every term is in bounds, gather through
-                  // the precomputed offset table. The scalar tier takes the
-                  // checked loop for every window instead.
+                  // the precomputed offset table.
                   tree = nn::kernels::dot_i8_zp_gather(
                       in_data + static_cast<std::size_t>(ih0) * g.in_w + iw0,
                       term_off + t_base, w + t_base, t_count, zp_in);
@@ -334,25 +327,28 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
   }
   // No pool: the FU chain already wrote `out` (pre aliases it).
 
-  // DU stage: one drop bit per output filter, ascending filter order.
   if (site_active) {
-    const int plane = out.height() * out.width();
-    for (int f = 0; f < g.out_c; ++f) {
-      const bool drop = masks->next_drop();
-      ++stats.mask_bits_consumed;
-      std::int8_t* row = out.data.data() + static_cast<std::size_t>(f) * plane;
-      if (drop) {
-        std::fill(row, row + plane, quant::saturate_int8(zp_out));
-      } else {
-        for (int i = 0; i < plane; ++i)
-          row[i] = quant::saturate_int8(
-              quant::fixed_multiply(static_cast<std::int32_t>(row[i]) - zp_out, dropout_keep) +
-              zp_out);
-      }
-    }
+    apply_dropout_unit(out, *masks, dropout_keep);
+    stats.mask_bits_consumed = g.out_c;
   }
 
   return stats;
+}
+
+void apply_dropout_unit(quant::QTensor& out, nn::MaskSource& masks,
+                        quant::FixedMultiplier dropout_keep) {
+  const std::int32_t zp = out.params.zero_point;
+  const int plane = out.height() * out.width();
+  for (int f = 0; f < out.channels(); ++f) {
+    std::int8_t* row = out.data.data() + static_cast<std::size_t>(f) * plane;
+    if (masks.next_drop()) {
+      std::fill(row, row + plane, quant::saturate_int8(zp));
+    } else {
+      for (int i = 0; i < plane; ++i)
+        row[i] = quant::saturate_int8(
+            quant::fixed_multiply(static_cast<std::int32_t>(row[i]) - zp, dropout_keep) + zp);
+    }
+  }
 }
 
 NneLayerResult nne_run_layer(const quant::QLayer& layer, const quant::QTensor& input,

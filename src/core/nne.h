@@ -13,18 +13,18 @@
 // (BN -> SC -> ReLU -> Pool) and the Dropout Unit are pipelined behind the
 // PE and add only fill latency.
 //
-// `nne_run_layer_into` is the cycle-counted FUNCTIONAL implementation: it
-// executes the exact tiled loop structure of the hardware on int8 data and
-// must match the untiled reference executor (quant/qops.h) bit-for-bit —
-// int32 accumulation is order-independent, which is the invariant the
-// equivalence tests pin down. `estimate_layer_cycles` is the closed-form
-// cycle count used for networks too large to execute functionally; the two
-// are asserted equal in tests.
+// `nne_run_layer_into` is the cycle-counted FUNCTIONAL implementation and
+// the repository's one fast int8 executor: it executes the exact tiled loop
+// structure of the hardware on int8 data and must match the plain-loop
+// specification (quant/qops.h) bit-for-bit — int32 accumulation is
+// order-independent, which is the invariant the equivalence tests pin down.
+// `estimate_layer_cycles` is the closed-form cycle count used for networks
+// too large to execute functionally; the two are asserted equal in tests.
 //
 // Kernel tiers: the inner product dispatches through nn::kernels::Tier. The
-// tier changes only HOW the int32 accumulators are computed (scalar loops,
-// vectorized int8 dot kernels, or the packed popcount path of quant/qplan.h)
-// — never WHAT they contain, so outputs are bit-identical across tiers.
+// tier changes only HOW the int32 accumulators are computed (vectorized
+// int8 dot kernels or the packed popcount path of quant/qplan.h) — never
+// WHAT they contain, so outputs are bit-identical across tiers.
 // Cycle counts are likewise tier-independent at runtime: a layer is charged
 // by the closed-form formula below, which credits binary term parallelism
 // from the STATIC HwLayer::weights_binarizable annotation alone. An
@@ -119,6 +119,15 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
                                  quant::FixedMultiplier dropout_keep, const NneConfig& config,
                                  nn::kernels::Tier tier, NneScratch& scratch,
                                  quant::QTensor& out);
+
+// The Dropout Unit: one drop decision per filter of `out`, drawn from
+// `masks` in ascending filter order. A dropped filter's plane becomes the
+// tensor's zero point; a kept one is rescaled by `dropout_keep` (the
+// fixed-point 1/(1-p)). nne_run_layer_into runs it on active sites, and the
+// accelerator's IC schedule on each sample's copy of the cached cut-layer
+// output.
+void apply_dropout_unit(quant::QTensor& out, nn::MaskSource& masks,
+                        quant::FixedMultiplier dropout_keep);
 
 // Convenience form: builds the plan and scratch per call and runs at the
 // bitpack cap (identical bits to every other tier by the contract above).

@@ -8,7 +8,6 @@ namespace bnn::nn::kernels {
 
 const char* tier_name(Tier tier) {
   switch (tier) {
-    case Tier::scalar: return "scalar";
     case Tier::int8: return "int8";
     case Tier::bitpack: return "bitpack";
   }

@@ -1,6 +1,6 @@
-// Micro-kernel layer under the float GEMM front end and the int8 NNE /
-// reference-executor inner loops: register-blocked, cache-tiled,
-// compiler-vectorizable kernels with no external dependencies.
+// Micro-kernel layer under the float GEMM front end and the int8 NNE inner
+// loops: register-blocked, cache-tiled, compiler-vectorizable kernels with
+// no external dependencies.
 //
 // Bit-identity contract (enforced by tests/test_gemm.cpp and the
 // bench/gemm_microbench smoke run): every blocked float kernel produces the
@@ -21,14 +21,14 @@
 namespace bnn::nn::kernels {
 
 // --- kernel tiers -----------------------------------------------------------
-// The quantized compute path (core/nne.cpp and quant/qops.cpp) dispatches
-// its inner product through one of three tiers. The tier a caller passes is
-// a CAP, not a demand: Tier::bitpack routes a layer through the packed
-// popcount path only when the layer's weights are binarizable AND the pass's
-// activations are two-valued (quant/qplan.h), and falls back to Tier::int8
-// otherwise — so outputs are bit-identical across tiers unconditionally.
+// The NNE (core/nne.cpp), the one fast int8 executor, dispatches its inner
+// product through one of two tiers. The tier a caller passes is a CAP, not
+// a demand: Tier::bitpack routes a layer through the packed popcount path
+// only when the layer's weights are binarizable AND the pass's activations
+// are two-valued (quant/qplan.h), and falls back to Tier::int8 otherwise —
+// so outputs are bit-identical across tiers unconditionally. The plain-loop
+// specification both must match is quant/qops.h, which uses no tier.
 enum class Tier {
-  scalar,   // plain per-term reference loops (the specification)
   int8,     // vectorized dot_i8_zp / dot_i8_zp_gather kernels
   bitpack,  // bit-packed XNOR/popcount (+ ternary pass/negate/zero) tier
 };
@@ -75,9 +75,8 @@ void gemm_bt_blocked(int m, int n, int k, const float* a, const float* b, float*
 
 // --- int8 -> int32 dot kernels ----------------------------------------------
 // The NNE channel-tile inner product: sum_t (x[t] - zero_point) * w[t],
-// accumulated exactly in int32. Shared by src/core/nne.cpp and the
-// src/quant/qops.cpp reference executor so both sides of the bit-exactness
-// check run the same arithmetic.
+// accumulated exactly in int32, so any summation order equals the per-term
+// loop of the src/quant/qops.cpp specification.
 
 std::int32_t dot_i8_zp(const std::int8_t* x, const std::int8_t* w, int len,
                        std::int32_t zero_point);

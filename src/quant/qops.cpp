@@ -4,93 +4,26 @@
 #include <limits>
 
 #include "nn/activations.h"
-#include "nn/bitpack_kernels.h"
-#include "nn/gemm_kernels.h"
 #include "util/check.h"
 
 namespace bnn::quant {
 
 namespace {
 
-using nn::kernels::Tier;
-
-// Resolves the tier CAP against what this (layer, input) pair supports:
-// Tier::bitpack demotes to Tier::int8 unless the weights are binarizable AND
-// the activations are two-valued. On success fills lo/hi.
-Tier resolve_tier(Tier tier, const LayerExecPlan& plan, const QTensor& input, std::int8_t* lo,
-                  std::int8_t* hi) {
-  if (tier != Tier::bitpack) return tier;
-  if (!plan.weights_binarizable || !two_valued_activations(input, lo, hi)) return Tier::int8;
-  return Tier::bitpack;
-}
-
 // PE + FU/BN + FU/SC + FU/ReLU for one layer, before pooling: returns the
-// int8 map of conv_out_h x conv_out_w positions. All three tiers produce the
-// same int32 accumulator values (int32 accumulation is exact and associative;
-// the packed closed form is exact by the qplan.h identity), hence identical
-// int8 bits after the FU stages.
-QTensor compute_pre_pool(const QLayer& layer, const LayerExecPlan& plan, Tier tier,
-                         const QTensor& input, const QTensor* shortcut) {
+// int8 map of conv_out_h x conv_out_w positions. The PE is the plain
+// per-position (c, kh, kw) accumulation with bounds-checked padding; a
+// linear layer is the 1x1 case over its flattened input (in_h = in_w = 1).
+QTensor compute_pre_pool(const QLayer& layer, const QTensor& input, const QTensor* shortcut) {
   const nn::HwLayer& g = layer.geom;
   const std::int32_t zp_in = layer.in.zero_point;
   const std::int32_t zp_out = layer.out.zero_point;
-  const int terms = plan.terms;
-
-  std::int8_t lo = 0, hi = 0;
-  tier = resolve_tier(tier, plan, input, &lo, &hi);
-  const std::int32_t base = static_cast<std::int32_t>(lo) - zp_in;
-  const std::int32_t delta = static_cast<std::int32_t>(hi) - lo;
-
-  // Packed-weight layers have no byte rows; the int8/scalar tiers and conv
-  // border windows need them, so reconstruct (exactly) when required. This
-  // is the reference executor — the allocation is acceptable here.
-  std::vector<std::int8_t> wrows;
-  const std::int8_t* wmatrix = layer.weights.data();
-  if (layer.weights_packed &&
-      (tier != Tier::bitpack || g.op == nn::HwLayer::Op::conv)) {
-    wrows.resize(static_cast<std::size_t>(g.out_c) * terms);
-    for (int f = 0; f < g.out_c; ++f)
-      layer.materialize_weight_row(f, wrows.data() + static_cast<std::size_t>(f) * terms);
-    wmatrix = wrows.data();
-  }
-  const auto weight_row = [&](int f) {
-    return wmatrix + static_cast<std::size_t>(f) * terms;
-  };
-
-  QTensor pre({g.out_c, g.conv_out_h, g.conv_out_w}, layer.out);
-  if (g.op == nn::HwLayer::Op::linear) {
+  if (g.op == nn::HwLayer::Op::linear)
     util::require(input.numel() == g.in_c, "qops: linear input size mismatch");
-    std::vector<std::uint64_t> xbits;
-    std::int32_t x_pop = 0;
-    if (tier == Tier::bitpack) {
-      xbits.resize(static_cast<std::size_t>(plan.words));
-      x_pop = nn::kernels::pack_eq_bits(input.data.data(), terms, hi, xbits.data());
-    }
-    for (int f = 0; f < g.out_c; ++f) {
-      std::int32_t acc = layer.bias[static_cast<std::size_t>(f)];
-      if (tier == Tier::bitpack) {
-        acc += packed_row_dot(plan, f, xbits.data(), x_pop, base, delta);
-      } else if (tier == Tier::int8) {
-        // int32 accumulation is exact, so the vectorized dot kernel matches
-        // the plain per-term loop bit-for-bit.
-        acc += nn::kernels::dot_i8_zp(input.data.data(), weight_row(f), terms, zp_in);
-      } else {
-        const std::int8_t* w = weight_row(f);
-        for (int t = 0; t < terms; ++t)
-          acc += (static_cast<std::int32_t>(input.data[static_cast<std::size_t>(t)]) - zp_in) *
-                 static_cast<std::int32_t>(w[t]);
-      }
-      std::int32_t q = fixed_multiply(acc, layer.requant[static_cast<std::size_t>(f)]) +
-                       layer.post_add[static_cast<std::size_t>(f)] + zp_out;
-      if (g.has_relu) q = std::max(q, zp_out);
-      pre.data[static_cast<std::size_t>(f)] = saturate_int8(q);
-    }
-    return pre;
-  }
-
-  util::require(input.channels() == g.in_c && input.height() == g.in_h &&
-                    input.width() == g.in_w,
-                "qops: conv input shape mismatch");
+  else
+    util::require(input.channels() == g.in_c && input.height() == g.in_h &&
+                      input.width() == g.in_w,
+                  "qops: conv input shape mismatch");
   if (g.has_shortcut) {
     util::require(shortcut != nullptr, "qops: missing shortcut operand");
     util::require(shortcut->channels() == g.out_c &&
@@ -99,97 +32,36 @@ QTensor compute_pre_pool(const QLayer& layer, const LayerExecPlan& plan, Tier ti
                   "qops: shortcut operand shape mismatch");
   }
 
-  // Hoisted conv index math (built once per layer in the LayerExecPlan,
-  // shared with core/nne.cpp): term t addresses input channel t/(k*k) at
-  // kernel offset (term_dh[t], term_dw[t]); term_off[t] is the flat input
-  // offset of term t relative to the window's top-left element, valid
-  // wherever the window is in bounds. int32 accumulation is exact, so the
-  // gather kernel matches the historical per-position (c, kh, kw) loop
-  // bit-for-bit (pinned by tests/test_quant.cpp on strided/padded shapes).
-  const std::int8_t* in_data = input.data.data();
-  const std::int32_t* term_dh = plan.term_dh.data();
-  const std::int32_t* term_dw = plan.term_dw.data();
-  const std::int32_t* term_off = plan.term_off.data();
-
-  const std::int32_t zp_sc =
-      g.has_shortcut ? shortcut->params.zero_point : 0;
-
-  // Border window: padding terms contribute zero; every term bound-checked.
-  // Shared verbatim by all tiers (the packed path never packs borders), so
-  // border bits agree across tiers by construction.
-  const auto border_dot = [&](const std::int8_t* w, int ih0, int iw0) {
-    std::int32_t acc = 0;
-    for (int t = 0; t < terms; ++t) {
-      const int ih = ih0 + term_dh[static_cast<std::size_t>(t)];
-      const int iw = iw0 + term_dw[static_cast<std::size_t>(t)];
-      if (ih < 0 || ih >= g.in_h || iw < 0 || iw >= g.in_w) continue;
-      acc += (static_cast<std::int32_t>(
-                  in_data[term_off[static_cast<std::size_t>(t)] +
-                          static_cast<std::ptrdiff_t>(ih0) * g.in_w + iw0]) -
-              zp_in) *
-             static_cast<std::int32_t>(w[t]);
-    }
-    return acc;
-  };
-
-  // FU chain epilogue for one retiring accumulator.
-  const auto fu_store = [&](int f, int oh, int ow, std::int32_t acc) {
-    std::int32_t q = fixed_multiply(acc, layer.requant[static_cast<std::size_t>(f)]) +
-                     layer.post_add[static_cast<std::size_t>(f)] + zp_out;
-    if (g.has_shortcut)
-      q += fixed_multiply(static_cast<std::int32_t>(shortcut->at(f, oh, ow)) - zp_sc,
-                          layer.shortcut_rescale);
-    if (g.has_relu) q = std::max(q, zp_out);
-    pre.at(f, oh, ow) = saturate_int8(q);
-  };
-
-  if (tier == Tier::bitpack) {
-    // Position-outer so each interior window is packed ONCE and amortized
-    // over all out_c filter rows. Each output element is written exactly
-    // once, so the loop-order change from the f-outer tiers is observationally
-    // identical.
-    std::vector<std::uint64_t> xbits(static_cast<std::size_t>(plan.words));
-    for (int oh = 0; oh < g.conv_out_h; ++oh) {
-      for (int ow = 0; ow < g.conv_out_w; ++ow) {
-        const int ih0 = oh * g.stride - g.pad;
-        const int iw0 = ow * g.stride - g.pad;
-        const bool interior =
-            ih0 >= 0 && iw0 >= 0 && ih0 + g.kernel <= g.in_h && iw0 + g.kernel <= g.in_w;
-        std::int32_t x_pop = 0;
-        if (interior)
-          x_pop = nn::kernels::pack_eq_bits_gather(
-              in_data + static_cast<std::size_t>(ih0) * g.in_w + iw0, term_off, terms, hi,
-              xbits.data());
-        for (int f = 0; f < g.out_c; ++f) {
-          std::int32_t acc = layer.bias[static_cast<std::size_t>(f)];
-          acc += interior ? packed_row_dot(plan, f, xbits.data(), x_pop, base, delta)
-                          : border_dot(weight_row(f), ih0, iw0);
-          fu_store(f, oh, ow, acc);
-        }
-      }
-    }
-    return pre;
-  }
-
+  std::vector<std::int8_t> w(static_cast<std::size_t>(g.in_c) * g.kernel * g.kernel);
+  QTensor pre({g.out_c, g.conv_out_h, g.conv_out_w}, layer.out);
   for (int f = 0; f < g.out_c; ++f) {
-    const std::int8_t* w = weight_row(f);
+    layer.materialize_weight_row(f, w.data());
     for (int oh = 0; oh < g.conv_out_h; ++oh) {
       for (int ow = 0; ow < g.conv_out_w; ++ow) {
-        const int ih0 = oh * g.stride - g.pad;
-        const int iw0 = ow * g.stride - g.pad;
         std::int32_t acc = layer.bias[static_cast<std::size_t>(f)];
-        if (tier == Tier::int8 && ih0 >= 0 && iw0 >= 0 && ih0 + g.kernel <= g.in_h &&
-            iw0 + g.kernel <= g.in_w) {
-          // Interior window: every term in bounds, gather through the
-          // precomputed offset table. The scalar tier takes the checked
-          // border loop for every window instead.
-          acc += nn::kernels::dot_i8_zp_gather(
-              in_data + static_cast<std::size_t>(ih0) * g.in_w + iw0,
-              term_off, w, terms, zp_in);
-        } else {
-          acc += border_dot(w, ih0, iw0);
+        for (int c = 0; c < g.in_c; ++c) {
+          for (int kh = 0; kh < g.kernel; ++kh) {
+            const int ih = oh * g.stride - g.pad + kh;
+            if (ih < 0 || ih >= g.in_h) continue;  // padding contributes zero
+            for (int kw = 0; kw < g.kernel; ++kw) {
+              const int iw = ow * g.stride - g.pad + kw;
+              if (iw < 0 || iw >= g.in_w) continue;
+              const std::int8_t x =
+                  input.data[(static_cast<std::size_t>(c) * g.in_h + ih) * g.in_w + iw];
+              acc += (static_cast<std::int32_t>(x) - zp_in) *
+                     static_cast<std::int32_t>(
+                         w[(static_cast<std::size_t>(c) * g.kernel + kh) * g.kernel + kw]);
+            }
+          }
         }
-        fu_store(f, oh, ow, acc);
+        std::int32_t q = fixed_multiply(acc, layer.requant[static_cast<std::size_t>(f)]) +
+                         layer.post_add[static_cast<std::size_t>(f)] + zp_out;
+        if (g.has_shortcut)
+          q += fixed_multiply(static_cast<std::int32_t>(shortcut->at(f, oh, ow)) -
+                                  shortcut->params.zero_point,
+                              layer.shortcut_rescale);
+        if (g.has_relu) q = std::max(q, zp_out);
+        pre.at(f, oh, ow) = saturate_int8(q);
       }
     }
   }
@@ -255,18 +127,26 @@ void apply_dropout(const QLayer& layer, QTensor& out, nn::MaskSource& masks,
   }
 }
 
-// ref_forward with a prebuilt network plan (the public wrapper builds one;
-// ref_mc_predict builds one per call and reuses it across samples).
-std::vector<QTensor> forward_with_plan(const QuantNetwork& net, const NetworkExecPlan& plan,
-                                       Tier tier, const QTensor& image, int bayes_layers,
-                                       nn::MaskSource* masks) {
+}  // namespace
+
+QTensor ref_run_layer(const QLayer& layer, const QTensor& input, const QTensor* shortcut,
+                      bool site_active, nn::MaskSource* masks, FixedMultiplier dropout_keep) {
+  QTensor out = apply_pool(layer, compute_pre_pool(layer, input, shortcut));
+  if (site_active) {
+    util::require(masks != nullptr, "qops: active site requires a mask source");
+    apply_dropout(layer, out, *masks, dropout_keep);
+  }
+  return out;
+}
+
+std::vector<QTensor> ref_forward(const QuantNetwork& net, const QTensor& image,
+                                 int bayes_layers, nn::MaskSource* masks) {
   util::require(bayes_layers >= 0 && bayes_layers <= net.num_sites,
                 "ref_forward: bayes_layers out of range");
   const int first_active_site = net.num_sites - bayes_layers;
   std::vector<QTensor> outputs;
   outputs.reserve(net.layers.size());
-  for (std::size_t l = 0; l < net.layers.size(); ++l) {
-    const QLayer& layer = net.layers[l];
+  for (const QLayer& layer : net.layers) {
     const QTensor& input =
         layer.input_source < 0 ? image
                                : outputs[static_cast<std::size_t>(layer.input_source)];
@@ -276,35 +156,10 @@ std::vector<QTensor> forward_with_plan(const QuantNetwork& net, const NetworkExe
             : nullptr;
     const bool active =
         layer.geom.is_bayes_site && layer.geom.site_index >= first_active_site;
-    outputs.push_back(ref_run_layer(layer, plan.layer(static_cast<int>(l)), tier, input,
-                                    shortcut, active, masks, net.dropout_keep));
+    outputs.push_back(
+        ref_run_layer(layer, input, shortcut, active, masks, net.dropout_keep));
   }
   return outputs;
-}
-
-}  // namespace
-
-QTensor ref_run_layer(const QLayer& layer, const LayerExecPlan& plan, nn::kernels::Tier tier,
-                      const QTensor& input, const QTensor* shortcut, bool site_active,
-                      nn::MaskSource* masks, FixedMultiplier dropout_keep) {
-  QTensor out = apply_pool(layer, compute_pre_pool(layer, plan, tier, input, shortcut));
-  if (site_active) {
-    util::require(masks != nullptr, "qops: active site requires a mask source");
-    apply_dropout(layer, out, *masks, dropout_keep);
-  }
-  return out;
-}
-
-QTensor ref_run_layer(const QLayer& layer, const QTensor& input, const QTensor* shortcut,
-                      bool site_active, nn::MaskSource* masks, FixedMultiplier dropout_keep) {
-  return ref_run_layer(layer, build_layer_exec_plan(layer), Tier::int8, input, shortcut,
-                       site_active, masks, dropout_keep);
-}
-
-std::vector<QTensor> ref_forward(const QuantNetwork& net, const QTensor& image,
-                                 int bayes_layers, nn::MaskSource* masks) {
-  return forward_with_plan(net, build_network_exec_plan(net), Tier::int8, image, bayes_layers,
-                           masks);
 }
 
 nn::Tensor ref_logits(const QuantNetwork& net, const QTensor& final_output) {
@@ -318,8 +173,7 @@ nn::Tensor ref_logits(const QuantNetwork& net, const QTensor& final_output) {
 }
 
 nn::Tensor ref_mc_predict(const QuantNetwork& net, const nn::Tensor& images, int bayes_layers,
-                          int num_samples, nn::MaskSource& masks,
-                          bool use_intermediate_caching) {
+                          int num_samples, nn::MaskSource& masks) {
   // Legacy single-stream form: every (image, sample) forwards to the one
   // shared source, preserving the original sequential consumption order.
   struct Borrowed final : nn::MaskSource {
@@ -327,106 +181,27 @@ nn::Tensor ref_mc_predict(const QuantNetwork& net, const nn::Tensor& images, int
     bool next_drop() override { return inner_.next_drop(); }
     nn::MaskSource& inner_;
   };
-  return ref_mc_predict(
-      net, images, bayes_layers, num_samples,
-      [&masks](int, int) { return std::make_unique<Borrowed>(masks); },
-      use_intermediate_caching);
+  return ref_mc_predict(net, images, bayes_layers, num_samples,
+                        [&masks](int, int) { return std::make_unique<Borrowed>(masks); });
 }
 
 nn::Tensor ref_mc_predict(const QuantNetwork& net, const nn::Tensor& images, int bayes_layers,
-                          int num_samples, const MaskStreamFactory& streams,
-                          bool use_intermediate_caching) {
+                          int num_samples, const MaskStreamFactory& streams) {
   util::require(images.dim() == 4, "ref_mc_predict expects NCHW images");
   util::require(num_samples >= 1, "ref_mc_predict: need at least one sample");
   const int batch = images.size(0);
+  // A deterministic network (L = 0) needs exactly one pass.
+  const int samples = bayes_layers == 0 ? 1 : num_samples;
   nn::Tensor probs({batch, net.num_classes});
-
-  const int cut = net.cut_layer_for(bayes_layers);
-  const int first_active_site = net.num_sites - bayes_layers;
-  // One plan for the whole batch: the per-layer index tables and weight
-  // masks are input-independent.
-  const NetworkExecPlan plan = build_network_exec_plan(net);
-
   for (int n = 0; n < batch; ++n) {
     const QTensor image = quantize_image(images, n, net.input);
     nn::Tensor accumulated({1, net.num_classes});
-    if (bayes_layers == 0) {
-      const std::vector<QTensor> outputs =
-          forward_with_plan(net, plan, Tier::int8, image, 0, nullptr);
-      accumulated = nn::softmax_rows(ref_logits(net, outputs.back()));
-    } else if (!use_intermediate_caching) {
-      for (int s = 0; s < num_samples; ++s) {
-        const std::unique_ptr<nn::MaskSource> lane = streams(n, s);
-        const std::vector<QTensor> outputs =
-            forward_with_plan(net, plan, Tier::int8, image, bayes_layers, lane.get());
-        accumulated.add_(nn::softmax_rows(ref_logits(net, outputs.back())));
-      }
-      accumulated.scale_(1.0f / static_cast<float>(num_samples));
-    } else {
-      // Prefix once: run layers [0, cut] without the cut layer's dropout —
-      // its pre-DU output is the on-chip cached boundary.
-      std::vector<QTensor> outputs;
-      outputs.reserve(net.layers.size());
-      for (int l = 0; l <= cut; ++l) {
-        const QLayer& layer = net.layers[static_cast<std::size_t>(l)];
-        const QTensor& input =
-            layer.input_source < 0
-                ? image
-                : outputs[static_cast<std::size_t>(layer.input_source)];
-        const QTensor* shortcut =
-            layer.geom.has_shortcut
-                ? &outputs[static_cast<std::size_t>(layer.shortcut_source)]
-                : nullptr;
-        outputs.push_back(ref_run_layer(layer, plan.layer(l), Tier::int8, input, shortcut,
-                                        /*site_active=*/false, nullptr, net.dropout_keep));
-      }
-      const QTensor boundary = outputs.back();  // pre-DU cache
-
-      for (int s = 0; s < num_samples; ++s) {
-        const std::unique_ptr<nn::MaskSource> lane = streams(n, s);
-        outputs.resize(static_cast<std::size_t>(cut + 1));
-        // Fresh mask on the cached boundary (the DU re-reads the cache).
-        outputs[static_cast<std::size_t>(cut)] = boundary;
-        {
-          const QLayer& cut_layer = net.layers[static_cast<std::size_t>(cut)];
-          util::ensure(cut_layer.geom.is_bayes_site &&
-                           cut_layer.geom.site_index >= first_active_site,
-                       "ref_mc_predict: cut layer must carry the first active site");
-          QTensor& masked = outputs[static_cast<std::size_t>(cut)];
-          const std::int32_t zp = cut_layer.out.zero_point;
-          const int plane = masked.height() * masked.width();
-          for (int f = 0; f < masked.channels(); ++f) {
-            const bool drop = lane->next_drop();
-            std::int8_t* row = masked.data.data() + static_cast<std::size_t>(f) * plane;
-            if (drop) {
-              std::fill(row, row + plane, saturate_int8(zp));
-            } else {
-              for (int i = 0; i < plane; ++i)
-                row[i] = saturate_int8(
-                    fixed_multiply(static_cast<std::int32_t>(row[i]) - zp, net.dropout_keep) +
-                    zp);
-            }
-          }
-        }
-        for (int l = cut + 1; l < net.num_layers(); ++l) {
-          const QLayer& layer = net.layers[static_cast<std::size_t>(l)];
-          const QTensor& input =
-              layer.input_source < 0
-                  ? image
-                  : outputs[static_cast<std::size_t>(layer.input_source)];
-          const QTensor* shortcut =
-              layer.geom.has_shortcut
-                  ? &outputs[static_cast<std::size_t>(layer.shortcut_source)]
-                  : nullptr;
-          const bool active =
-              layer.geom.is_bayes_site && layer.geom.site_index >= first_active_site;
-          outputs.push_back(ref_run_layer(layer, plan.layer(l), Tier::int8, input, shortcut,
-                                          active, lane.get(), net.dropout_keep));
-        }
-        accumulated.add_(nn::softmax_rows(ref_logits(net, outputs.back())));
-      }
-      accumulated.scale_(1.0f / static_cast<float>(num_samples));
+    for (int s = 0; s < samples; ++s) {
+      const std::unique_ptr<nn::MaskSource> lane = streams(n, s);
+      const std::vector<QTensor> outputs = ref_forward(net, image, bayes_layers, lane.get());
+      accumulated.add_(nn::softmax_rows(ref_logits(net, outputs.back())));
     }
+    accumulated.scale_(1.0f / static_cast<float>(samples));
     for (int k = 0; k < net.num_classes; ++k) probs.v2(n, k) = accumulated.v2(0, k);
   }
   return probs;

@@ -1,7 +1,9 @@
 // Reference integer executor for QuantNetwork — the functional
-// SPECIFICATION of the accelerator. Plain nested loops, no tiling: the
-// simulated NNE (src/core/nne.h) must reproduce these int8 outputs
-// bit-exactly for every layer and network (enforced by tests).
+// SPECIFICATION of the accelerator. Plain nested loops, no tiling, no plan
+// tables, no kernels: the simulated NNE (src/core/nne.h) is the one fast
+// executor and must reproduce these int8 outputs bit-exactly for every
+// layer and network (enforced by tests). Sharing no code with it is what
+// makes those tests independent checks.
 //
 // Per-layer pipeline (matching the NNE stages):
 //   PE   : int32 accumulation of (q_in - zp_in) * w over C*K*K, plus bias
@@ -17,9 +19,7 @@
 #include <vector>
 
 #include "nn/dropout.h"
-#include "nn/gemm_kernels.h"
 #include "quant/qnetwork.h"
-#include "quant/qplan.h"
 #include "quant/qtensor.h"
 
 namespace bnn::quant {
@@ -29,16 +29,6 @@ namespace bnn::quant {
 // from `masks` (which must then be non-null), in ascending filter order.
 QTensor ref_run_layer(const QLayer& layer, const QTensor& input, const QTensor* shortcut,
                       bool site_active, nn::MaskSource* masks, FixedMultiplier dropout_keep);
-
-// Tier-explicit form: `plan` must be build_layer_exec_plan(layer). The tier
-// is a CAP (see nn/gemm_kernels.h): Tier::bitpack falls back to Tier::int8
-// unless the layer's weights are binarizable and this input is two-valued,
-// so outputs are bit-identical across tiers unconditionally (enforced by
-// tests/test_bitpack.cpp). The convenience overload above is equivalent to
-// Tier::int8 with a freshly built plan.
-QTensor ref_run_layer(const QLayer& layer, const LayerExecPlan& plan, nn::kernels::Tier tier,
-                      const QTensor& input, const QTensor* shortcut, bool site_active,
-                      nn::MaskSource* masks, FixedMultiplier dropout_keep);
 
 // Executes the whole network (last `bayes_layers` sites active) and returns
 // every layer's stored (post-DU) output. `masks` may be null when
@@ -50,14 +40,12 @@ std::vector<QTensor> ref_forward(const QuantNetwork& net, const QTensor& image,
 nn::Tensor ref_logits(const QuantNetwork& net, const QTensor& final_output);
 
 // Monte Carlo predictive distribution over a batch of float images
-// (N, C, H, W) -> (N, K): quantizes each image, runs `num_samples`
-// stochastic passes and averages host-side softmax outputs. With
-// `use_intermediate_caching` the deterministic prefix (layers up to the IC
-// cut) runs once per image and only the Bayesian suffix is recomputed per
-// sample — the integer-domain analogue of the paper's IC.
+// (N, C, H, W) -> (N, K): quantizes each image, runs `num_samples` full
+// stochastic forward passes and averages host-side softmax outputs. There
+// is no intermediate caching here: the accelerator's IC schedule is checked
+// against this full recompute.
 nn::Tensor ref_mc_predict(const QuantNetwork& net, const nn::Tensor& images, int bayes_layers,
-                          int num_samples, nn::MaskSource& masks,
-                          bool use_intermediate_caching = true);
+                          int num_samples, nn::MaskSource& masks);
 
 // Builds the mask stream that one (image, sample) pair consumes. The
 // factory form mirrors the accelerator's parallel runtime, which gives
@@ -71,8 +59,7 @@ using MaskStreamFactory =
 // factory that reproduces the accelerator's per-sample seeds this is the
 // bit-exact reference for Accelerator::predict at any thread count.
 nn::Tensor ref_mc_predict(const QuantNetwork& net, const nn::Tensor& images, int bayes_layers,
-                          int num_samples, const MaskStreamFactory& streams,
-                          bool use_intermediate_caching = true);
+                          int num_samples, const MaskStreamFactory& streams);
 
 }  // namespace bnn::quant
 

@@ -1,8 +1,9 @@
-// Layer execution plans: the precomputed, weight-derived state the kernel
-// tiers dispatch on. Built once per QuantNetwork (the accelerator does it in
-// its constructor; the reference executor per call) and shared read-only by
-// every lane, so the per-call index-table rebuilds that used to live inside
-// core/nne.cpp and quant/qops.cpp happen exactly once.
+// Layer execution plans: the precomputed, weight-derived state the NNE's
+// kernel tiers (core/nne.cpp) dispatch on. Built once per QuantNetwork (by
+// the accelerator's constructor, or per segment by the model registry) and
+// shared read-only by every lane. The plain-loop specification
+// (quant/qops.h) deliberately uses none of it, so the equivalence tests
+// check these tables too.
 //
 // The bitpack tier's arithmetic identity (see docs/ARCHITECTURE.md for the
 // full argument): a layer is WEIGHTS-BINARIZABLE when every weight row is

@@ -67,8 +67,8 @@ struct ReplayReport {
 
 /// Re-serves `trace` on a fresh Server over `registry`, routing every
 /// record to the registry tenant its model-table entry names (so a trace
-/// recorded against a 3-tenant server replays against 3 tenants; a v1
-/// trace's synthesized one-entry table names the empty default tenant).
+/// recorded against a 3-tenant server replays against 3 tenants; a
+/// single-model trace's one-entry table names the empty default tenant).
 /// With verify_fingerprint on, the sampler seed must match and every
 /// referenced tenant must be published with its CURRENT version's
 /// fingerprint matching the table entry — per-model, so one stale tenant

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "metrics/metrics.h"
@@ -251,6 +252,10 @@ std::future<Response> Server::submit(Request request) {
   util::require(options.num_samples >= 1, "serve: num_samples must be >= 1");
   util::require(options.screening_samples >= 1, "serve: screening_samples must be >= 1");
   util::require(options.sample_offset >= 0, "serve: sample_offset must be >= 0");
+  util::require(options.sample_offset <= std::numeric_limits<int>::max() -
+                                             std::max(options.num_samples,
+                                                      options.screening_samples),
+                "serve: sample_offset + samples overflows int");
 
   // Resolve the tenant FIRST: the returned snapshot fixes which weights
   // serve this request (registry publish is the hot-swap linearization

@@ -125,7 +125,8 @@ struct RequestOptions {
   /// stream (stream_id, sample_offset + s). Lets a caller split one logical
   /// S-sample prediction across requests with non-overlapping windows; the
   /// router's escalation pass adds its own reuse offset ON TOP of this.
-  /// Must be >= 0.
+  /// Must be >= 0, and sample_offset + max(num_samples, screening_samples)
+  /// must not exceed INT_MAX.
   int sample_offset = 0;
 };
 

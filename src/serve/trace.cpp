@@ -163,15 +163,13 @@ TraceModelInfo read_model_info(std::FILE* file) {
   return info;
 }
 
-TraceRecord read_record(std::FILE* file, std::uint32_t version) {
+TraceRecord read_record(std::FILE* file) {
   TraceRecord record;
   record.seq = get_u64(file, "record seq");
   record.arrival_us = get_u64(file, "record arrival");
   record.stream_id = get_u64(file, "record stream id");
-  if (version >= 2) {
-    record.model_key = get_u32(file, "record model key");
-    record.model_version = get_u64(file, "record model version");
-  }
+  record.model_key = get_u32(file, "record model key");
+  record.model_version = get_u64(file, "record model version");
   record.options.num_samples = get_i32(file, "record num_samples");
   record.options.bayes_layers = get_i32(file, "record bayes_layers");
   record.options.screening_samples = get_i32(file, "record screening_samples");
@@ -355,7 +353,7 @@ Trace read_trace(const std::string& path) {
   if (get_u64(file.get(), "magic") != kTraceMagic)
     throw TraceFormatError("trace: '" + path + "' is not a BNTRACE file (bad magic)");
   const std::uint32_t version = get_u32(file.get(), "version");
-  if (version < kTraceMinVersion || version > kTraceVersion)
+  if (version != kTraceVersion)
     throw TraceFormatError("trace: version mismatch in '" + path + "': file v" +
                            std::to_string(version) + ", reader v" +
                            std::to_string(kTraceVersion));
@@ -368,8 +366,7 @@ Trace read_trace(const std::string& path) {
   trace.meta.network_fingerprint = get_u64(file.get(), "network fingerprint");
   const std::uint64_t record_count = get_u64(file.get(), "record count");
   const std::uint64_t admission_count = get_u64(file.get(), "admission count");
-  const std::uint64_t model_count =
-      version >= 2 ? get_u32(file.get(), "model count") : 0;
+  const std::uint64_t model_count = get_u32(file.get(), "model count");
   constexpr std::uint64_t kMaxRecords = 1ull << 24;
   if (record_count > kMaxRecords || admission_count > kMaxRecords ||
       model_count > kMaxRecords)
@@ -377,15 +374,16 @@ Trace read_trace(const std::string& path) {
 
   trace.records.reserve(static_cast<std::size_t>(record_count));
   for (std::uint64_t i = 0; i < record_count; ++i)
-    trace.records.push_back(read_record(file.get(), version));
+    trace.records.push_back(read_record(file.get()));
   trace.admission.reserve(static_cast<std::size_t>(admission_count));
   for (std::uint64_t i = 0; i < admission_count; ++i)
     trace.admission.push_back(read_admission(file.get()));
   for (std::uint64_t i = 0; i < model_count; ++i)
     trace.meta.models.push_back(read_model_info(file.get()));
   if (trace.meta.models.empty()) {
-    // v1 files (and empty v2 headers) are single-model by construction:
-    // synthesize the table entry every record implicitly references.
+    // An unfinalized file's header has an empty model table. Such a file
+    // is single-model by construction: synthesize the table entry every
+    // record implicitly references.
     TraceModelInfo info;
     info.model_key = 0;
     info.model_version = 1;

@@ -40,9 +40,9 @@
 //             u64, fingerprint u64, name length u32 + bytes} per distinct
 //             (model key, model version) the records reference.
 //
-// Version 1 files (single-model, no model fields) still read: the reader
-// synthesizes a one-entry model table from the header's workload id and
-// fingerprint, and every record maps to it.
+// A file with an empty model table (a recorder that never finalized) reads
+// as single-model: the reader synthesizes a one-entry table from the
+// header's workload id and fingerprint, and every record maps to it.
 //
 // Checksum coverage: response_checksum hashes the probability row (shape +
 // exact float bits), predicted class, entropy, escalated flag, samples
@@ -76,8 +76,6 @@ namespace bnn::serve {
 /// "BNTRACE1" as a little-endian u64.
 inline constexpr std::uint64_t kTraceMagic = 0x3145434152544E42ull;
 inline constexpr std::uint32_t kTraceVersion = 2;
-/// Oldest version read_trace still accepts (single-model records).
-inline constexpr std::uint32_t kTraceMinVersion = 1;
 
 /// Malformed trace file: wrong magic, unsupported version, truncation, or
 /// an out-of-range field. Distinct from I/O failures (std::runtime_error
@@ -123,8 +121,8 @@ struct TraceMeta {
   /// escalated responses depend on it, so the replayer mirrors it.
   bool reuse_screening_samples = false;
   /// The distinct (model key, model version) tenants the records reference.
-  /// Always at least one entry after read_trace (v1 files synthesize a
-  /// single entry from the header fields).
+  /// Always at least one entry after read_trace (an empty table reads as
+  /// a single entry synthesized from the header fields).
   std::vector<TraceModelInfo> models;
 };
 

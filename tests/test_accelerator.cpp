@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/software_metrics.h"
 #include "data/synth.h"
 #include "nn/activations.h"
@@ -77,7 +79,9 @@ TEST(Accelerator, StochasticPredictionMatchesReferenceWithSameSamplerSeed) {
     const data::Batch batch = fx.dataset->batch(0, 3);
     const auto prediction = accelerator.predict(batch.images, bayes_layers, 5);
 
-    // Reference consumes the identical per-(image, sample) LFSR lanes.
+    // Reference consumes the identical per-(image, sample) LFSR lanes and
+    // recomputes every layer per sample, so this also checks the
+    // accelerator's IC schedule against full recompute.
     const auto lanes = [&fx](int image, int sample) -> std::unique_ptr<nn::MaskSource> {
       BernoulliSamplerConfig sampler_config;
       sampler_config.p = fx.qnet->dropout_p;
@@ -86,7 +90,7 @@ TEST(Accelerator, StochasticPredictionMatchesReferenceWithSameSamplerSeed) {
       return std::make_unique<BernoulliSampler>(sampler_config);
     };
     const nn::Tensor expected =
-        quant::ref_mc_predict(*fx.qnet, batch.images, bayes_layers, 5, lanes, true);
+        quant::ref_mc_predict(*fx.qnet, batch.images, bayes_layers, 5, lanes);
     EXPECT_EQ(prediction.probs.max_abs_diff(expected), 0.0f) << "L=" << bayes_layers;
   }
 }
@@ -191,7 +195,7 @@ TEST(Accelerator, SampleOffsetShiftsTheSamplerLaneWindow) {
     return std::make_unique<BernoulliSampler>(sampler_config);
   };
   const nn::Tensor expected =
-      quant::ref_mc_predict(*fx.qnet, batch.images, bayes_layers, 3, lanes, true);
+      quant::ref_mc_predict(*fx.qnet, batch.images, bayes_layers, 3, lanes);
   EXPECT_EQ(shifted.probs.max_abs_diff(expected), 0.0f);
 }
 
@@ -208,10 +212,8 @@ TEST(Accelerator, KernelTiersProduceBitIdenticalPredictions) {
     Accelerator accelerator(net, config);
     return accelerator.predict(images, 2, 5);
   };
-  const auto scalar = with_tier(nn::kernels::Tier::scalar, *fx.qnet, batch.images);
   const auto int8 = with_tier(nn::kernels::Tier::int8, *fx.qnet, batch.images);
   const auto bitpack = with_tier(nn::kernels::Tier::bitpack, *fx.qnet, batch.images);
-  EXPECT_EQ(scalar.probs.max_abs_diff(int8.probs), 0.0f);
   EXPECT_EQ(int8.probs.max_abs_diff(bitpack.probs), 0.0f);
 
   // Force the packed path to actually engage: binarize the first conv's
@@ -229,10 +231,8 @@ TEST(Accelerator, KernelTiersProduceBitIdenticalPredictions) {
   std::int8_t lo = 0, hi = 0;
   ASSERT_TRUE(quant::two_valued_activations(qimage, &lo, &hi));
 
-  const auto b_scalar = with_tier(nn::kernels::Tier::scalar, binarized, two_valued);
   const auto b_int8 = with_tier(nn::kernels::Tier::int8, binarized, two_valued);
   const auto b_bitpack = with_tier(nn::kernels::Tier::bitpack, binarized, two_valued);
-  EXPECT_EQ(b_scalar.probs.max_abs_diff(b_int8.probs), 0.0f);
   EXPECT_EQ(b_int8.probs.max_abs_diff(b_bitpack.probs), 0.0f);
 }
 
@@ -243,6 +243,10 @@ TEST(Accelerator, RejectsBadArguments) {
   EXPECT_THROW(accelerator.predict(batch.images, -1, 5), std::invalid_argument);
   EXPECT_THROW(accelerator.predict(batch.images, 99, 5), std::invalid_argument);
   EXPECT_THROW(accelerator.predict(batch.images, 1, 0), std::invalid_argument);
+  // A sampler window past INT_MAX would overflow the lane index.
+  const std::vector<Accelerator::ImageRequest> past_int_max{
+      {1, 2, 0, std::numeric_limits<int>::max()}};
+  EXPECT_THROW(accelerator.predict_batch(batch.images, past_int_max), std::invalid_argument);
 }
 
 TEST(SoftwareMetrics, ProviderProducesSaneMetricsAndCaches) {

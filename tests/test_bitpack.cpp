@@ -1,8 +1,8 @@
 // The bit-packed XNOR/popcount kernel tier must be bit-identical to the
-// int8 and scalar tiers at every level: the word primitives against naive
-// bit loops, packed_row_dot against dot_i8_zp, and the full layer
-// executors (quant/qops and core/nne) across edge-case geometries. Also
-// pins the tier-dependent cycle model and the sampler reseed contract the
+// int8 tier at every level: the word primitives against naive bit loops,
+// packed_row_dot against dot_i8_zp, and the NNE at both tier caps against
+// the plain-loop spec (quant/qops) across edge-case geometries. Also pins
+// the tier-dependent cycle model and the sampler reseed contract the
 // accelerator's lane arena relies on.
 #include "nn/bitpack_kernels.h"
 
@@ -302,16 +302,10 @@ void expect_tier_identity(const quant::QLayer& layer, const quant::QTensor& inpu
   ASSERT_TRUE(quant::two_valued_activations(input, &lo, &hi)) << label;
 
   const quant::FixedMultiplier keep = quant::quantize_multiplier(1.0 / 0.75);
-  const quant::QTensor scalar =
-      quant::ref_run_layer(layer, plan, Tier::scalar, input, shortcut, false, nullptr, keep);
-  const quant::QTensor int8 =
-      quant::ref_run_layer(layer, plan, Tier::int8, input, shortcut, false, nullptr, keep);
-  const quant::QTensor bitpack =
-      quant::ref_run_layer(layer, plan, Tier::bitpack, input, shortcut, false, nullptr, keep);
-  EXPECT_EQ(scalar.data, int8.data) << label << ": scalar vs int8";
-  EXPECT_EQ(int8.data, bitpack.data) << label << ": int8 vs bitpack";
+  const quant::QTensor spec =
+      quant::ref_run_layer(layer, input, shortcut, false, nullptr, keep);
 
-  // The NNE tiling must agree with the reference at every tier and charge
+  // The NNE tiling must agree with the spec at both tier caps and charge
   // the closed-form cycle count for both annotation states.
   for (const auto& tc : {std::array<int, 3>{8, 8, 1}, std::array<int, 3>{64, 64, 1},
                          std::array<int, 3>{16, 8, 4}, std::array<int, 3>{128, 128, 16}}) {
@@ -322,13 +316,13 @@ void expect_tier_identity(const quant::QLayer& layer, const quant::QTensor& inpu
     for (const bool annotated : {false, true}) {
       quant::QLayer geom_layer = layer;
       geom_layer.geom.weights_binarizable = annotated;
-      for (const Tier tier : {Tier::scalar, Tier::int8, Tier::bitpack}) {
+      for (const Tier tier : {Tier::int8, Tier::bitpack}) {
         core::NneScratch scratch;
         quant::QTensor out;
         const core::NneLayerStats stats =
             core::nne_run_layer_into(geom_layer, plan, input, shortcut, false, nullptr, keep,
                                      config, tier, scratch, out);
-        EXPECT_EQ(out.data, int8.data)
+        EXPECT_EQ(out.data, spec.data)
             << label << ": nne tier " << nn::kernels::tier_name(tier) << " PC=" << tc[0]
             << " PF=" << tc[1] << " PV=" << tc[2];
         EXPECT_EQ(stats.compute_cycles,
@@ -398,18 +392,14 @@ TEST(TierIdentity, BitpackCapFallsBackOnThreeValuedInput) {
   ASSERT_FALSE(quant::two_valued_activations(input, &lo, &hi));
 
   const quant::FixedMultiplier keep = quant::quantize_multiplier(1.0 / 0.75);
-  const quant::QTensor int8 =
-      quant::ref_run_layer(layer, plan, Tier::int8, input, nullptr, false, nullptr, keep);
-  const quant::QTensor capped =
-      quant::ref_run_layer(layer, plan, Tier::bitpack, input, nullptr, false, nullptr, keep);
-  EXPECT_EQ(int8.data, capped.data);
+  const quant::QTensor spec = quant::ref_run_layer(layer, input, nullptr, false, nullptr, keep);
 
   core::NneConfig config;
   core::NneScratch scratch;
   quant::QTensor out;
   core::nne_run_layer_into(layer, plan, input, nullptr, false, nullptr, keep, config,
                            Tier::bitpack, scratch, out);
-  EXPECT_EQ(out.data, int8.data);
+  EXPECT_EQ(out.data, spec.data);
 }
 
 TEST(NneScratchArena, SecondRunOverSameShapesIsAllocationFree) {

@@ -1,5 +1,6 @@
-// The NNE's tiled datapath must be bit-exact against the untiled reference
-// executor for every parallelism configuration in the paper's design space.
+// The NNE's tiled datapath must be bit-exact against the untiled plain-loop
+// specification (quant/qops.h) for every parallelism configuration in the
+// paper's design space.
 #include "core/nne.h"
 
 #include <gtest/gtest.h>
@@ -136,6 +137,60 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(TilingCase{8, 8, 1}, TilingCase{16, 8, 4}, TilingCase{32, 16, 1},
                       TilingCase{64, 64, 1}, TilingCase{128, 128, 16},
                       TilingCase{8, 128, 8}, TilingCase{128, 8, 1}));
+
+// The tiny fixture above has no strided, 1x1 or shortcut layers. The
+// reduced ResNet-18 has all of them: 3x3 stride-1 and stride-2 convs with
+// pad 1 (border windows), 1x1 stride-2 pad-0 projections and shortcut adds.
+// Every layer runs through the NNE at both tier caps and several tilings,
+// fed the spec's own inputs, against the plain-loop spec.
+TEST(QuantConvGather, MatchesPlainLoopBitExactlyOnStridedPaddedShapes) {
+  util::Rng rng(17);
+  nn::Model model = nn::make_resnet18(rng, 10, /*base_width=*/4);
+  model.set_bayesian_last(0);
+  util::Rng data_rng(18);
+  data::Dataset objects = data::make_synth_objects(32, data_rng);
+  const quant::QuantNetwork qnet = quant::quantize_model(model, objects, {16});
+  const quant::NetworkExecPlan plan = quant::build_network_exec_plan(qnet);
+
+  const quant::QTensor image = quant::quantize_image(objects.images(), 1, qnet.input);
+  const std::vector<quant::QTensor> ref = quant::ref_forward(qnet, image, 0, nullptr);
+
+  bool saw_strided = false, saw_padded = false, saw_pointwise = false, saw_shortcut = false;
+  for (const TilingCase tc : {TilingCase{8, 8, 1}, TilingCase{16, 8, 4},
+                              TilingCase{128, 32, 16}}) {
+    NneConfig config;
+    config.pc = tc.pc;
+    config.pf = tc.pf;
+    config.pv = tc.pv;
+    for (const nn::kernels::Tier tier : {nn::kernels::Tier::int8, nn::kernels::Tier::bitpack}) {
+      NneScratch scratch;
+      quant::QTensor out;
+      for (int l = 0; l < qnet.num_layers(); ++l) {
+        const quant::QLayer& layer = qnet.layers[static_cast<std::size_t>(l)];
+        const nn::HwLayer& g = layer.geom;
+        const quant::QTensor& input =
+            layer.input_source < 0 ? image : ref[static_cast<std::size_t>(layer.input_source)];
+        const quant::QTensor* shortcut =
+            g.has_shortcut ? &ref[static_cast<std::size_t>(layer.shortcut_source)] : nullptr;
+        nne_run_layer_into(layer, plan.layer(l), input, shortcut, false, nullptr,
+                           qnet.dropout_keep, config, tier, scratch, out);
+        EXPECT_EQ(out.data, ref[static_cast<std::size_t>(l)].data)
+            << "layer " << l << " (" << g.label << ") diverges at tier "
+            << nn::kernels::tier_name(tier) << " PC=" << tc.pc << " PF=" << tc.pf
+            << " PV=" << tc.pv;
+        if (g.op != nn::HwLayer::Op::conv) continue;
+        saw_strided = saw_strided || g.stride > 1;
+        saw_padded = saw_padded || g.pad > 0;
+        saw_pointwise = saw_pointwise || g.kernel == 1;
+        saw_shortcut = saw_shortcut || g.has_shortcut;
+      }
+    }
+  }
+  EXPECT_TRUE(saw_strided) << "fixture lost its stride-2 conv coverage";
+  EXPECT_TRUE(saw_padded) << "fixture lost its padded conv coverage";
+  EXPECT_TRUE(saw_pointwise) << "fixture lost its 1x1 projection coverage";
+  EXPECT_TRUE(saw_shortcut) << "fixture lost its shortcut coverage";
+}
 
 TEST(NneDropout, SameMaskStreamGivesSameOutputs) {
   auto& fx = fixture();

@@ -69,7 +69,7 @@ TEST_P(DropoutRateSweep, AcceleratorMatchesReferenceAndIcIsExact) {
     sampler_config.seed = core::Accelerator::sample_stream_seed(99, image, sample);
     return std::make_unique<core::BernoulliSampler>(sampler_config);
   };
-  const nn::Tensor expected = quant::ref_mc_predict(qnet, batch.images, 2, 6, lanes, true);
+  const nn::Tensor expected = quant::ref_mc_predict(qnet, batch.images, 2, 6, lanes);
   EXPECT_EQ(prediction.probs.max_abs_diff(expected), 0.0f) << "p=" << p;
 
   // Probability rows stay normalized under every p.
@@ -98,7 +98,7 @@ TEST(PipelineProperties, EntropyGrowsWithBayesianPortion) {
   for (int bayes_layers : grid) {
     nn::RngMaskSource masks(qnet.dropout_p, util::Rng(7));
     const nn::Tensor probs =
-        quant::ref_mc_predict(qnet, noise.images(), bayes_layers, 16, masks, true);
+        quant::ref_mc_predict(qnet, noise.images(), bayes_layers, 16, masks);
     const double entropy = metrics::average_predictive_entropy(probs);
     if (entropy > previous) ++increases;
     previous = entropy;

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -220,24 +219,10 @@ TEST_F(QuantizedModel, DropoutMasksZeroWholeFilters) {
   EXPECT_GT(dropped, 0);  // with p=0.5 over 8 filters, overwhelmingly likely
 }
 
-TEST_F(QuantizedModel, IcEquivalentToFullRecomputeBitExactly) {
-  const data::Batch batch = dataset_->batch(0, 4);
-  for (int bayes_layers : {1, 2, 3}) {
-    nn::RngMaskSource masks_a(qnet_->dropout_p, util::Rng(42));
-    nn::RngMaskSource masks_b(qnet_->dropout_p, util::Rng(42));
-    const nn::Tensor with_ic =
-        ref_mc_predict(*qnet_, batch.images, bayes_layers, 6, masks_a, true);
-    const nn::Tensor without_ic =
-        ref_mc_predict(*qnet_, batch.images, bayes_layers, 6, masks_b, false);
-    EXPECT_EQ(with_ic.max_abs_diff(without_ic), 0.0f)
-        << "integer-domain IC must be bit-exact (L=" << bayes_layers << ")";
-  }
-}
-
 TEST_F(QuantizedModel, McPredictRowsNormalized) {
   nn::RngMaskSource masks(qnet_->dropout_p, util::Rng(5));
   const data::Batch batch = dataset_->batch(0, 3);
-  const nn::Tensor probs = ref_mc_predict(*qnet_, batch.images, 2, 8, masks, true);
+  const nn::Tensor probs = ref_mc_predict(*qnet_, batch.images, 2, 8, masks);
   for (int n = 0; n < 3; ++n) {
     float sum = 0.0f;
     for (int k = 0; k < 10; ++k) sum += probs.v2(n, k);
@@ -249,92 +234,6 @@ TEST_F(QuantizedModel, CutLayerMatchesDescription) {
   const nn::NetworkDesc desc = qnet_->describe();
   for (int bayes = 0; bayes <= qnet_->num_sites; ++bayes)
     EXPECT_EQ(qnet_->cut_layer_for(bayes), desc.cut_layer_for(bayes));
-}
-
-// The historical conv reference loop of qops.cpp, kept verbatim as the
-// regression oracle: plain per-position (c, kh, kw) accumulation with
-// bounds-checked padding, then requant/shortcut/ReLU. The production loop
-// now routes interior windows through nn::kernels::dot_i8_zp_gather; int32
-// accumulation is exact, so the two must agree bit-for-bit.
-QTensor plain_conv_pre_pool(const QLayer& layer, const QTensor& input,
-                            const QTensor* shortcut) {
-  const nn::HwLayer& g = layer.geom;
-  const std::int32_t zp_in = layer.in.zero_point;
-  const std::int32_t zp_out = layer.out.zero_point;
-  const std::int32_t zp_sc = g.has_shortcut ? shortcut->params.zero_point : 0;
-  QTensor pre({g.out_c, g.conv_out_h, g.conv_out_w}, layer.out);
-  for (int f = 0; f < g.out_c; ++f) {
-    const std::int8_t* w = layer.weight_row(f);
-    for (int oh = 0; oh < g.conv_out_h; ++oh) {
-      for (int ow = 0; ow < g.conv_out_w; ++ow) {
-        std::int32_t acc = layer.bias[static_cast<std::size_t>(f)];
-        for (int c = 0; c < g.in_c; ++c) {
-          for (int kh = 0; kh < g.kernel; ++kh) {
-            const int ih = oh * g.stride - g.pad + kh;
-            if (ih < 0 || ih >= g.in_h) continue;  // padding contributes zero
-            for (int kw = 0; kw < g.kernel; ++kw) {
-              const int iw = ow * g.stride - g.pad + kw;
-              if (iw < 0 || iw >= g.in_w) continue;
-              acc += (static_cast<std::int32_t>(input.at(c, ih, iw)) - zp_in) *
-                     static_cast<std::int32_t>(w[(c * g.kernel + kh) * g.kernel + kw]);
-            }
-          }
-        }
-        std::int32_t q = fixed_multiply(acc, layer.requant[static_cast<std::size_t>(f)]) +
-                         layer.post_add[static_cast<std::size_t>(f)] + zp_out;
-        if (g.has_shortcut)
-          q += fixed_multiply(static_cast<std::int32_t>(shortcut->at(f, oh, ow)) - zp_sc,
-                              layer.shortcut_rescale);
-        if (g.has_relu) q = std::max(q, zp_out);
-        pre.at(f, oh, ow) = saturate_int8(q);
-      }
-    }
-  }
-  return pre;
-}
-
-TEST(QuantConvGather, MatchesPlainLoopBitExactlyOnStridedPaddedShapes) {
-  // Reduced ResNet-18 exercises the interesting conv geometries in one
-  // network: 3x3 stride-1 and stride-2 convs with pad 1 (border windows),
-  // 1x1 stride-2 pad-0 projections, and shortcut adds.
-  util::Rng rng(17);
-  nn::Model model = nn::make_resnet18(rng, 10, /*base_width=*/4);
-  model.set_bayesian_last(0);
-  util::Rng data_rng(18);
-  data::Dataset objects = data::make_synth_objects(32, data_rng);
-  QuantNetwork qnet = quantize_model(model, objects, {16});
-
-  const QTensor image = quantize_image(objects.images(), 1, qnet.input);
-  const std::vector<QTensor> outputs = ref_forward(qnet, image, 0, nullptr);
-
-  int checked = 0;
-  bool saw_strided = false, saw_padded = false, saw_pointwise = false;
-  for (int l = 0; l < qnet.num_layers(); ++l) {
-    const QLayer& layer = qnet.layers[static_cast<std::size_t>(l)];
-    const nn::HwLayer& g = layer.geom;
-    if (g.op != nn::HwLayer::Op::conv) continue;
-    // Without pooling (and with no active site), the stored output IS the
-    // pre-pool map the conv loop produced.
-    if (g.pool_kernel != 0 || g.pool_is_global) continue;
-    const QTensor& input =
-        layer.input_source < 0 ? image
-                               : outputs[static_cast<std::size_t>(layer.input_source)];
-    const QTensor* shortcut =
-        g.has_shortcut ? &outputs[static_cast<std::size_t>(layer.shortcut_source)]
-                       : nullptr;
-    const QTensor expected = plain_conv_pre_pool(layer, input, shortcut);
-    EXPECT_EQ(expected.data, outputs[static_cast<std::size_t>(l)].data)
-        << "layer " << l << " (" << g.label << "): gather-routed conv diverged "
-        << "from the plain per-position loop";
-    ++checked;
-    saw_strided = saw_strided || g.stride > 1;
-    saw_padded = saw_padded || g.pad > 0;
-    saw_pointwise = saw_pointwise || g.kernel == 1;
-  }
-  EXPECT_GE(checked, 8);
-  EXPECT_TRUE(saw_strided) << "fixture lost its stride-2 conv coverage";
-  EXPECT_TRUE(saw_padded) << "fixture lost its padded conv coverage";
-  EXPECT_TRUE(saw_pointwise) << "fixture lost its 1x1 projection coverage";
 }
 
 // Residual topologies must quantize and execute too.

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <future>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -554,6 +555,11 @@ TEST(Server, ValidatesRequestsAndRejectsAfterShutdown) {
   serve::RequestOptions bad_layers;
   bad_layers.bayes_layers = fx.qnet->num_sites + 1;
   EXPECT_THROW(server.submit(request_for(batch, 0, bad_layers)), std::invalid_argument);
+
+  // A sampler window past INT_MAX would overflow the lane index.
+  serve::RequestOptions past_int_max;
+  past_int_max.sample_offset = std::numeric_limits<int>::max();
+  EXPECT_THROW(server.submit(request_for(batch, 0, past_int_max)), std::invalid_argument);
 
   serve::Request wrong_shape;
   wrong_shape.image = nn::Tensor({1, 1, 5, 5});

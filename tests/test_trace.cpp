@@ -239,15 +239,18 @@ TEST(TraceFormat, RejectsBadMagic) {
 
 TEST(TraceFormat, RejectsUnsupportedVersion) {
   const std::string path = temp_path("bad_version.trace");
-  serve::write_trace(path, sample_trace());
-  std::vector<unsigned char> bytes = file_bytes(path);
-  bytes[8] = static_cast<unsigned char>(serve::kTraceVersion + 1);  // version u32 at 8
-  write_bytes(path, bytes);
-  try {
-    serve::read_trace(path);
-    FAIL() << "version mismatch not rejected";
-  } catch (const serve::TraceFormatError& error) {
-    EXPECT_NE(std::string(error.what()).find("version"), std::string::npos);
+  // Version 1 (single-model records, no model fields) is no longer read.
+  for (const std::uint32_t version : {1u, serve::kTraceVersion + 1}) {
+    serve::write_trace(path, sample_trace());
+    std::vector<unsigned char> bytes = file_bytes(path);
+    bytes[8] = static_cast<unsigned char>(version);  // version u32 at 8
+    write_bytes(path, bytes);
+    try {
+      serve::read_trace(path);
+      FAIL() << "version " << version << " not rejected";
+    } catch (const serve::TraceFormatError& error) {
+      EXPECT_NE(std::string(error.what()).find("version"), std::string::npos);
+    }
   }
 }
 

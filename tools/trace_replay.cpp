@@ -22,8 +22,7 @@
 // under every serving configuration. Every trace is replayed through a
 // ModelRegistry rebuilt from its model table: each table entry's workload
 // id names a shared bench fixture, published under the recorded tenant
-// name, and every record routes back to its recorded tenant. A v1 trace's
-// table is the one entry read_trace synthesizes from its header.
+// name, and every record routes back to its recorded tenant.
 //
 // --diff compares two recorded traces record-by-record (outcome, model,
 // stream id, golden checksum) without serving anything, and names the
