@@ -77,7 +77,7 @@ void bm_nne_layer(benchmark::State& state) {
 }
 BENCHMARK(bm_nne_layer)->Args({8, 8, 1})->Args({64, 64, 1})->Args({128, 128, 16});
 
-// The NNE channel-tile inner product in isolation: plain per-term loop vs
+// One full-length int8 inner product in isolation: plain per-term loop vs
 // kernels::dot_i8_zp on a VGG-class term count (in_c=128, 3x3 kernel).
 void bm_int8_dot_scalar(benchmark::State& state) {
   const int len = static_cast<int>(state.range(0));
@@ -112,25 +112,25 @@ void bm_int8_dot_kernel(benchmark::State& state) {
 }
 BENCHMARK(bm_int8_dot_kernel)->Arg(1152);
 
-// Gather form used by interior conv positions (offset table replaces the
-// per-term division/modulo index math).
-void bm_int8_dot_gather(benchmark::State& state) {
-  const int len = static_cast<int>(state.range(0));
+// The int8 tier's conv GEMM on a VGG-class layer: 64 filters x 576 terms
+// (64 channels, 3x3) over an 8x8 map, from an already-lowered panel.
+void bm_int8_gemm(benchmark::State& state) {
+  const int m = 64, k = 576, n = static_cast<int>(state.range(0));
+  const int ldx = nn::kernels::gemm_i8_ldx(n);
   util::Rng rng(1234);
-  std::vector<std::int8_t> x(static_cast<std::size_t>(len) * 4), w(static_cast<std::size_t>(len));
-  for (auto& v : x) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+  std::vector<std::int8_t> w(static_cast<std::size_t>(m) * k), x(static_cast<std::size_t>(k) * ldx);
   for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-  std::vector<std::int32_t> offsets(static_cast<std::size_t>(len));
-  for (int t = 0; t < len; ++t)
-    offsets[static_cast<std::size_t>(t)] = rng.uniform_int(0, 4 * len - 1);
+  for (auto& v : x) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+  std::vector<std::int32_t> c(static_cast<std::size_t>(m) * n);
   const std::int32_t zp = -3;
   for (auto _ : state) {
-    std::int32_t acc = nn::kernels::dot_i8_zp_gather(x.data(), offsets.data(), w.data(), len, zp);
-    benchmark::DoNotOptimize(acc);
+    nn::kernels::gemm_i8_zp(m, n, k, w.data(), x.data(), ldx, zp, c.data(), n);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * len);
+  state.SetItemsProcessed(state.iterations() * m * k * n);
 }
-BENCHMARK(bm_int8_dot_gather)->Arg(1152);
+BENCHMARK(bm_int8_gemm)->Arg(64);
 
 // The bit-packed tier on the same VGG-class term count: packed_row_dot
 // (XOR+popcount over 64-term words) against the int8 rows above. The

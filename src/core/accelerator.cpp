@@ -16,11 +16,13 @@ namespace {
 
 // Reusable per-worker storage for predict lanes — the quantized analogue of
 // the float path's ReplayArena. Thread-local so lanes never contend: a lane
-// keeps every layer output, the NNE scratch (accumulators, packed windows)
-// and its Bernoulli sampler across (image, sample) pairs, predict calls and
-// accelerator instances. All buffers grow to the largest shapes seen and
-// are fully overwritten per use, so steady-state lanes are allocation-free;
-// grow_events counts the warmup growths (plus NneScratch's own counter).
+// keeps every layer output, the NNE scratch (sum plane, lowered windows,
+// packed windows) and its Bernoulli sampler across (image, sample) pairs,
+// predict calls and accelerator instances; the IC prefix layers an image's
+// first lane runs use the same scratch. All buffers grow to the largest
+// shapes seen and are fully overwritten per use, so steady-state lanes are
+// allocation-free; grow_events counts the warmup growths (plus NneScratch's
+// own counter).
 struct LaneArena {
   NneScratch scratch;
   std::vector<quant::QTensor> outputs;  // indexed by TRUE layer index
@@ -226,17 +228,20 @@ Accelerator::BatchPrediction Accelerator::predict_batch(
           state.qimage = quant::quantize_image(images, n, network_->input);
           if (!plan.use_ic) return;
           // Prefix once, shared read-only across lanes: the cut layer's
-          // pre-DU output is the on-chip boundary of the IC schedule. The
-          // prefix tensors are call-local shared state, so they use a local
-          // scratch — their one-off allocations are per-image warmup, not
-          // lane steady state, and stay out of the arena's growth counter.
-          NneScratch prefix_scratch;
+          // pre-DU output is the on-chip boundary of the IC schedule. Only
+          // the prefix outputs are call-local shared state; the layers run
+          // on this lane's arena scratch, which every layer call overwrites.
+          NneScratch& prefix_scratch = lane_arena().scratch;
           state.prefix.reserve(static_cast<std::size_t>(plan.cut + 1));
           const auto stored_prefix = [&state](int index) -> const quant::QTensor& {
             return state.prefix[static_cast<std::size_t>(index)];
           };
           for (int l = 0; l <= plan.cut; ++l) {
-            quant::QTensor out;
+            // Shaped up front, so the layer call finds it big enough and the
+            // arena's growth counter sees arena buffers only.
+            const quant::QLayer& layer = network_->layers[static_cast<std::size_t>(l)];
+            quant::QTensor out({layer.geom.out_c, layer.geom.out_h, layer.geom.out_w},
+                               layer.out);
             run_layer(l, stored_prefix, state.qimage, /*site_active=*/false, nullptr,
                       state.prefix_cycles, prefix_scratch, out);
             state.prefix.push_back(std::move(out));

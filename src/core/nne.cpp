@@ -42,11 +42,59 @@ std::int64_t modelled_term_tiles(const nn::HwLayer& layer, const NneConfig& conf
   return ceil_div(terms, lane_terms);
 }
 
-// Grows a vector to `n` elements, counting capacity growths (allocations).
+// Grows a vector to at least `n` elements, counting capacity growths
+// (allocations). Never shrinks, so a layer call after a larger one neither
+// frees nor re-zeroes anything; callers use the first `n` elements.
 template <typename T>
 void grow_to(std::vector<T>& vec, std::size_t n, std::uint64_t& grow_events) {
+  if (n <= vec.size()) return;
   if (n > vec.capacity()) ++grow_events;
   vec.resize(n);
+}
+
+// Lowers a conv input into gemm_i8_zp's K-major panel: row t = (c, kh, kw)
+// holds term t's input value at every output position, `zp` wherever the
+// window reaches into padding, and `zp` again in the row's ldx padding. A
+// padding term then contributes (zp - zp) * w = 0 to its sum — exactly the
+// specification's skipped term.
+void lower_conv_input(const nn::HwLayer& g, const std::int8_t* in, std::int8_t zp, int ldx,
+                      std::int8_t* panel) {
+  // Geometry in locals: the int8 stores below may alias any object, so
+  // fields read through `g` would be reloaded after every one.
+  const int in_h = g.in_h, in_w = g.in_w, kernel = g.kernel, stride = g.stride, pad = g.pad;
+  const int out_h = g.conv_out_h, out_w = g.conv_out_w;
+  const int positions = out_h * out_w;
+  for (int c = 0; c < g.in_c; ++c) {
+    const std::int8_t* plane = in + static_cast<std::size_t>(c) * in_h * in_w;
+    for (int kh = 0; kh < kernel; ++kh) {
+      for (int kw = 0; kw < kernel; ++kw) {
+        std::int8_t* row = panel + static_cast<std::size_t>((c * kernel + kh) * kernel + kw) * ldx;
+        // Output columns [ow_lo, ow_hi) read input column iw0 + ow * stride
+        // inside the map; the rest of each output row is padding.
+        const int iw0 = kw - pad;
+        const int ow_lo =
+            std::min(out_w, iw0 >= 0 ? 0 : static_cast<int>(ceil_div(-iw0, stride)));
+        const int ow_hi = in_w - 1 - iw0 < 0 ? 0 : std::min(out_w, (in_w - 1 - iw0) / stride + 1);
+        for (int oh = 0; oh < out_h; ++oh) {
+          std::int8_t* dst = row + static_cast<std::size_t>(oh) * out_w;
+          const int ih = oh * stride - pad + kh;
+          if (ih < 0 || ih >= in_h || ow_lo >= ow_hi) {
+            std::fill(dst, dst + out_w, zp);
+            continue;
+          }
+          const std::int8_t* src = plane + static_cast<std::size_t>(ih) * in_w;
+          std::fill(dst, dst + ow_lo, zp);
+          if (stride == 1) {
+            for (int ow = ow_lo; ow < ow_hi; ++ow) dst[ow] = src[iw0 + ow];
+          } else {
+            for (int ow = ow_lo; ow < ow_hi; ++ow) dst[ow] = src[iw0 + ow * stride];
+          }
+          std::fill(dst + ow_hi, dst + out_w, zp);
+        }
+        std::fill(row + positions, row + ldx, zp);
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -76,16 +124,17 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
   util::require(!site_active || masks != nullptr, "nne: active site requires a mask source");
   util::require(config.binary_term_parallelism >= 1,
                 "nne: binary_term_parallelism must be positive");
+  // The lowered panel stores padding terms as the zero point itself.
+  util::require(zp_in >= -128 && zp_in <= 127, "nne: input zero point must fit int8");
 
   NneLayerStats stats;
   stats.macs_retired = g.macs();
+  // The PE's PF x PC x PV tiling survives in the cycle charge alone: the
+  // closed form, independent of which tier or kernel computed the sums.
+  stats.compute_cycles = estimate_layer_cycles(g, config);
 
   const int positions = g.conv_out_h * g.conv_out_w;
   const int terms = plan.terms;
-  const std::int64_t filter_tiles = ceil_div(g.out_c, config.pf);
-  const std::int64_t term_tiles = ceil_div(terms, config.pc);
-  const std::int64_t position_tiles = ceil_div(positions, config.pv);
-  const std::int64_t model_tiles = modelled_term_tiles(g, config);
 
   const bool is_linear = g.op == nn::HwLayer::Op::linear;
   if (is_linear)
@@ -94,6 +143,10 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
     util::require(input.channels() == g.in_c && input.height() == g.in_h &&
                       input.width() == g.in_w,
                   "nne: conv input shape mismatch");
+  if (g.has_shortcut)
+    util::require(shortcut->channels() == g.out_c && shortcut->height() == g.conv_out_h &&
+                      shortcut->width() == g.conv_out_w,
+                  "nne: shortcut shape mismatch");
 
   // Resolve the tier cap against this (layer, input) pair.
   std::int8_t lo = 0, hi = 0;
@@ -113,14 +166,13 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
       scratch.pre.reset({g.out_c, g.conv_out_h, g.conv_out_w}, layer.out))
     ++scratch.grow_events;
 
-  // Accumulators: one per (PU filter lane, PV position lane).
-  grow_to(scratch.acc, static_cast<std::size_t>(config.pf) * config.pv, scratch.grow_events);
-  std::int32_t* acc = scratch.acc.data();
+  // The PE's retiring accumulators for the whole layer: one int32 term sum
+  // per (filter, position), [out_c][positions]. Both tiers fill it; one FU
+  // pass below retires it.
+  grow_to(scratch.sums, static_cast<std::size_t>(g.out_c) * positions, scratch.grow_events);
+  std::int32_t* sums = scratch.sums.data();
 
   const std::int8_t* in_data = input.data.data();
-  const std::int32_t* term_dh = plan.term_dh.data();
-  const std::int32_t* term_dw = plan.term_dw.data();
-  const std::int32_t* term_off = plan.term_off.data();
 
   // Packed-weight layers dropped their byte rows. The bitpack interior path
   // reads only the masks, but the int8 tier and conv border windows still
@@ -142,154 +194,89 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
     return wmatrix + static_cast<std::size_t>(f) * terms;
   };
 
-  // Packed-activation prepass (bitpack tier only): sign-pack the input once
-  // per layer so every filter row reuses the same window words. Linear
-  // layers pack the whole input vector; conv layers pack each INTERIOR
-  // window (border windows keep the checked loop in both tiers, so border
-  // bits agree across tiers by construction).
-  std::int32_t x_pop_linear = 0;
-  if (tier == Tier::bitpack) {
-    if (is_linear) {
-      grow_to(scratch.xbits, static_cast<std::size_t>(plan.words), scratch.grow_events);
-      x_pop_linear = nn::kernels::pack_eq_bits(in_data, terms, hi, scratch.xbits.data());
-    } else {
-      grow_to(scratch.xbits, static_cast<std::size_t>(positions) * plan.words,
-              scratch.grow_events);
-      grow_to(scratch.x_pop, static_cast<std::size_t>(positions), scratch.grow_events);
-      for (int p = 0; p < positions; ++p) {
-        const int oh = p / g.conv_out_w;
-        const int ow = p % g.conv_out_w;
-        const int ih0 = oh * g.stride - g.pad;
-        const int iw0 = ow * g.stride - g.pad;
-        if (ih0 >= 0 && iw0 >= 0 && ih0 + g.kernel <= g.in_h && iw0 + g.kernel <= g.in_w)
-          scratch.x_pop[static_cast<std::size_t>(p)] = nn::kernels::pack_eq_bits_gather(
-              in_data + static_cast<std::size_t>(ih0) * g.in_w + iw0, term_off, terms, hi,
-              scratch.xbits.data() + static_cast<std::size_t>(p) * plan.words);
+  if (tier == Tier::int8 && is_linear) {
+    for (int f = 0; f < g.out_c; ++f)
+      sums[f] = nn::kernels::dot_i8_zp(in_data, weight_row(f), terms, zp_in);
+  } else if (tier == Tier::int8) {
+    // Lower every window once, then one GEMM computes every (filter,
+    // position) sum: each lowered term feeds all filters and positions of a
+    // register tile, the PE array's PF x PV reuse.
+    const int ldx = nn::kernels::gemm_i8_ldx(positions);
+    grow_to(scratch.panel, static_cast<std::size_t>(terms) * ldx, scratch.grow_events);
+    lower_conv_input(g, in_data, static_cast<std::int8_t>(zp_in), ldx, scratch.panel.data());
+    nn::kernels::gemm_i8_zp(g.out_c, positions, terms, wmatrix, scratch.panel.data(), ldx,
+                            zp_in, sums, positions);
+  } else if (is_linear) {
+    // Packed reduction over the whole term range, one closed form per
+    // filter (quant/qplan.h).
+    grow_to(scratch.xbits, static_cast<std::size_t>(plan.words), scratch.grow_events);
+    const std::int32_t x_pop =
+        nn::kernels::pack_eq_bits(in_data, terms, hi, scratch.xbits.data());
+    for (int f = 0; f < g.out_c; ++f)
+      sums[f] = quant::packed_row_dot(plan, f, scratch.xbits.data(), x_pop, base, delta);
+  } else {
+    // Sign-pack each INTERIOR window once so every filter row reuses its
+    // words; border windows take the bounds-checked border_dot, which skips
+    // padding terms as the specification does.
+    const std::int32_t* term_dh = plan.term_dh.data();
+    const std::int32_t* term_dw = plan.term_dw.data();
+    const std::int32_t* term_off = plan.term_off.data();
+    const auto border_dot = [&](const std::int8_t* w, int ih0, int iw0) {
+      std::int32_t sum = 0;
+      for (int t = 0; t < terms; ++t) {
+        const int ih = ih0 + term_dh[static_cast<std::size_t>(t)];
+        const int iw = iw0 + term_dw[static_cast<std::size_t>(t)];
+        if (ih < 0 || ih >= g.in_h || iw < 0 || iw >= g.in_w) continue;
+        sum += (static_cast<std::int32_t>(
+                    in_data[term_off[static_cast<std::size_t>(t)] +
+                            static_cast<std::ptrdiff_t>(ih0) * g.in_w + iw0]) -
+                zp_in) *
+               static_cast<std::int32_t>(w[t]);
+      }
+      return sum;
+    };
+    grow_to(scratch.xbits, static_cast<std::size_t>(plan.words), scratch.grow_events);
+    std::uint64_t* xbits = scratch.xbits.data();
+    for (int p = 0; p < positions; ++p) {
+      const int ih0 = p / g.conv_out_w * g.stride - g.pad;
+      const int iw0 = p % g.conv_out_w * g.stride - g.pad;
+      const bool interior =
+          ih0 >= 0 && iw0 >= 0 && ih0 + g.kernel <= g.in_h && iw0 + g.kernel <= g.in_w;
+      if (interior) {
+        const std::int32_t x_pop = nn::kernels::pack_eq_bits_gather(
+            in_data + static_cast<std::size_t>(ih0) * g.in_w + iw0, term_off, terms, hi, xbits);
+        for (int f = 0; f < g.out_c; ++f)
+          sums[static_cast<std::size_t>(f) * positions + p] =
+              quant::packed_row_dot(plan, f, xbits, x_pop, base, delta);
+      } else {
+        for (int f = 0; f < g.out_c; ++f)
+          sums[static_cast<std::size_t>(f) * positions + p] = border_dot(weight_row(f), ih0, iw0);
       }
     }
   }
 
-  // Border window: padding terms contribute zero; every term bound-checked.
-  const auto border_dot = [&](const std::int8_t* w, int ih0, int iw0, int t_begin,
-                              int t_end) {
-    std::int32_t sum = 0;
-    for (int t = t_begin; t < t_end; ++t) {
-      const int ih = ih0 + term_dh[static_cast<std::size_t>(t)];
-      const int iw = iw0 + term_dw[static_cast<std::size_t>(t)];
-      if (ih < 0 || ih >= g.in_h || iw < 0 || iw >= g.in_w) continue;
-      sum += (static_cast<std::int32_t>(
-                  in_data[term_off[static_cast<std::size_t>(t)] +
-                          static_cast<std::ptrdiff_t>(ih0) * g.in_w + iw0]) -
-              zp_in) *
-             static_cast<std::int32_t>(w[t]);
-    }
-    return sum;
-  };
-
-  for (std::int64_t ft = 0; ft < filter_tiles; ++ft) {
-    const int f_base = static_cast<int>(ft) * config.pf;
-    const int f_count = std::min(config.pf, g.out_c - f_base);
-    for (std::int64_t pt = 0; pt < position_tiles; ++pt) {
-      const int p_base = static_cast<int>(pt) * config.pv;
-      const int p_count = std::min(config.pv, positions - p_base);
-
-      // Bias preload into the accumulators.
-      for (int fl = 0; fl < f_count; ++fl)
-        for (int vl = 0; vl < p_count; ++vl)
-          acc[static_cast<std::size_t>(fl) * config.pv + vl] =
-              layer.bias[static_cast<std::size_t>(f_base + fl)];
-
-      if (tier == Tier::bitpack) {
-        // Packed reduction: whole term range in one closed form per
-        // (filter, position) lane — int32 addition is associative, so
-        // skipping the channel-tile partial sums is bit-exact.
-        for (int fl = 0; fl < f_count; ++fl) {
-          const int f = f_base + fl;
-          for (int vl = 0; vl < p_count; ++vl) {
-            const int position = p_base + vl;
-            std::int32_t tree;
-            if (is_linear) {
-              tree = quant::packed_row_dot(plan, f, scratch.xbits.data(), x_pop_linear, base,
-                                           delta);
-            } else {
-              const int oh = position / g.conv_out_w;
-              const int ow = position % g.conv_out_w;
-              const int ih0 = oh * g.stride - g.pad;
-              const int iw0 = ow * g.stride - g.pad;
-              if (ih0 >= 0 && iw0 >= 0 && ih0 + g.kernel <= g.in_h &&
-                  iw0 + g.kernel <= g.in_w) {
-                tree = quant::packed_row_dot(
-                    plan, f,
-                    scratch.xbits.data() + static_cast<std::size_t>(position) * plan.words,
-                    scratch.x_pop[static_cast<std::size_t>(position)], base, delta);
-              } else {
-                tree = border_dot(weight_row(f), ih0, iw0, 0, terms);
-              }
-            }
-            acc[static_cast<std::size_t>(fl) * config.pv + vl] += tree;
-          }
-        }
-      } else {
-        // Channel-tile loop: PC multipliers + adder tree per (filter,
-        // position) lane.
-        for (std::int64_t ct = 0; ct < term_tiles; ++ct) {
-          const int t_base = static_cast<int>(ct) * config.pc;
-          const int t_count = std::min(config.pc, terms - t_base);
-          for (int fl = 0; fl < f_count; ++fl) {
-            const std::int8_t* w = weight_row(f_base + fl);
-            for (int vl = 0; vl < p_count; ++vl) {
-              const int position = p_base + vl;
-              // Adder-tree partial sum for this cycle. int32 accumulation is
-              // exact, so the vectorized dot kernels are bit-identical to the
-              // spec's per-term loop.
-              std::int32_t tree = 0;
-              if (is_linear) {
-                tree = nn::kernels::dot_i8_zp(in_data + t_base, w + t_base, t_count, zp_in);
-              } else {
-                const int oh = position / g.conv_out_w;
-                const int ow = position % g.conv_out_w;
-                const int ih0 = oh * g.stride - g.pad;
-                const int iw0 = ow * g.stride - g.pad;
-                if (ih0 >= 0 && iw0 >= 0 && ih0 + g.kernel <= g.in_h &&
-                    iw0 + g.kernel <= g.in_w) {
-                  // Interior window: every term is in bounds, gather through
-                  // the precomputed offset table.
-                  tree = nn::kernels::dot_i8_zp_gather(
-                      in_data + static_cast<std::size_t>(ih0) * g.in_w + iw0,
-                      term_off + t_base, w + t_base, t_count, zp_in);
-                } else {
-                  tree = border_dot(w, ih0, iw0, t_base, t_base + t_count);
-                }
-              }
-              acc[static_cast<std::size_t>(fl) * config.pv + vl] += tree;
-            }
-          }
-        }
-      }
-      // Cycle charge for the term reduction of this (ft, pt) tile — the
-      // modelled count, independent of which tier actually executed.
-      stats.compute_cycles += model_tiles;
-
-      // FU chain on the retiring accumulators: BN requant -> SC -> ReLU.
-      for (int fl = 0; fl < f_count; ++fl) {
-        const int f = f_base + fl;
-        for (int vl = 0; vl < p_count; ++vl) {
-          const int position = p_base + vl;
-          const int oh = position / g.conv_out_w;
-          const int ow = position % g.conv_out_w;
-          std::int32_t q =
-              quant::fixed_multiply(acc[static_cast<std::size_t>(fl) * config.pv + vl],
-                                    layer.requant[static_cast<std::size_t>(f)]) +
-              layer.post_add[static_cast<std::size_t>(f)] + zp_out;
-          if (g.has_shortcut)
-            q += quant::fixed_multiply(
-                static_cast<std::int32_t>(shortcut->at(f, oh, ow)) -
-                    shortcut->params.zero_point,
-                layer.shortcut_rescale);
-          if (g.has_relu) q = std::max(q, zp_out);
-          pre.at(f, oh, ow) = quant::saturate_int8(q);
-        }
-      }
+  // FU chain, one pass over the sum plane: bias -> BN requant -> SC -> ReLU
+  // -> saturate into the pre-pool map ([out_c][positions], the flat layout
+  // of `pre` and of the shortcut operand). Operands in locals, since the
+  // int8 stores may alias any object.
+  const bool relu = g.has_relu;
+  const std::int32_t sc_zero_point = g.has_shortcut ? shortcut->params.zero_point : 0;
+  const quant::FixedMultiplier sc_rescale = layer.shortcut_rescale;
+  for (int f = 0; f < g.out_c; ++f) {
+    const std::int32_t bias = layer.bias[static_cast<std::size_t>(f)];
+    const quant::FixedMultiplier requant = layer.requant[static_cast<std::size_t>(f)];
+    const std::int32_t offset = layer.post_add[static_cast<std::size_t>(f)] + zp_out;
+    const std::int32_t* row = sums + static_cast<std::size_t>(f) * positions;
+    std::int8_t* dst = pre.data.data() + static_cast<std::size_t>(f) * positions;
+    const std::int8_t* sc =
+        g.has_shortcut ? shortcut->data.data() + static_cast<std::size_t>(f) * positions
+                       : nullptr;
+    for (int p = 0; p < positions; ++p) {
+      std::int32_t q = quant::fixed_multiply(row[p] + bias, requant) + offset;
+      if (sc != nullptr)
+        q += quant::fixed_multiply(static_cast<std::int32_t>(sc[p]) - sc_zero_point, sc_rescale);
+      if (relu) q = std::max(q, zp_out);
+      dst[p] = quant::saturate_int8(q);
     }
   }
 

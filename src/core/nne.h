@@ -14,17 +14,20 @@
 // PE and add only fill latency.
 //
 // `nne_run_layer_into` is the cycle-counted FUNCTIONAL implementation and
-// the repository's one fast int8 executor: it executes the exact tiled loop
-// structure of the hardware on int8 data and must match the plain-loop
-// specification (quant/qops.h) bit-for-bit — int32 accumulation is
-// order-independent, which is the invariant the equivalence tests pin down.
-// `estimate_layer_cycles` is the closed-form cycle count used for networks
-// too large to execute functionally; the two are asserted equal in tests.
+// the repository's one fast int8 executor. It computes every (filter,
+// position) term sum of a layer — the values the PE's accumulators retire
+// — into one int32 plane, then runs the FU chain over that plane in one
+// pass. It must match the plain-loop specification (quant/qops.h)
+// bit-for-bit: int32 accumulation is order-independent, which is the
+// invariant the equivalence tests pin down. The hardware's PF x PC x PV
+// tiling survives in the cycle charge: a call reports the closed form of
+// `estimate_layer_cycles`, which also serves networks too large to execute
+// functionally.
 //
 // Kernel tiers: the inner product dispatches through nn::kernels::Tier. The
-// tier changes only HOW the int32 accumulators are computed (vectorized
-// int8 dot kernels or the packed popcount path of quant/qplan.h) — never
-// WHAT they contain, so outputs are bit-identical across tiers.
+// tier changes only HOW the int32 sums are computed (the int8 GEMM over the
+// layer's lowered windows, or the packed popcount path of quant/qplan.h) —
+// never WHAT they contain, so outputs are bit-identical across tiers.
 // Cycle counts are likewise tier-independent at runtime: a layer is charged
 // by the closed-form formula below, which credits binary term parallelism
 // from the STATIC HwLayer::weights_binarizable annotation alone. An
@@ -80,7 +83,7 @@ std::int64_t estimate_layer_cycles(const nn::HwLayer& layer, const NneConfig& co
 
 struct NneLayerResult {
   quant::QTensor output;
-  std::int64_t compute_cycles = 0;  // counted by the tiled execution
+  std::int64_t compute_cycles = 0;  // closed-form PE cycles of the layer
   std::int64_t macs_retired = 0;    // useful MACs (excludes tile padding)
   int mask_bits_consumed = 0;
 };
@@ -100,19 +103,20 @@ struct NneLayerStats {
 // accelerator's steady-state-zero-allocation test watches it).
 struct NneScratch {
   quant::QTensor pre;                // pre-pool position map (pooled layers)
-  std::vector<std::int32_t> acc;     // PF x PV retiring accumulators
-  std::vector<std::uint64_t> xbits;  // packed activation windows, [positions][words]
-  std::vector<std::int32_t> x_pop;   // per-position popcounts of xbits
+  std::vector<std::int32_t> sums;    // term sums, [out_c][positions]
+  std::vector<std::int8_t> panel;    // lowered conv windows, [terms][ldx] (int8 tier)
+  std::vector<std::uint64_t> xbits;  // one packed activation window, [words] (bitpack tier)
   std::vector<std::int8_t> wrows;    // materialized byte rows of packed-weight layers
   std::uint64_t grow_events = 0;
 };
 
-// Executes one layer with the hardware tiling into `out` (resized in place,
-// capacity reused; must not alias `input`/`shortcut`). `plan` must be
-// build_layer_exec_plan(layer). `tier` is a CAP (see nn/gemm_kernels.h):
-// bitpack falls back to int8 unless the layer's weights are binarizable and
-// this input is two-valued. `shortcut` must be non-null iff the layer has a
-// shortcut; `masks` must be non-null when `site_active`.
+// Executes one layer into `out` (resized in place, capacity reused; must
+// not alias `input`/`shortcut`). `plan` must be build_layer_exec_plan(layer).
+// `tier` is a CAP (see nn/gemm_kernels.h): bitpack falls back to int8
+// unless the layer's weights are binarizable and this input is two-valued.
+// `shortcut` must be non-null iff the layer has a shortcut (shaped like the
+// pre-pool map); `masks` must be non-null when `site_active`; the input zero
+// point must be an int8 value (the int8 tier stores it as padding).
 NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerExecPlan& plan,
                                  const quant::QTensor& input, const quant::QTensor* shortcut,
                                  bool site_active, nn::MaskSource* masks,

@@ -305,11 +305,10 @@ void gemm_bt_blocked(int m, int n, int k, const float* __restrict a, const float
   }
 }
 
-// --- int8 -> int32 dot kernels ----------------------------------------------
-// Plain single-accumulator reductions: integer addition is associative, so
-// the auto-vectorizer is free to widen these (and does — the manual
-// multi-accumulator unroll this replaced actually defeated it).
+// --- int8 -> int32 kernels --------------------------------------------------
 
+// Plain single-accumulator reduction: integer addition is associative, so
+// the auto-vectorizer is free to widen it.
 std::int32_t dot_i8_zp(const std::int8_t* __restrict x, const std::int8_t* __restrict w, int len,
                        std::int32_t zero_point) {
   std::int32_t acc = 0;
@@ -318,22 +317,87 @@ std::int32_t dot_i8_zp(const std::int8_t* __restrict x, const std::int8_t* __res
   return acc;
 }
 
-std::int32_t dot_i8_zp_gather(const std::int8_t* __restrict x, const std::int32_t* __restrict offsets,
-                              const std::int8_t* __restrict w, int len, std::int32_t zero_point) {
-  // Indexed loads do not vectorize on the baseline ISA; two independent
-  // chains keep the win from hoisting the index math without hurting ILP.
-  std::int32_t acc0 = 0, acc1 = 0;
-  int t = 0;
-  for (; t + 2 <= len; t += 2) {
-    acc0 += (static_cast<std::int32_t>(x[offsets[t]]) - zero_point) *
-            static_cast<std::int32_t>(w[t]);
-    acc1 += (static_cast<std::int32_t>(x[offsets[t + 1]]) - zero_point) *
-            static_cast<std::int32_t>(w[t + 1]);
+namespace {
+
+// The int8 GEMM vectorizes along positions: per term, one vector of lowered
+// activations (widened to int32, zero point subtracted) is multiplied by one
+// broadcast weight per filter row of the tile. int32 lanes hold every product
+// and sum exactly. The vector width follows the strongest integer ISA the TU
+// is compiled for — generic vector types again, so no intrinsic pins an ISA,
+// and no vector is wider than the target's registers (a wider one changes
+// the psABI, which -Wpsabi flags). The position block stays 16 wide on every
+// ISA and the filter block shrinks as the vectors per block row grow, so a
+// tile always keeps 8 accumulator registers.
+#if defined(__AVX512F__)
+#define BNN_KERNEL_INT_VEC_BYTES 64
+#elif defined(__AVX2__)
+#define BNN_KERNEL_INT_VEC_BYTES 32
+#else
+#define BNN_KERNEL_INT_VEC_BYTES 16
+#endif
+typedef std::int32_t vi __attribute__((vector_size(BNN_KERNEL_INT_VEC_BYTES)));
+constexpr int IVL = BNN_KERNEL_INT_VEC_BYTES / static_cast<int>(sizeof(std::int32_t));
+// The widening goes int8 -> int16 -> int32: one doubling per step is what
+// the compiler lowers to sign-extending moves (one quadrupling step is
+// scalarized lane by lane).
+typedef std::int8_t vb __attribute__((vector_size(IVL)));
+typedef std::int16_t vh __attribute__((vector_size(2 * IVL)));
+constexpr int I8_NR = 16;           // positions per tile
+constexpr int I8_NV = I8_NR / IVL;  // vectors per tile row: 1 (AVX-512), 2 (AVX2), 4
+constexpr int I8_MR = 8 / I8_NV;    // filters per tile: 8, 4, 2
+
+// One I8_MR x I8_NR tile over the whole term range. `rows` are the tile's
+// weight rows (a partial filter block repeats its last row; only the first
+// `mr` rows are stored), `x` is the tile's first panel column, and only the
+// first `nr` positions are stored.
+void gemm_i8_tile(int k, const std::int8_t* const* rows, const std::int8_t* __restrict x,
+                  int ldx, std::int32_t zero_point, std::int32_t* __restrict c, int ldc, int mr,
+                  int nr) {
+  vi acc[I8_MR][I8_NV] = {};
+  for (int t = 0; t < k; ++t) {
+    const std::int8_t* xt = x + static_cast<std::size_t>(t) * ldx;
+    vi xv[I8_NV];
+    for (int v = 0; v < I8_NV; ++v) {
+      vb raw;
+      __builtin_memcpy(&raw, xt + v * IVL, sizeof(vb));
+      xv[v] = __builtin_convertvector(__builtin_convertvector(raw, vh), vi) - zero_point;
+    }
+    for (int r = 0; r < I8_MR; ++r) {
+      const std::int32_t wt = rows[r][t];
+      for (int v = 0; v < I8_NV; ++v) acc[r][v] += xv[v] * wt;
+    }
   }
-  if (t < len)
-    acc0 += (static_cast<std::int32_t>(x[offsets[t]]) - zero_point) *
-            static_cast<std::int32_t>(w[t]);
-  return acc0 + acc1;
+  for (int r = 0; r < mr; ++r) {
+    std::int32_t* c_row = c + static_cast<std::size_t>(r) * ldc;
+    if (nr == I8_NR) {
+      for (int v = 0; v < I8_NV; ++v) __builtin_memcpy(c_row + v * IVL, &acc[r][v], sizeof(vi));
+    } else {
+      std::int32_t lanes[I8_NR];
+      for (int v = 0; v < I8_NV; ++v) __builtin_memcpy(lanes + v * IVL, &acc[r][v], sizeof(vi));
+      std::copy(lanes, lanes + nr, c_row);
+    }
+  }
+}
+
+}  // namespace
+
+int gemm_i8_ldx(int n) { return (n + I8_NR - 1) / I8_NR * I8_NR; }
+
+void gemm_i8_zp(int m, int n, int k, const std::int8_t* w, const std::int8_t* x, int ldx,
+                std::int32_t zero_point, std::int32_t* c, int ldc) {
+  // Position blocks outer: a block's k x 16 panel columns stay cache-resident
+  // while every filter block sweeps them.
+  for (int p0 = 0; p0 < n; p0 += I8_NR) {
+    const int nr = std::min(I8_NR, n - p0);
+    for (int f0 = 0; f0 < m; f0 += I8_MR) {
+      const int mr = std::min(I8_MR, m - f0);
+      const std::int8_t* rows[I8_MR];
+      for (int r = 0; r < I8_MR; ++r)
+        rows[r] = w + static_cast<std::size_t>(f0 + std::min(r, mr - 1)) * k;
+      gemm_i8_tile(k, rows, x + p0, ldx, zero_point, c + static_cast<std::size_t>(f0) * ldc + p0,
+                   ldc, mr, nr);
+    }
+  }
 }
 
 }  // namespace bnn::nn::kernels

@@ -1,6 +1,7 @@
-// Micro-kernel layer under the float GEMM front end and the int8 NNE inner
-// loops: register-blocked, cache-tiled, compiler-vectorizable kernels with
-// no external dependencies.
+// Micro-kernel layer under the float GEMM front end and the int8 NNE: the
+// register-blocked, cache-tiled float GEMMs, the int8 GEMM the NNE's int8
+// tier runs every conv layer through, and the int8 dot product of its linear
+// layers — compiler-vectorized kernels with no external dependencies.
 //
 // Bit-identity contract (enforced by tests/test_gemm.cpp and the
 // bench/gemm_microbench smoke run): every blocked float kernel produces the
@@ -29,7 +30,7 @@ namespace bnn::nn::kernels {
 // so outputs are bit-identical across tiers unconditionally. The plain-loop
 // specification both must match is quant/qops.h, which uses no tier.
 enum class Tier {
-  int8,     // vectorized dot_i8_zp / dot_i8_zp_gather kernels
+  int8,     // gemm_i8_zp (conv) / dot_i8_zp (linear) kernels
   bitpack,  // bit-packed XNOR/popcount (+ ternary pass/negate/zero) tier
 };
 
@@ -73,20 +74,33 @@ void gemm_at_blocked(int m, int n, int k, const float* a, const float* b, float*
 void gemm_bt_blocked(int m, int n, int k, const float* a, const float* b, float* c,
                      bool accumulate);
 
-// --- int8 -> int32 dot kernels ----------------------------------------------
-// The NNE channel-tile inner product: sum_t (x[t] - zero_point) * w[t],
-// accumulated exactly in int32, so any summation order equals the per-term
-// loop of the src/quant/qops.cpp specification.
+// --- int8 -> int32 kernels --------------------------------------------------
+// Products (x - zero_point) * w with int8 x, w and zero_point are at most
+// 255 * 128 in magnitude and are accumulated exactly in int32, so any
+// summation order equals the per-term loop of the src/quant/qops.cpp
+// specification.
 
+// One full-length inner product: sum_t (x[t] - zero_point) * w[t] (the NNE's
+// linear layers, one call per filter).
 std::int32_t dot_i8_zp(const std::int8_t* x, const std::int8_t* w, int len,
                        std::int32_t zero_point);
 
-// Gather variant for convolution tiles: x is indexed through a precomputed
-// offset table (the hoisted per-term t/(k*k), t%(k*k) index math), w is
-// read contiguously. Callers guarantee every offset is in bounds (interior
-// positions only; border positions take the checked path).
-std::int32_t dot_i8_zp_gather(const std::int8_t* x, const std::int32_t* offsets,
-                              const std::int8_t* w, int len, std::int32_t zero_point);
+// The NNE's conv GEMM over a lowered input:
+//   c[f * ldc + p] = sum_{t < k} (x[t * ldx + p] - zero_point) * w[f * k + t]
+// for f < m filters and p < n positions. w is row-major [m][k] (one weight
+// row per filter); x is K-major [k][ldx] — one row per term, positions
+// contiguous — with ldx >= gemm_i8_ldx(n). The kernel works on whole
+// position blocks, so it READS columns n..gemm_i8_ldx(n)-1 of every x row
+// (any int8 values; they never reach c) and writes only columns < n of c
+// (ldc >= n).
+// Each (filter block, position block) tile runs the whole term range in
+// registers — the PF x PV reuse of the NNE's PE array, on vector lanes.
+void gemm_i8_zp(int m, int n, int k, const std::int8_t* w, const std::int8_t* x, int ldx,
+                std::int32_t zero_point, std::int32_t* c, int ldc);
+
+// Row stride of gemm_i8_zp's x panel for n positions: n rounded up to the
+// kernel's position block (16).
+int gemm_i8_ldx(int n);
 
 }  // namespace bnn::nn::kernels
 

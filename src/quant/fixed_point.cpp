@@ -1,7 +1,7 @@
 #include "quant/fixed_point.h"
 
 #include <cmath>
-#include <limits>
+#include <cstdlib>
 
 #include "util/check.h"
 
@@ -29,39 +29,6 @@ FixedMultiplier quantize_multiplier(double value) {
 
 double multiplier_value(FixedMultiplier m) {
   return static_cast<double>(m.mult) * std::ldexp(1.0, m.shift - 31);
-}
-
-std::int32_t saturating_rounding_doubling_high_mul(std::int32_t a, std::int32_t b) {
-  const bool overflow =
-      a == b && a == std::numeric_limits<std::int32_t>::min();
-  const std::int64_t ab = static_cast<std::int64_t>(a) * static_cast<std::int64_t>(b);
-  const std::int32_t nudge = ab >= 0 ? (1 << 30) : (1 - (1 << 30));
-  const auto high = static_cast<std::int32_t>((ab + nudge) / (1ll << 31));
-  return overflow ? std::numeric_limits<std::int32_t>::max() : high;
-}
-
-std::int32_t rounding_divide_by_pot(std::int32_t x, int exponent) {
-  util::require(exponent >= 0 && exponent <= 31, "rounding_divide_by_pot: bad exponent");
-  if (exponent == 0) return x;
-  const std::int32_t mask = static_cast<std::int32_t>((1ll << exponent) - 1);
-  const std::int32_t remainder = x & mask;
-  const std::int32_t threshold = (mask >> 1) + (x < 0 ? 1 : 0);
-  return (x >> exponent) + (remainder > threshold ? 1 : 0);
-}
-
-std::int32_t fixed_multiply(std::int32_t x, FixedMultiplier m) {
-  const int left_shift = m.shift > 0 ? m.shift : 0;
-  const int right_shift = m.shift > 0 ? 0 : -m.shift;
-  const std::int32_t shifted = static_cast<std::int32_t>(
-      static_cast<std::int64_t>(x) * (1ll << left_shift));
-  return rounding_divide_by_pot(saturating_rounding_doubling_high_mul(shifted, m.mult),
-                                right_shift);
-}
-
-std::int8_t saturate_int8(std::int32_t x) {
-  if (x < -128) return -128;
-  if (x > 127) return 127;
-  return static_cast<std::int8_t>(x);
 }
 
 std::int32_t rounded_div(std::int64_t numerator, std::int64_t denominator) {

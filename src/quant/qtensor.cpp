@@ -42,15 +42,16 @@ QTensor::QTensor(std::vector<int> shape_in, QuantParams params_in) {
               static_cast<std::int8_t>(saturate_int8(params.zero_point)));
 }
 
-bool QTensor::reset(const std::vector<int>& shape_in, QuantParams params_in) {
-  shape = shape_in;
+bool QTensor::reset(std::initializer_list<int> dims, QuantParams params_in) {
+  bool grew = dims.size() > shape.capacity();
+  shape.assign(dims);
   params = params_in;
   std::int64_t n = 1;
   for (int s : shape) {
     util::require(s > 0, "qtensor: shape entries must be positive");
     n *= s;
   }
-  const bool grew = static_cast<std::size_t>(n) > data.capacity();
+  grew |= static_cast<std::size_t>(n) > data.capacity();
   data.resize(static_cast<std::size_t>(n));
   return grew;
 }

@@ -6,6 +6,7 @@
 #define BNN_QUANT_QTENSOR_H
 
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "nn/tensor.h"
@@ -35,11 +36,13 @@ struct QTensor {
   QTensor() = default;
   QTensor(std::vector<int> shape_in, QuantParams params_in);
 
-  // Re-shapes in place, reusing the data buffer's capacity (the accelerator's
-  // per-lane arena calls this every sample). Unlike the constructor the
-  // payload is NOT zero-point-filled — callers must overwrite every element.
-  // Returns true when the buffer had to grow (an allocation happened).
-  bool reset(const std::vector<int>& shape_in, QuantParams params_in);
+  // Re-shapes in place, reusing the shape's and the data buffer's capacity
+  // (the accelerator's per-lane arena calls this every sample; the dims come
+  // as an initializer list, so a warm call builds no temporary vector).
+  // Unlike the constructor the payload is NOT zero-point-filled — callers
+  // must overwrite every element. Returns true when a buffer had to grow
+  // (an allocation happened).
+  bool reset(std::initializer_list<int> dims, QuantParams params_in);
 
   std::int64_t numel() const { return static_cast<std::int64_t>(data.size()); }
   int channels() const { return shape.empty() ? 0 : shape[0]; }

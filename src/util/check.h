@@ -17,17 +17,24 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace bnn::util {
 
+// The message is a string_view so a passing check costs one branch: the
+// std::string the exception carries is built only when it throws (a
+// `const std::string&` parameter would heap-allocate a copy of every
+// literal past the small-string limit on every call, hot paths included).
+// Dynamically built messages still work — they convert on the way in.
+
 // Throw std::invalid_argument with `what` unless `condition` holds.
-inline void require(bool condition, const std::string& what) {
-  if (!condition) throw std::invalid_argument(what);
+inline void require(bool condition, std::string_view what) {
+  if (!condition) throw std::invalid_argument(std::string(what));
 }
 
 // Throw std::logic_error with `what` unless `condition` holds.
-inline void ensure(bool condition, const std::string& what) {
-  if (!condition) throw std::logic_error(what);
+inline void ensure(bool condition, std::string_view what) {
+  if (!condition) throw std::logic_error(std::string(what));
 }
 
 }  // namespace bnn::util

@@ -2,14 +2,18 @@
 // int8 tier at every level: the word primitives against naive bit loops,
 // packed_row_dot against dot_i8_zp, and the NNE at both tier caps against
 // the plain-loop spec (quant/qops) across edge-case geometries. Also pins
-// the tier-dependent cycle model and the sampler reseed contract the
-// accelerator's lane arena relies on.
+// the tier-dependent cycle model, the sampler reseed contract the
+// accelerator's lane arena relies on, and that warm NNE layer calls touch
+// no heap (counted by this binary's replacement operator new).
 #include "nn/bitpack_kernels.h"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
 #include <vector>
 
 #include "core/bernoulli_sampler.h"
@@ -19,6 +23,40 @@
 #include "quant/qplan.h"
 #include "serve/cost_model.h"
 #include "util/rng.h"
+
+// Heap allocations made by THIS thread while tl_count_allocations is set.
+// The replacement global allocation functions below serve the whole test
+// binary; with counting off they only forward to malloc/free.
+namespace {
+thread_local bool tl_count_allocations = false;
+thread_local std::uint64_t tl_allocations = 0;
+
+void* counted_malloc(std::size_t size) noexcept {
+  if (tl_count_allocations) ++tl_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+// Out of line so the compiler never pairs an inlined free() with the
+// operator new it saw allocate (-Wmismatched-new-delete).
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { release(p); }
 
 namespace bnn {
 namespace {
@@ -362,10 +400,19 @@ TEST(TierIdentity, ConvEdgeGeometries) {
       {"pure binary k3", {8, 7, 7, 4, 3, 1, 1, false, 0, false, false}},
   };
   for (const auto& c : cases) {
-    const quant::QLayer layer = make_binarizable_conv(rng, c.spec);
-    quant::QTensor input({c.spec.in_c, c.spec.in_h, c.spec.in_w}, layer.in);
-    for (auto& v : input.data) v = rng.uniform_int(0, 1) != 0 ? 6 : -2;
-    expect_tier_identity(layer, input, nullptr, c.label);
+    const quant::QLayer base = make_binarizable_conv(rng, c.spec);
+    // Padded and strided windows also run at the extreme input zero points:
+    // the int8 tier lowers padding terms as the zero point itself.
+    std::vector<std::int32_t> zero_points{base.in.zero_point};
+    if (c.spec.pad > 0 || c.spec.stride > 1) zero_points.insert(zero_points.end(), {-128, 127});
+    for (const std::int32_t zp : zero_points) {
+      quant::QLayer layer = base;
+      layer.in.zero_point = zp;
+      quant::QTensor input({c.spec.in_c, c.spec.in_h, c.spec.in_w}, layer.in);
+      for (auto& v : input.data) v = rng.uniform_int(0, 1) != 0 ? 6 : -2;
+      const std::string label = std::string(c.label) + ", zp_in " + std::to_string(zp);
+      expect_tier_identity(layer, input, nullptr, label.c_str());
+    }
   }
 }
 
@@ -373,13 +420,18 @@ TEST(TierIdentity, ConvWithShortcutOperand) {
   util::Rng rng(309);
   ConvSpec spec{3, 6, 6, 4, 3, 1, 1};
   spec.shortcut = true;
-  const quant::QLayer layer = make_binarizable_conv(rng, spec);
-  quant::QTensor input({3, 6, 6}, layer.in);
-  for (auto& v : input.data) v = rng.uniform_int(0, 1) != 0 ? 6 : -2;
+  const quant::QLayer base = make_binarizable_conv(rng, spec);
   // The shortcut operand is NOT tier-constrained — arbitrary int8 values.
   quant::QTensor shortcut({4, 6, 6}, quant::QuantParams{0.2f, 7});
   for (auto& v : shortcut.data) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-  expect_tier_identity(layer, input, &shortcut, "conv + shortcut");
+  for (const std::int32_t zp : {base.in.zero_point, -128, 127}) {
+    quant::QLayer layer = base;
+    layer.in.zero_point = zp;
+    quant::QTensor input({3, 6, 6}, layer.in);
+    for (auto& v : input.data) v = rng.uniform_int(0, 1) != 0 ? 6 : -2;
+    const std::string label = "conv + shortcut, zp_in " + std::to_string(zp);
+    expect_tier_identity(layer, input, &shortcut, label.c_str());
+  }
 }
 
 TEST(TierIdentity, BitpackCapFallsBackOnThreeValuedInput) {
@@ -404,23 +456,55 @@ TEST(TierIdentity, BitpackCapFallsBackOnThreeValuedInput) {
 
 TEST(NneScratchArena, SecondRunOverSameShapesIsAllocationFree) {
   util::Rng rng(311);
-  const quant::QLayer conv = make_binarizable_conv(rng, ConvSpec{4, 8, 8, 5, 3, 1, 1});
-  const quant::LayerExecPlan plan = quant::build_layer_exec_plan(conv);
-  quant::QTensor input({4, 8, 8}, conv.in);
-  for (auto& v : input.data) v = rng.uniform_int(0, 1) != 0 ? 6 : -2;
+  // A padded conv written straight into its output, a pooled conv (pre-pool
+  // map in the scratch) and a linear layer, each at both tier caps, with the
+  // site inactive and active (the Dropout Unit draws masks and rescales).
+  struct Case {
+    quant::QLayer layer;
+    quant::LayerExecPlan plan;
+    quant::QTensor input;
+  };
+  std::vector<Case> cases;
+  for (const ConvSpec& spec :
+       {ConvSpec{4, 8, 8, 5, 3, 1, 1}, ConvSpec{4, 8, 8, 5, 3, 1, 0, true, 2}})
+    cases.push_back({make_binarizable_conv(rng, spec), {}, {}});
+  cases.push_back({make_binarizable_linear(rng, 10, 130, false), {}, {}});
+  cases.back().layer.in = quant::QuantParams{0.05f, -3};
+  cases.back().layer.out = quant::QuantParams{0.1f, 4};
+  for (Case& c : cases) {
+    c.plan = quant::build_layer_exec_plan(c.layer);
+    const nn::HwLayer& g = c.layer.geom;
+    c.input = g.op == nn::HwLayer::Op::linear
+                  ? quant::QTensor({g.in_c, 1, 1}, c.layer.in)
+                  : quant::QTensor({g.in_c, g.in_h, g.in_w}, c.layer.in);
+    for (auto& v : c.input.data) v = rng.uniform_int(0, 1) != 0 ? 6 : -2;
+  }
+  core::BernoulliSamplerConfig sampler_config;
+  sampler_config.p = 0.25;
+  sampler_config.seed = 3;
+  core::BernoulliSampler sampler(sampler_config);
   const quant::FixedMultiplier keep = quant::quantize_multiplier(1.0 / 0.75);
 
   core::NneConfig config;
   core::NneScratch scratch;
   quant::QTensor out;
-  core::nne_run_layer_into(conv, plan, input, nullptr, false, nullptr, keep, config,
-                           Tier::bitpack, scratch, out);
+  const auto run_all = [&] {
+    for (const Case& c : cases)
+      for (const Tier tier : {Tier::int8, Tier::bitpack})
+        for (const bool active : {false, true})
+          core::nne_run_layer_into(c.layer, c.plan, c.input, nullptr, active, &sampler, keep,
+                                   config, tier, scratch, out);
+  };
+  run_all();  // warm-up: every buffer reaches its high-water mark
   const std::uint64_t after_warmup = scratch.grow_events;
   EXPECT_GT(after_warmup, 0u);
-  for (int i = 0; i < 3; ++i)
-    core::nne_run_layer_into(conv, plan, input, nullptr, false, nullptr, keep, config,
-                             Tier::bitpack, scratch, out);
+
+  tl_allocations = 0;
+  tl_count_allocations = true;
+  for (int i = 0; i < 3; ++i) run_all();
+  tl_count_allocations = false;
   EXPECT_EQ(scratch.grow_events, after_warmup);
+  EXPECT_EQ(tl_allocations, 0u) << "warm nne_run_layer_into calls must not touch the heap";
 }
 
 // --- tier-aware cycle/cost model -------------------------------------------

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -212,22 +214,53 @@ TEST(DotI8, MatchesPlainLoopForAnyLengthAndZeroPoint) {
   }
 }
 
-TEST(DotI8, GatherMatchesDirectDotThroughPermutedOffsets) {
-  util::Rng rng(8);
-  const int len = 53;
-  std::vector<std::int8_t> x(500), w(static_cast<std::size_t>(len));
-  for (auto& v : x) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-  for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-  std::vector<std::int32_t> offsets(static_cast<std::size_t>(len));
-  for (auto& o : offsets) o = rng.uniform_int(0, 499);
+// --- int8 GEMM ----------------------------------------------------------------
 
-  const std::int32_t zp = 4;
-  std::int32_t expected = 0;
-  for (int t = 0; t < len; ++t)
-    expected += (static_cast<std::int32_t>(x[static_cast<std::size_t>(offsets[static_cast<std::size_t>(t)])]) - zp) *
-                static_cast<std::int32_t>(w[static_cast<std::size_t>(t)]);
-  EXPECT_EQ(nn::kernels::dot_i8_zp_gather(x.data(), offsets.data(), w.data(), len, zp),
-            expected);
+// gemm_i8_zp against its own plain loop, c[f][p] = sum_t (x[t][p] - zp) *
+// w[f][t], over shapes at every blocking edge: m = 1 and m off the filter
+// block (2, 4 or 8 rows per ISA), n = 1, n below and off the 16-position
+// block, k = 1 and k >= 576, the extreme zero points and weights at -128.
+// The panel's ldx padding holds junk that must not reach c, and nothing
+// past column n of a c row may be written.
+TEST(GemmI8, MatchesPlainLoopOnEdgeShapes) {
+  util::Rng rng(8);
+  const struct {
+    int m, n, k;
+  } shapes[] = {{1, 1, 1},   {1, 37, 9},  {3, 16, 27},  {5, 20, 72},  {7, 33, 25},
+                {9, 15, 144}, {13, 7, 600}, {8, 1, 144},  {16, 4, 576}, {6, 15, 25},
+                {8, 17, 9},   {4, 100, 1},  {64, 49, 577}, {10, 32, 288}};
+  for (const auto& s : shapes) {
+    const int ldx = kernels::gemm_i8_ldx(s.n);
+    ASSERT_GE(ldx, s.n);
+    ASSERT_EQ(ldx % 16, 0);
+    const int ldc = s.n + 3;
+    std::vector<std::int8_t> w(static_cast<std::size_t>(s.m) * s.k);
+    std::vector<std::int8_t> x(static_cast<std::size_t>(s.k) * ldx);
+    for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+    for (auto& v : x) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+    // Weights at -128: a whole row, and the first term of every row.
+    std::fill(w.begin(), w.begin() + s.k, std::int8_t{-128});
+    for (int f = 0; f < s.m; ++f) w[static_cast<std::size_t>(f) * s.k] = -128;
+    for (const std::int32_t zp : {-128, -3, 127}) {
+      std::vector<std::int32_t> c(static_cast<std::size_t>(s.m) * ldc, 0x5a5a5a5a);
+      kernels::gemm_i8_zp(s.m, s.n, s.k, w.data(), x.data(), ldx, zp, c.data(), ldc);
+      for (int f = 0; f < s.m; ++f) {
+        for (int p = 0; p < ldc; ++p) {
+          std::int32_t expected = 0x5a5a5a5a;
+          if (p < s.n) {
+            expected = 0;
+            for (int t = 0; t < s.k; ++t)
+              expected += (static_cast<std::int32_t>(x[static_cast<std::size_t>(t) * ldx + p]) -
+                           zp) *
+                          static_cast<std::int32_t>(w[static_cast<std::size_t>(f) * s.k + t]);
+          }
+          ASSERT_EQ(c[static_cast<std::size_t>(f) * ldc + p], expected)
+              << "m=" << s.m << " n=" << s.n << " k=" << s.k << " zp=" << zp << " f=" << f
+              << " p=" << p;
+        }
+      }
+    }
+  }
 }
 
 TEST(ConvExtent, Formula) {

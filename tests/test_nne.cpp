@@ -242,6 +242,15 @@ TEST(NneValidation, RejectsBadArguments) {
   EXPECT_THROW(
       nne_run_layer(first, wrong, nullptr, false, nullptr, qnet.dropout_keep, config),
       std::invalid_argument);
+  // An input zero point outside int8 (the int8 tier lowers padding as it).
+  for (const std::int32_t zp : {-129, 128}) {
+    quant::QLayer bad_zero_point = first;
+    bad_zero_point.in.zero_point = zp;
+    EXPECT_THROW(nne_run_layer(bad_zero_point, image, nullptr, false, nullptr,
+                               qnet.dropout_keep, config),
+                 std::invalid_argument)
+        << "zp_in " << zp;
+  }
 }
 
 }  // namespace

@@ -455,8 +455,11 @@ TEST(RegistryServer, ColdReloadCostInflatesCostAwareDispatchOrdering) {
   cost.bind_model(1, sizing.publish("cold", fx.net_b)->network->describe(),
                   bytes_cold);
   EXPECT_GT(cost.cold_reload_ms(1), 0.0);
+  // The contenders' S sets the test's timing margin: the hot contender's
+  // pass is the window in which this thread must observe the cold response
+  // first, so it is sized to stay milliseconds long on a fast NNE.
   serve::RequestOptions contender;
-  contender.num_samples = 64;
+  contender.num_samples = 256;
   EXPECT_DOUBLE_EQ(cost.first_pass_ms(0, contender),
                    cost.first_pass_ms(1, contender));
 
@@ -480,8 +483,8 @@ TEST(RegistryServer, ColdReloadCostInflatesCostAwareDispatchOrdering) {
   serve::Server server(registry, config, server_config);
 
   auto blocker = server.submit(make_request(0, 0, 128, "hot"));
-  auto hot_contender = server.submit(make_request(1, 1, 64, "hot"));
-  auto cold_contender = server.submit(make_request(2, 2, 64, "cold"));
+  auto hot_contender = server.submit(make_request(1, 1, contender.num_samples, "hot"));
+  auto cold_contender = server.submit(make_request(2, 2, contender.num_samples, "cold"));
 
   const serve::Response cold_response = cold_contender.get();
   EXPECT_TRUE(cold_response.cold_start);
