@@ -1,10 +1,14 @@
 // Microbenchmark of the simulator itself: how fast the cycle-counted NNE
-// datapath and the untiled reference executor run on the host. Useful for
-// sizing experiments; not a claim about FPGA speed (that is what the cycle
-// model is for).
+// datapath and the untiled reference executor run on the host, down to the
+// per-stage breakdown of every paper-network conv layer. Useful for sizing
+// experiments; not a claim about FPGA speed (that is what the cycle model
+// is for).
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "data/synth.h"
@@ -58,24 +62,6 @@ void bm_reference_layer(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * layer.geom.macs());
 }
 BENCHMARK(bm_reference_layer);
-
-void bm_nne_layer(benchmark::State& state) {
-  auto& s = setup();
-  const quant::QLayer& layer = s.qnet->layers.front();
-  core::NneConfig config;
-  config.pc = static_cast<int>(state.range(0));
-  config.pf = static_cast<int>(state.range(1));
-  config.pv = static_cast<int>(state.range(2));
-  for (auto _ : state) {
-    auto result = core::nne_run_layer(layer, s.image, nullptr, false, nullptr,
-                                      s.qnet->dropout_keep, config);
-    benchmark::DoNotOptimize(result.output.data.data());
-  }
-  state.SetItemsProcessed(state.iterations() * layer.geom.macs());
-  state.SetLabel("PC/PF/PV=" + std::to_string(state.range(0)) + "/" +
-                 std::to_string(state.range(1)) + "/" + std::to_string(state.range(2)));
-}
-BENCHMARK(bm_nne_layer)->Args({8, 8, 1})->Args({64, 64, 1})->Args({128, 128, 16});
 
 // One full-length int8 inner product in isolation: plain per-term loop vs
 // kernels::dot_i8_zp on a VGG-class term count (in_c=128, 3x3 kernel).
@@ -191,6 +177,178 @@ void bm_full_network_reference(benchmark::State& state) {
 }
 BENCHMARK(bm_full_network_reference);
 
+// --- per-layer breakdown of the paper networks ----------------------------------
+// Every conv layer of LeNet-5, VGG-11 (width / 8) and ResNet-18 (base 8),
+// untrained, at the serving benchmark's pinned seeds (weights 101/201/301,
+// data 102/202/302), so nothing trains. Each iteration runs a layer's four
+// int8 stages (core::nne_lower, nne_gemm, nne_requant, nne_pool) one by
+// one, then the whole nne_run_layer_into call; the row's time is the whole
+// call, and counters give each stage's mean microseconds and the non-GEMM
+// share of the staged time. A row fails, and the binary exits 1, when the
+// composed stages do not reproduce the whole call's output.
+// `nne_breakdown/<net>/conv` sums every conv layer of one network.
+
+struct PaperNet {
+  std::string name;
+  std::unique_ptr<quant::QuantNetwork> qnet;
+  quant::NetworkExecPlan plan;
+  std::vector<quant::QTensor> outputs;  // the spec's deterministic pass
+  quant::QTensor image;
+};
+
+PaperNet make_paper_net(std::string name, nn::Model model, const data::Dataset& images) {
+  PaperNet net;
+  net.name = std::move(name);
+  net.qnet = std::make_unique<quant::QuantNetwork>(quant::quantize_model(model, images));
+  net.plan = quant::build_network_exec_plan(*net.qnet);
+  net.image = quant::quantize_image(images.images(), 0, net.qnet->input);
+  net.outputs = quant::ref_forward(*net.qnet, net.image, 0, nullptr);
+  return net;
+}
+
+std::vector<PaperNet>& paper_nets() {
+  static std::vector<PaperNet> nets = [] {
+    std::vector<PaperNet> built;
+    {
+      util::Rng rng(101), data_rng(102);
+      nn::Model model = nn::make_lenet5(rng);
+      built.push_back(make_paper_net("lenet5", std::move(model),
+                                     data::make_synth_digits(64, data_rng)));
+    }
+    {
+      util::Rng rng(201), data_rng(202);
+      nn::Model model = nn::make_vgg11(rng, 10, /*width_divisor=*/8);
+      built.push_back(make_paper_net("vgg11", std::move(model),
+                                     data::make_synth_svhn(64, data_rng)));
+    }
+    {
+      util::Rng rng(301), data_rng(302);
+      nn::Model model = nn::make_resnet18(rng, 10, /*base_width=*/8);
+      built.push_back(make_paper_net("resnet18", std::move(model),
+                                     data::make_synth_objects(64, data_rng)));
+    }
+    return built;
+  }();
+  return nets;
+}
+
+using Clock = std::chrono::steady_clock;
+
+struct StageTotals {
+  double lower = 0.0, gemm = 0.0, requant = 0.0, pool = 0.0, layer = 0.0;  // microseconds
+};
+
+// Working tensors of one layer's staged run, shaped once.
+struct LayerRun {
+  const quant::QLayer* layer;
+  const quant::LayerExecPlan* plan;
+  const quant::QTensor* input;
+  const quant::QTensor* shortcut;
+  quant::QTensor pre, pooled, whole;
+};
+
+LayerRun layer_run(const PaperNet& net, int l) {
+  const quant::QLayer& layer = net.qnet->layers[static_cast<std::size_t>(l)];
+  const nn::HwLayer& g = layer.geom;
+  LayerRun run{&layer, &net.plan.layer(l),
+               layer.input_source < 0 ? &net.image
+                                      : &net.outputs[static_cast<std::size_t>(layer.input_source)],
+               g.has_shortcut ? &net.outputs[static_cast<std::size_t>(layer.shortcut_source)]
+                              : nullptr,
+               quant::QTensor({g.out_c, g.conv_out_h, g.conv_out_w}, layer.out),
+               quant::QTensor({g.out_c, g.out_h, g.out_w}, layer.out), {}};
+  return run;
+}
+
+// Runs the four stages, then the whole call, adding each one's time.
+// Returns whether the composed output equals the whole call's.
+bool run_staged(LayerRun& run, core::NneScratch& scratch, StageTotals& totals) {
+  const quant::QLayer& layer = *run.layer;
+  const nn::HwLayer& g = layer.geom;
+  const bool has_pool = g.pool_is_global || g.pool_kernel > 0;
+  const auto t0 = Clock::now();
+  core::nne_lower(layer, *run.input, scratch);
+  const auto t1 = Clock::now();
+  core::nne_gemm(layer, *run.plan, layer.weights.data(), scratch);
+  const auto t2 = Clock::now();
+  core::nne_requant(layer, scratch.sums.data(), run.shortcut, run.pre);
+  const auto t3 = Clock::now();
+  core::nne_pool(g, run.pre, run.pooled);
+  const auto t4 = Clock::now();
+  core::nne_run_layer_into(layer, *run.plan, *run.input, run.shortcut, false, nullptr,
+                           quant::FixedMultiplier{}, core::NneConfig{},
+                           nn::kernels::Tier::int8, scratch, run.whole);
+  const auto t5 = Clock::now();
+  const auto us = [](Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double, std::micro>(b - a).count();
+  };
+  totals.lower += us(t0, t1);
+  totals.gemm += us(t1, t2);
+  totals.requant += us(t2, t3);
+  totals.pool += us(t3, t4);
+  totals.layer += us(t4, t5);
+  return (has_pool ? run.pooled.data : run.pre.data) == run.whole.data;
+}
+
+// Set when any row's composed stages diverge; main then exits non-zero.
+bool g_stages_diverged = false;
+
+void bm_nne_breakdown(benchmark::State& state, int net_index, int only_layer) {
+  PaperNet& net = paper_nets()[static_cast<std::size_t>(net_index)];
+  std::vector<LayerRun> runs;
+  std::int64_t macs = 0;
+  for (int l = 0; l < net.qnet->num_layers(); ++l) {
+    if (net.qnet->layers[static_cast<std::size_t>(l)].geom.op != nn::HwLayer::Op::conv) continue;
+    if (only_layer >= 0 && l != only_layer) continue;
+    runs.push_back(layer_run(net, l));
+    macs += net.qnet->layers[static_cast<std::size_t>(l)].geom.macs();
+  }
+  core::NneScratch scratch;
+  StageTotals totals;
+  bool same = true;
+  for (auto _ : state) {
+    const double before = totals.layer;
+    for (LayerRun& run : runs) same = run_staged(run, scratch, totals) && same;
+    state.SetIterationTime((totals.layer - before) / 1e6);
+  }
+  if (!same) {
+    g_stages_diverged = true;
+    state.SkipWithError("composed stages differ from nne_run_layer_into");
+  }
+  const double staged = totals.lower + totals.gemm + totals.requant + totals.pool;
+  using benchmark::Counter;
+  state.counters["lower_us"] = Counter(totals.lower, Counter::kAvgIterations);
+  state.counters["gemm_us"] = Counter(totals.gemm, Counter::kAvgIterations);
+  state.counters["requant_us"] = Counter(totals.requant, Counter::kAvgIterations);
+  state.counters["pool_us"] = Counter(totals.pool, Counter::kAvgIterations);
+  state.counters["layer_us"] = Counter(totals.layer, Counter::kAvgIterations);
+  state.counters["non_gemm_share"] = staged > 0.0 ? (staged - totals.gemm) / staged : 0.0;
+  state.SetItemsProcessed(state.iterations() * macs);
+}
+
+void register_breakdowns() {
+  const std::vector<PaperNet>& nets = paper_nets();
+  for (int n = 0; n < static_cast<int>(nets.size()); ++n) {
+    const quant::QuantNetwork& qnet = *nets[static_cast<std::size_t>(n)].qnet;
+    const std::string prefix = "nne_breakdown/" + nets[static_cast<std::size_t>(n)].name;
+    benchmark::RegisterBenchmark((prefix + "/conv").c_str(), bm_nne_breakdown, n, -1)
+        ->UseManualTime();
+    for (int l = 0; l < qnet.num_layers(); ++l) {
+      if (qnet.layers[static_cast<std::size_t>(l)].geom.op != nn::HwLayer::Op::conv) continue;
+      benchmark::RegisterBenchmark((prefix + "/L" + std::to_string(l)).c_str(),
+                                   bm_nne_breakdown, n, l)
+          ->UseManualTime();
+    }
+  }
+}
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  register_breakdowns();
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return g_stages_diverged ? 1 : 0;
+}

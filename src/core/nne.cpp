@@ -1,7 +1,10 @@
 #include "core/nne.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "nn/bitpack_kernels.h"
@@ -52,46 +55,81 @@ void grow_to(std::vector<T>& vec, std::size_t n, std::uint64_t& grow_events) {
   vec.resize(n);
 }
 
+// Copies `rows` rows of W bytes between strided planes. W is a template
+// constant, so each row is a few fixed-size moves: conv rows here are 1 to
+// 32 bytes, where a memcpy call per row costs more than the copy.
+using RowCopy = void (*)(const std::int8_t* src, int src_stride, std::int8_t* dst,
+                         int dst_stride, int rows, int width);
+
+template <int W>
+void copy_rows(const std::int8_t* src, int src_stride, std::int8_t* dst, int dst_stride,
+               int rows, int /*width*/) {
+  for (int r = 0; r < rows; ++r)
+    std::memcpy(dst + static_cast<std::size_t>(r) * dst_stride,
+                src + static_cast<std::size_t>(r) * src_stride, W);
+}
+
+void copy_rows_any(const std::int8_t* src, int src_stride, std::int8_t* dst, int dst_stride,
+                   int rows, int width) {
+  for (int r = 0; r < rows; ++r)
+    std::memcpy(dst + static_cast<std::size_t>(r) * dst_stride,
+                src + static_cast<std::size_t>(r) * src_stride, static_cast<std::size_t>(width));
+}
+
+template <int... Ws>
+constexpr std::array<RowCopy, sizeof...(Ws)> fixed_row_copies(std::integer_sequence<int, Ws...>) {
+  return {&copy_rows<Ws>...};
+}
+
+RowCopy row_copy_for(int width) {
+  static constexpr auto table = fixed_row_copies(std::make_integer_sequence<int, 33>{});
+  return width < static_cast<int>(table.size()) ? table[static_cast<std::size_t>(width)]
+                                                : &copy_rows_any;
+}
+
+// Copies a conv input [in_c][in_h][in_w] into `padded`, [in_c][in_h + 2 pad]
+// [in_w + 2 pad], with a `zp` border of `pad` on every side. Every window
+// of the layer then lies inside the plane.
+void pad_conv_input(const nn::HwLayer& g, const std::int8_t* in, std::int8_t zp,
+                    std::int8_t* padded) {
+  const int in_h = g.in_h, in_w = g.in_w, pad = g.pad;
+  const int ph = in_h + 2 * pad, pw = in_w + 2 * pad;
+  const RowCopy copy = row_copy_for(in_w);
+  std::fill(padded, padded + static_cast<std::size_t>(g.in_c) * ph * pw, zp);
+  for (int c = 0; c < g.in_c; ++c)
+    copy(in + static_cast<std::size_t>(c) * in_h * in_w, in_w,
+         padded + (static_cast<std::size_t>(c) * ph + pad) * pw + pad, pw, in_h, in_w);
+}
+
 // Lowers a conv input into gemm_i8_zp's K-major panel: row t = (c, kh, kw)
-// holds term t's input value at every output position, `zp` wherever the
-// window reaches into padding, and `zp` again in the row's ldx padding. A
-// padding term then contributes (zp - zp) * w = 0 to its sum — exactly the
-// specification's skipped term.
-void lower_conv_input(const nn::HwLayer& g, const std::int8_t* in, std::int8_t zp, int ldx,
+// holds term t's input value at every output position. `plane` is the
+// input padded by pad_conv_input (the input itself for pad 0), so a window
+// reaching into the padding reads the zero point there, and a padding term
+// contributes (zp - zp) * w = 0 to its sum — exactly the specification's
+// skipped term. The row's ldx padding is left as it was: the GEMM reads
+// those columns but never stores what they produce.
+void lower_conv_input(const nn::HwLayer& g, const std::int8_t* plane, int ldx,
                       std::int8_t* panel) {
   // Geometry in locals: the int8 stores below may alias any object, so
   // fields read through `g` would be reloaded after every one.
-  const int in_h = g.in_h, in_w = g.in_w, kernel = g.kernel, stride = g.stride, pad = g.pad;
+  const int kernel = g.kernel, stride = g.stride;
+  const int ph = g.in_h + 2 * g.pad, pw = g.in_w + 2 * g.pad;
   const int out_h = g.conv_out_h, out_w = g.conv_out_w;
-  const int positions = out_h * out_w;
+  const RowCopy copy = row_copy_for(out_w);
   for (int c = 0; c < g.in_c; ++c) {
-    const std::int8_t* plane = in + static_cast<std::size_t>(c) * in_h * in_w;
     for (int kh = 0; kh < kernel; ++kh) {
       for (int kw = 0; kw < kernel; ++kw) {
         std::int8_t* row = panel + static_cast<std::size_t>((c * kernel + kh) * kernel + kw) * ldx;
-        // Output columns [ow_lo, ow_hi) read input column iw0 + ow * stride
-        // inside the map; the rest of each output row is padding.
-        const int iw0 = kw - pad;
-        const int ow_lo =
-            std::min(out_w, iw0 >= 0 ? 0 : static_cast<int>(ceil_div(-iw0, stride)));
-        const int ow_hi = in_w - 1 - iw0 < 0 ? 0 : std::min(out_w, (in_w - 1 - iw0) / stride + 1);
+        const std::int8_t* src = plane + (static_cast<std::size_t>(c) * ph + kh) * pw + kw;
+        if (stride == 1) {
+          copy(src, pw, row, out_w, out_h, out_w);
+          continue;
+        }
         for (int oh = 0; oh < out_h; ++oh) {
           std::int8_t* dst = row + static_cast<std::size_t>(oh) * out_w;
-          const int ih = oh * stride - pad + kh;
-          if (ih < 0 || ih >= in_h || ow_lo >= ow_hi) {
-            std::fill(dst, dst + out_w, zp);
-            continue;
-          }
-          const std::int8_t* src = plane + static_cast<std::size_t>(ih) * in_w;
-          std::fill(dst, dst + ow_lo, zp);
-          if (stride == 1) {
-            for (int ow = ow_lo; ow < ow_hi; ++ow) dst[ow] = src[iw0 + ow];
-          } else {
-            for (int ow = ow_lo; ow < ow_hi; ++ow) dst[ow] = src[iw0 + ow * stride];
-          }
-          std::fill(dst + ow_hi, dst + out_w, zp);
+          const std::int8_t* in_row = src + static_cast<std::size_t>(oh) * stride * pw;
+          for (int ow = 0; ow < out_w; ++ow) dst[ow] = in_row[ow * stride];
         }
-        std::fill(row + positions, row + ldx, zp);
       }
     }
   }
@@ -111,6 +149,123 @@ std::int64_t estimate_layer_cycles(const nn::HwLayer& layer, const NneConfig& co
   return filter_tiles * term_tiles * position_tiles;
 }
 
+void nne_lower(const quant::QLayer& layer, const quant::QTensor& input, NneScratch& scratch) {
+  const nn::HwLayer& g = layer.geom;
+  const std::int32_t zp_in = layer.in.zero_point;
+  const std::int8_t* plane = input.data.data();
+  if (g.pad > 0) {
+    grow_to(scratch.padded,
+            static_cast<std::size_t>(g.in_c) * (g.in_h + 2 * g.pad) * (g.in_w + 2 * g.pad),
+            scratch.grow_events);
+    pad_conv_input(g, plane, static_cast<std::int8_t>(zp_in), scratch.padded.data());
+    plane = scratch.padded.data();
+  }
+  const int ldx = nn::kernels::gemm_i8_ldx(g.conv_out_h * g.conv_out_w);
+  grow_to(scratch.panel, static_cast<std::size_t>(g.in_c) * g.kernel * g.kernel * ldx,
+          scratch.grow_events);
+  lower_conv_input(g, plane, ldx, scratch.panel.data());
+}
+
+void nne_gemm(const quant::QLayer& layer, const quant::LayerExecPlan& plan,
+              const std::int8_t* weights, NneScratch& scratch) {
+  const nn::HwLayer& g = layer.geom;
+  const int positions = g.conv_out_h * g.conv_out_w;
+  const int ldx = nn::kernels::gemm_i8_ldx(positions);
+  grow_to(scratch.sums, static_cast<std::size_t>(g.out_c) * positions, scratch.grow_events);
+  if (nn::kernels::gemm_i8_filter_vectorized(positions)) {
+    util::require(plan.ldw == nn::kernels::gemm_i8_ldw(g.out_c) &&
+                      plan.weights_kmajor.size() ==
+                          static_cast<std::size_t>(plan.terms) * plan.ldw,
+                  "nne: plan lacks the K-major weight copy of a small-map layer");
+    nn::kernels::gemm_i8_zp_kmajor(g.out_c, positions, plan.terms, plan.weights_kmajor.data(),
+                                   plan.ldw, scratch.panel.data(), ldx, layer.in.zero_point,
+                                   scratch.sums.data(), positions);
+  } else {
+    nn::kernels::gemm_i8_zp(g.out_c, positions, plan.terms, weights, scratch.panel.data(), ldx,
+                            layer.in.zero_point, scratch.sums.data(), positions);
+  }
+}
+
+void nne_requant(const quant::QLayer& layer, const std::int32_t* sums,
+                 const quant::QTensor* shortcut, quant::QTensor& pre) {
+  const nn::HwLayer& g = layer.geom;
+  const int positions = g.conv_out_h * g.conv_out_w;
+  const std::int32_t zp_out = layer.out.zero_point;
+  nn::kernels::RequantRow fu;
+  if (g.has_relu) fu.floor = zp_out;
+  if (g.has_shortcut) {
+    fu.sc_zero_point = shortcut->params.zero_point;
+    fu.sc_mult = layer.shortcut_rescale.mult;
+    fu.sc_shift = layer.shortcut_rescale.shift;
+  }
+  for (int f = 0; f < g.out_c; ++f) {
+    const std::size_t row = static_cast<std::size_t>(f) * positions;
+    const quant::FixedMultiplier requant = layer.requant[static_cast<std::size_t>(f)];
+    fu.bias = layer.bias[static_cast<std::size_t>(f)];
+    fu.mult = requant.mult;
+    fu.shift = requant.shift;
+    fu.offset = layer.post_add[static_cast<std::size_t>(f)] + zp_out;
+    if (g.has_shortcut) fu.sc = shortcut->data.data() + row;
+    nn::kernels::requant_row(sums + row, positions, fu, pre.data.data() + row);
+  }
+}
+
+void nne_pool(const nn::HwLayer& g, const quant::QTensor& pre, quant::QTensor& out) {
+  const int pre_h = g.conv_out_h, pre_w = g.conv_out_w;
+  if (g.pool_is_global) {
+    const std::int64_t area = static_cast<std::int64_t>(pre_h) * pre_w;
+    for (int f = 0; f < g.out_c; ++f) {
+      const std::int8_t* plane = pre.data.data() + static_cast<std::size_t>(f) * area;
+      std::int64_t sum = 0;
+      for (std::int64_t i = 0; i < area; ++i) sum += plane[i];
+      out.data[static_cast<std::size_t>(f)] =
+          quant::saturate_int8(quant::rounded_div(sum, area));
+    }
+    return;
+  }
+  if (g.pool_kernel <= 0) return;
+  const int pk = g.pool_kernel, ps = g.pool_stride, out_h = g.out_h, out_w = g.out_w;
+  const bool is_max = g.pool_is_max;
+  if (is_max && pk == 2 && ps == 2) {
+    // The paper nets' 2 x 2 max pool: two pre-pool rows per output row.
+    for (int row = 0; row < g.out_c * out_h; ++row) {
+      const int f = row / out_h, oh = row % out_h;
+      const std::int8_t* r0 =
+          pre.data.data() + (static_cast<std::size_t>(f) * pre_h + 2 * oh) * pre_w;
+      const std::int8_t* r1 = r0 + pre_w;
+      std::int8_t* dst = out.data.data() + static_cast<std::size_t>(row) * out_w;
+      for (int ow = 0; ow < out_w; ++ow)
+        dst[ow] = std::max(std::max(r0[2 * ow], r0[2 * ow + 1]),
+                           std::max(r1[2 * ow], r1[2 * ow + 1]));
+    }
+    return;
+  }
+  const std::int64_t window = static_cast<std::int64_t>(pk) * pk;
+  for (int f = 0; f < g.out_c; ++f) {
+    const std::int8_t* plane = pre.data.data() + static_cast<std::size_t>(f) * pre_h * pre_w;
+    std::int8_t* dst = out.data.data() + static_cast<std::size_t>(f) * out_h * out_w;
+    for (int oh = 0; oh < out_h; ++oh) {
+      const std::int8_t* top = plane + static_cast<std::size_t>(oh) * ps * pre_w;
+      for (int ow = 0; ow < out_w; ++ow) {
+        const std::int8_t* corner = top + static_cast<std::size_t>(ow) * ps;
+        if (is_max) {
+          std::int8_t best = std::numeric_limits<std::int8_t>::min();
+          for (int kh = 0; kh < pk; ++kh)
+            for (int kw = 0; kw < pk; ++kw)
+              best = std::max(best, corner[static_cast<std::size_t>(kh) * pre_w + kw]);
+          dst[oh * out_w + ow] = best;
+        } else {
+          std::int64_t sum = 0;
+          for (int kh = 0; kh < pk; ++kh)
+            for (int kw = 0; kw < pk; ++kw)
+              sum += corner[static_cast<std::size_t>(kh) * pre_w + kw];
+          dst[oh * out_w + ow] = quant::saturate_int8(quant::rounded_div(sum, window));
+        }
+      }
+    }
+  }
+}
+
 NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerExecPlan& plan,
                                  const quant::QTensor& input, const quant::QTensor* shortcut,
                                  bool site_active, nn::MaskSource* masks,
@@ -119,7 +274,6 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
                                  quant::QTensor& out) {
   const nn::HwLayer& g = layer.geom;
   const std::int32_t zp_in = layer.in.zero_point;
-  const std::int32_t zp_out = layer.out.zero_point;
   util::require(!g.has_shortcut || shortcut != nullptr, "nne: missing shortcut operand");
   util::require(!site_active || masks != nullptr, "nne: active site requires a mask source");
   util::require(config.binary_term_parallelism >= 1,
@@ -175,15 +329,18 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
   const std::int8_t* in_data = input.data.data();
 
   // Packed-weight layers dropped their byte rows. The bitpack interior path
-  // reads only the masks, but the int8 tier and conv border windows still
-  // need byte rows — materialize them into the arena once per layer call
-  // (exact reconstruction, so bits are unchanged).
+  // reads only the masks, and a small-map int8 conv reads the plan's K-major
+  // copy, but the other int8 paths and conv border windows still need byte
+  // rows — materialize them into the arena once per layer call (exact
+  // reconstruction, so bits are unchanged).
   const bool has_border =
       !is_linear &&
       (g.pad > 0 || (g.conv_out_h - 1) * g.stride + g.kernel > g.in_h ||
        (g.conv_out_w - 1) * g.stride + g.kernel > g.in_w);
+  const bool kmajor =
+      tier == Tier::int8 && !is_linear && nn::kernels::gemm_i8_filter_vectorized(positions);
   const std::int8_t* wmatrix = layer.weights.data();
-  if (layer.weights_packed && (tier != Tier::bitpack || has_border)) {
+  if (layer.weights_packed && !kmajor && (tier != Tier::bitpack || has_border)) {
     grow_to(scratch.wrows, static_cast<std::size_t>(g.out_c) * terms, scratch.grow_events);
     for (int f = 0; f < g.out_c; ++f)
       layer.materialize_weight_row(f, scratch.wrows.data() +
@@ -201,11 +358,8 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
     // Lower every window once, then one GEMM computes every (filter,
     // position) sum: each lowered term feeds all filters and positions of a
     // register tile, the PE array's PF x PV reuse.
-    const int ldx = nn::kernels::gemm_i8_ldx(positions);
-    grow_to(scratch.panel, static_cast<std::size_t>(terms) * ldx, scratch.grow_events);
-    lower_conv_input(g, in_data, static_cast<std::int8_t>(zp_in), ldx, scratch.panel.data());
-    nn::kernels::gemm_i8_zp(g.out_c, positions, terms, wmatrix, scratch.panel.data(), ldx,
-                            zp_in, sums, positions);
+    nne_lower(layer, input, scratch);
+    nne_gemm(layer, plan, wmatrix, scratch);
   } else if (is_linear) {
     // Packed reduction over the whole term range, one closed form per
     // filter (quant/qplan.h).
@@ -255,63 +409,10 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
     }
   }
 
-  // FU chain, one pass over the sum plane: bias -> BN requant -> SC -> ReLU
-  // -> saturate into the pre-pool map ([out_c][positions], the flat layout
-  // of `pre` and of the shortcut operand). Operands in locals, since the
-  // int8 stores may alias any object.
-  const bool relu = g.has_relu;
-  const std::int32_t sc_zero_point = g.has_shortcut ? shortcut->params.zero_point : 0;
-  const quant::FixedMultiplier sc_rescale = layer.shortcut_rescale;
-  for (int f = 0; f < g.out_c; ++f) {
-    const std::int32_t bias = layer.bias[static_cast<std::size_t>(f)];
-    const quant::FixedMultiplier requant = layer.requant[static_cast<std::size_t>(f)];
-    const std::int32_t offset = layer.post_add[static_cast<std::size_t>(f)] + zp_out;
-    const std::int32_t* row = sums + static_cast<std::size_t>(f) * positions;
-    std::int8_t* dst = pre.data.data() + static_cast<std::size_t>(f) * positions;
-    const std::int8_t* sc =
-        g.has_shortcut ? shortcut->data.data() + static_cast<std::size_t>(f) * positions
-                       : nullptr;
-    for (int p = 0; p < positions; ++p) {
-      std::int32_t q = quant::fixed_multiply(row[p] + bias, requant) + offset;
-      if (sc != nullptr)
-        q += quant::fixed_multiply(static_cast<std::int32_t>(sc[p]) - sc_zero_point, sc_rescale);
-      if (relu) q = std::max(q, zp_out);
-      dst[p] = quant::saturate_int8(q);
-    }
-  }
-
-  // FU pool stage (pipelined; adds no throughput cycles).
-  if (g.pool_is_global) {
-    const std::int64_t area = static_cast<std::int64_t>(g.conv_out_h) * g.conv_out_w;
-    for (int f = 0; f < g.out_c; ++f) {
-      std::int64_t sum = 0;
-      for (int h = 0; h < g.conv_out_h; ++h)
-        for (int w = 0; w < g.conv_out_w; ++w) sum += pre.at(f, h, w);
-      out.at(f, 0, 0) = quant::saturate_int8(quant::rounded_div(sum, area));
-    }
-  } else if (g.pool_kernel > 0) {
-    for (int f = 0; f < g.out_c; ++f) {
-      for (int oh = 0; oh < g.out_h; ++oh) {
-        for (int ow = 0; ow < g.out_w; ++ow) {
-          if (g.pool_is_max) {
-            std::int8_t best = std::numeric_limits<std::int8_t>::min();
-            for (int kh = 0; kh < g.pool_kernel; ++kh)
-              for (int kw = 0; kw < g.pool_kernel; ++kw)
-                best = std::max(
-                    best, pre.at(f, oh * g.pool_stride + kh, ow * g.pool_stride + kw));
-            out.at(f, oh, ow) = best;
-          } else {
-            std::int64_t sum = 0;
-            for (int kh = 0; kh < g.pool_kernel; ++kh)
-              for (int kw = 0; kw < g.pool_kernel; ++kw)
-                sum += pre.at(f, oh * g.pool_stride + kh, ow * g.pool_stride + kw);
-            out.at(f, oh, ow) = quant::saturate_int8(quant::rounded_div(
-                sum, static_cast<std::int64_t>(g.pool_kernel) * g.pool_kernel));
-          }
-        }
-      }
-    }
-  }
+  // FU chain, one pass over the sum plane, then the pool stage (pipelined;
+  // adds no throughput cycles).
+  nne_requant(layer, sums, shortcut, pre);
+  nne_pool(g, pre, out);
   // No pool: the FU chain already wrote `out` (pre aliases it).
 
   if (site_active) {
@@ -326,32 +427,21 @@ void apply_dropout_unit(quant::QTensor& out, nn::MaskSource& masks,
                         quant::FixedMultiplier dropout_keep) {
   const std::int32_t zp = out.params.zero_point;
   const int plane = out.height() * out.width();
+  // A kept filter's plane is rescaled about the zero point:
+  // saturate(fixed_multiply(x - zp, keep) + zp).
+  nn::kernels::RequantRow keep_row;
+  keep_row.bias = -zp;
+  keep_row.mult = dropout_keep.mult;
+  keep_row.shift = dropout_keep.shift;
+  keep_row.offset = zp;
   for (int f = 0; f < out.channels(); ++f) {
     std::int8_t* row = out.data.data() + static_cast<std::size_t>(f) * plane;
     if (masks.next_drop()) {
       std::fill(row, row + plane, quant::saturate_int8(zp));
     } else {
-      for (int i = 0; i < plane; ++i)
-        row[i] = quant::saturate_int8(
-            quant::fixed_multiply(static_cast<std::int32_t>(row[i]) - zp, dropout_keep) + zp);
+      nn::kernels::requant_row(row, plane, keep_row, row);
     }
   }
-}
-
-NneLayerResult nne_run_layer(const quant::QLayer& layer, const quant::QTensor& input,
-                             const quant::QTensor* shortcut, bool site_active,
-                             nn::MaskSource* masks, quant::FixedMultiplier dropout_keep,
-                             const NneConfig& config) {
-  const quant::LayerExecPlan plan = quant::build_layer_exec_plan(layer);
-  NneScratch scratch;
-  NneLayerResult result;
-  const NneLayerStats stats =
-      nne_run_layer_into(layer, plan, input, shortcut, site_active, masks, dropout_keep,
-                         config, nn::kernels::Tier::bitpack, scratch, result.output);
-  result.compute_cycles = stats.compute_cycles;
-  result.macs_retired = stats.macs_retired;
-  result.mask_bits_consumed = stats.mask_bits_consumed;
-  return result;
 }
 
 }  // namespace bnn::core

@@ -24,6 +24,20 @@
 // `estimate_layer_cycles`, which also serves networks too large to execute
 // functionally.
 //
+// On the host the GEMM is meant to be the layer, as the PE array is on the
+// FPGA. A conv layer's int8 path is four stages (declared below):
+//   - lowering copies the input once into a zero-point-bordered plane and
+//     fills each K-major panel row from it, so padding needs no bounds
+//     logic;
+//   - one GEMM computes the sum plane, vectorized along positions for maps
+//     of 16 positions and more, and along filters below that (over a
+//     K-major weight copy the plan builds once), so a 2 x 2 map does not
+//     leave 12 of 16 lanes idle;
+//   - one requant row kernel (kernels::requant_row, compiled with the GEMM
+//     for the build machine's ISA) retires each filter's row through the
+//     FU chain — the same kernel rescales the Dropout Unit's kept rows;
+//   - the pool stage walks raw row pointers.
+//
 // Kernel tiers: the inner product dispatches through nn::kernels::Tier. The
 // tier changes only HOW the int32 sums are computed (the int8 GEMM over the
 // layer's lowered windows, or the packed popcount path of quant/qplan.h) —
@@ -81,15 +95,7 @@ const std::vector<int>& pv_domain();  // {1, 4, 8, 16}
 // Closed-form PE cycle count for one layer (compute only, no memory).
 std::int64_t estimate_layer_cycles(const nn::HwLayer& layer, const NneConfig& config);
 
-struct NneLayerResult {
-  quant::QTensor output;
-  std::int64_t compute_cycles = 0;  // closed-form PE cycles of the layer
-  std::int64_t macs_retired = 0;    // useful MACs (excludes tile padding)
-  int mask_bits_consumed = 0;
-};
-
-// Counters alone — the allocation-free entry point writes its output into a
-// caller-owned tensor instead.
+// A layer call's counters; the output goes into a caller-owned tensor.
 struct NneLayerStats {
   std::int64_t compute_cycles = 0;
   std::int64_t macs_retired = 0;
@@ -104,6 +110,7 @@ struct NneLayerStats {
 struct NneScratch {
   quant::QTensor pre;                // pre-pool position map (pooled layers)
   std::vector<std::int32_t> sums;    // term sums, [out_c][positions]
+  std::vector<std::int8_t> padded;   // zp-bordered conv input, [in_c][h + 2 pad][w + 2 pad]
   std::vector<std::int8_t> panel;    // lowered conv windows, [terms][ldx] (int8 tier)
   std::vector<std::uint64_t> xbits;  // one packed activation window, [words] (bitpack tier)
   std::vector<std::int8_t> wrows;    // materialized byte rows of packed-weight layers
@@ -124,21 +131,44 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
                                  nn::kernels::Tier tier, NneScratch& scratch,
                                  quant::QTensor& out);
 
+// --- the int8 conv path, stage by stage ---------------------------------------
+// nne_run_layer_into's int8-tier conv path is exactly these four calls in
+// order (bench/nne_microbench times each one and checks that composing them
+// reproduces the whole call). `layer`, `plan` and the tensors follow
+// nne_run_layer_into's contract; each stage grows only NneScratch buffers.
+//
+// 1. Lowering: copies the input once into scratch.padded with a zero-point
+//    border (pad 0 reads the input itself), then fills each panel row
+//    (c, kh, kw) of scratch.panel, [terms][gemm_i8_ldx(positions)], from
+//    that plane — one memcpy per output row at stride 1, a strided gather
+//    otherwise.
+void nne_lower(const quant::QLayer& layer, const quant::QTensor& input, NneScratch& scratch);
+// 2. One int8 GEMM from scratch.panel into scratch.sums, [out_c][positions].
+//    Maps of 16 positions and more take the position-vectorized tile over
+//    `weights` (row-major [out_c][terms]); smaller maps take the
+//    filter-vectorized tile over the plan's K-major copy
+//    (kernels::gemm_i8_filter_vectorized decides both here and at plan
+//    build).
+void nne_gemm(const quant::QLayer& layer, const quant::LayerExecPlan& plan,
+              const std::int8_t* weights, NneScratch& scratch);
+// 3. The FU requant chain, bias -> BN requant -> SC -> ReLU -> saturate:
+//    one kernels::requant_row per filter from `sums` into the pre-pool map
+//    `pre`, [out_c][conv_out_h][conv_out_w] (already shaped).
+void nne_requant(const quant::QLayer& layer, const std::int32_t* sums,
+                 const quant::QTensor* shortcut, quant::QTensor& pre);
+// 4. The FU pool stage (max, average or global) from `pre` into `out`
+//    (already shaped); a no-op for a layer without a pool.
+void nne_pool(const nn::HwLayer& g, const quant::QTensor& pre, quant::QTensor& out);
+
 // The Dropout Unit: one drop decision per filter of `out`, drawn from
 // `masks` in ascending filter order. A dropped filter's plane becomes the
 // tensor's zero point; a kept one is rescaled by `dropout_keep` (the
-// fixed-point 1/(1-p)). nne_run_layer_into runs it on active sites, and the
-// accelerator's IC schedule on each sample's copy of the cached cut-layer
-// output.
+// fixed-point 1/(1-p)) about the zero point through kernels::requant_row,
+// the FU's own row kernel. nne_run_layer_into runs it on active sites, and
+// the accelerator's IC schedule on each sample's copy of the cached
+// cut-layer output.
 void apply_dropout_unit(quant::QTensor& out, nn::MaskSource& masks,
                         quant::FixedMultiplier dropout_keep);
-
-// Convenience form: builds the plan and scratch per call and runs at the
-// bitpack cap (identical bits to every other tier by the contract above).
-NneLayerResult nne_run_layer(const quant::QLayer& layer, const quant::QTensor& input,
-                             const quant::QTensor* shortcut, bool site_active,
-                             nn::MaskSource* masks, quant::FixedMultiplier dropout_keep,
-                             const NneConfig& config);
 
 }  // namespace bnn::core
 

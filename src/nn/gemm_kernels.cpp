@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
+#include <utility>
 #include <vector>
+
+#include "util/check.h"
 
 namespace bnn::nn::kernels {
 
@@ -382,6 +386,156 @@ void gemm_i8_tile(int k, const std::int8_t* const* rows, const std::int8_t* __re
 }  // namespace
 
 int gemm_i8_ldx(int n) { return (n + I8_NR - 1) / I8_NR * I8_NR; }
+
+namespace {
+
+// The filter-vectorized tile mirrors the position tile with the axes
+// swapped: 16 filters per block held as I8_NV vectors, I8_MR positions per
+// tile, so a full tile again keeps 8 accumulator registers. `p_count`
+// positions (1..I8_MR) are computed, each from one broadcast lowered
+// activation per term; filters past `mr` are computed from the copy's zero
+// padding and never stored.
+constexpr int KF_NR = I8_NR;  // filters per block: the K-major copy's rounding
+
+template <int P>
+void gemm_i8_ftile(int k, const std::int8_t* __restrict wk, int ldw,
+                   const std::int8_t* __restrict x, int ldx, std::int32_t zero_point,
+                   std::int32_t* __restrict c, int ldc, int mr) {
+  vi acc[P][I8_NV] = {};
+  for (int t = 0; t < k; ++t) {
+    const std::int8_t* wt = wk + static_cast<std::size_t>(t) * ldw;
+    vi wv[I8_NV];
+    for (int v = 0; v < I8_NV; ++v) {
+      vb raw;
+      __builtin_memcpy(&raw, wt + v * IVL, sizeof(vb));
+      wv[v] = __builtin_convertvector(__builtin_convertvector(raw, vh), vi);
+    }
+    const std::int8_t* xt = x + static_cast<std::size_t>(t) * ldx;
+    for (int p = 0; p < P; ++p) {
+      const std::int32_t xs = static_cast<std::int32_t>(xt[p]) - zero_point;
+      for (int v = 0; v < I8_NV; ++v) acc[p][v] += wv[v] * xs;
+    }
+  }
+  for (int p = 0; p < P; ++p) {
+    std::int32_t lanes[KF_NR];
+    for (int v = 0; v < I8_NV; ++v) __builtin_memcpy(lanes + v * IVL, &acc[p][v], sizeof(vi));
+    for (int f = 0; f < mr; ++f) c[static_cast<std::size_t>(f) * ldc + p] = lanes[f];
+  }
+}
+
+template <int... Ps>
+void gemm_i8_ftile_n(std::integer_sequence<int, Ps...>, int p_count, int k,
+                     const std::int8_t* wk, int ldw, const std::int8_t* x, int ldx,
+                     std::int32_t zero_point, std::int32_t* c, int ldc, int mr) {
+  // Dispatch the runtime position count to its fixed-trip instantiation.
+  (void)((p_count == Ps + 1 &&
+          (gemm_i8_ftile<Ps + 1>(k, wk, ldw, x, ldx, zero_point, c, ldc, mr), true)) ||
+         ...);
+}
+
+}  // namespace
+
+bool gemm_i8_filter_vectorized(int n) { return n < I8_NR; }
+
+int gemm_i8_ldw(int m) { return (m + KF_NR - 1) / KF_NR * KF_NR; }
+
+void pack_i8_kmajor(int m, int k, const std::int8_t* w, std::int8_t* wk) {
+  const int ldw = gemm_i8_ldw(m);
+  std::fill(wk, wk + static_cast<std::size_t>(k) * ldw, std::int8_t{0});
+  for (int f = 0; f < m; ++f)
+    for (int t = 0; t < k; ++t)
+      wk[static_cast<std::size_t>(t) * ldw + f] = w[static_cast<std::size_t>(f) * k + t];
+}
+
+void gemm_i8_zp_kmajor(int m, int n, int k, const std::int8_t* wk, int ldw,
+                       const std::int8_t* x, int ldx, std::int32_t zero_point,
+                       std::int32_t* c, int ldc) {
+  for (int f0 = 0; f0 < m; f0 += KF_NR) {
+    const int mr = std::min(KF_NR, m - f0);
+    for (int p0 = 0; p0 < n; p0 += I8_MR)
+      gemm_i8_ftile_n(std::make_integer_sequence<int, I8_MR>{}, std::min(I8_MR, n - p0), k,
+                      wk + f0, ldw, x + p0, ldx, zero_point,
+                      c + static_cast<std::size_t>(f0) * ldc + p0, ldc, mr);
+  }
+}
+
+// --- requantization row kernel ------------------------------------------------
+
+namespace {
+
+// One fixed-point multiplier's per-row constants.
+struct FixedLane {
+  std::uint32_t left_scale;  // 2^left_shift mod 2^32: the wrapping left shift
+  std::int32_t mult;
+  int right_shift;
+  std::int32_t mask;  // 2^right_shift - 1
+  std::int32_t half;  // mask >> 1
+};
+
+FixedLane fixed_lane(std::int32_t mult, int shift) {
+  const int left = shift > 0 ? shift : 0;
+  const int right = shift > 0 ? 0 : -shift;
+  util::require(right <= 31, "rounding_divide_by_pot: bad exponent");
+  const auto mask = static_cast<std::int32_t>((std::int64_t{1} << right) - 1);
+  return {left < 32 ? std::uint32_t{1} << left : 0u, mult, right, mask, mask >> 1};
+}
+
+// quant::fixed_multiply without branches on the element:
+//  - the left shift wraps modulo 2^32, as the int64 product truncated to
+//    int32 does;
+//  - the doubling high multiply's (ab + nudge) / 2^31, truncated toward
+//    zero, equals floor((ab + 2^30) / 2^31) for either sign of ab; its low
+//    32 bits are bits 31..62 of ab + 2^30, so a logical shift serves;
+//  - that quotient lies in [-2^31 + 1, 2^31] and reaches 2^31 (wrapping to
+//    INT32_MIN) only for INT32_MIN * INT32_MIN, which saturates;
+//  - the rounding right shift is rounding_divide_by_pot, which returns x
+//    unchanged at exponent 0 (mask 0 never exceeds the threshold).
+inline std::int32_t fixed_lane_multiply(std::int32_t x, FixedLane l) {
+  const auto shifted = static_cast<std::int32_t>(static_cast<std::uint32_t>(x) * l.left_scale);
+  const std::int64_t ab = static_cast<std::int64_t>(shifted) * l.mult;
+  auto high = static_cast<std::int32_t>(
+      static_cast<std::uint64_t>(ab + (std::int64_t{1} << 30)) >> 31);
+  high = high == std::numeric_limits<std::int32_t>::min()
+             ? std::numeric_limits<std::int32_t>::max()
+             : high;
+  const std::int32_t remainder = high & l.mask;
+  const std::int32_t threshold = l.half + (high < 0 ? 1 : 0);
+  return (high >> l.right_shift) + (remainder > threshold ? 1 : 0);
+}
+
+template <bool kShortcut, typename T>
+void requant_loop(const T* x, int n, const RequantRow& row, std::int8_t* dst) {
+  // Every constant in a local: the int8 stores may alias any object.
+  const FixedLane m = fixed_lane(row.mult, row.shift);
+  const FixedLane s = kShortcut ? fixed_lane(row.sc_mult, row.sc_shift) : m;
+  const std::int32_t bias = row.bias, offset = row.offset, floor = row.floor;
+  const std::int32_t sc_zero_point = row.sc_zero_point;
+  const std::int8_t* sc = row.sc;
+  for (int p = 0; p < n; ++p) {
+    std::int32_t q = fixed_lane_multiply(static_cast<std::int32_t>(x[p]) + bias, m) + offset;
+    if constexpr (kShortcut)
+      q += fixed_lane_multiply(static_cast<std::int32_t>(sc[p]) - sc_zero_point, s);
+    dst[p] = static_cast<std::int8_t>(std::clamp(std::max(q, floor), -128, 127));
+  }
+}
+
+template <typename T>
+void requant_row_any(const T* x, int n, const RequantRow& row, std::int8_t* dst) {
+  if (row.sc != nullptr)
+    requant_loop<true>(x, n, row, dst);
+  else
+    requant_loop<false>(x, n, row, dst);
+}
+
+}  // namespace
+
+void requant_row(const std::int32_t* x, int n, const RequantRow& row, std::int8_t* dst) {
+  requant_row_any(x, n, row, dst);
+}
+
+void requant_row(const std::int8_t* x, int n, const RequantRow& row, std::int8_t* dst) {
+  requant_row_any(x, n, row, dst);
+}
 
 void gemm_i8_zp(int m, int n, int k, const std::int8_t* w, const std::int8_t* x, int ldx,
                 std::int32_t zero_point, std::int32_t* c, int ldc) {

@@ -1,7 +1,10 @@
 // Micro-kernel layer under the float GEMM front end and the int8 NNE: the
 // register-blocked, cache-tiled float GEMMs, the int8 GEMM the NNE's int8
-// tier runs every conv layer through, and the int8 dot product of its linear
-// layers — compiler-vectorized kernels with no external dependencies.
+// tier runs every conv layer through (position-vectorized, or
+// filter-vectorized over a K-major weight copy for maps under 16
+// positions), the int8 dot product of its linear layers, and the requant
+// row kernel that retires the NNE's Functional Unit and Dropout Unit rows —
+// compiler-vectorized kernels with no external dependencies.
 //
 // Bit-identity contract (enforced by tests/test_gemm.cpp and the
 // bench/gemm_microbench smoke run): every blocked float kernel produces the
@@ -13,11 +16,14 @@
 // ("Micro-kernel layer") for the full argument.
 //
 // The int8 kernels accumulate in int32, which is associative, so they may
-// reorder freely and are exact by arithmetic rather than by ordering.
+// reorder freely and are exact by arithmetic rather than by ordering. The
+// requant row kernel is integer-only and element-wise, so it equals the
+// scalar quant::fixed_multiply chain whatever width it vectorizes at.
 #ifndef BNN_NN_GEMM_KERNELS_H
 #define BNN_NN_GEMM_KERNELS_H
 
 #include <cstdint>
+#include <limits>
 
 namespace bnn::nn::kernels {
 
@@ -101,6 +107,65 @@ void gemm_i8_zp(int m, int n, int k, const std::int8_t* w, const std::int8_t* x,
 // Row stride of gemm_i8_zp's x panel for n positions: n rounded up to the
 // kernel's position block (16).
 int gemm_i8_ldx(int n);
+
+// --- filter-vectorized int8 GEMM (maps under 16 positions) -------------------
+// gemm_i8_zp vectorizes along positions in blocks of 16, so a map with fewer
+// positions leaves lanes idle. Below that size the conv GEMM vectorizes
+// along filters instead: per term, one broadcast lowered activation per
+// position against a vector of filter weights. Those weights are read from
+// a K-major copy built once per layer (quant::build_layer_exec_plan), so
+// a small-map call does no packing. The plan build and the NNE both ask
+// gemm_i8_filter_vectorized, so they agree on which layers carry the copy.
+bool gemm_i8_filter_vectorized(int n);
+
+// Filter stride of the K-major weight copy for m filters: m rounded up to
+// the filter block (16).
+int gemm_i8_ldw(int m);
+
+// Packs row-major w[m][k] into K-major wk[k][ldw], ldw = gemm_i8_ldw(m);
+// filters m..ldw-1 of every term row hold 0.
+void pack_i8_kmajor(int m, int k, const std::int8_t* w, std::int8_t* wk);
+
+// gemm_i8_zp's contract with K-major weights wk = pack_i8_kmajor(w):
+//   c[f * ldc + p] = sum_{t < k} (x[t * ldx + p] - zero_point) * wk[t * ldw + f]
+// for f < m, p < n. Reads only columns < n of each x row and writes only
+// filters < m of c.
+void gemm_i8_zp_kmajor(int m, int n, int k, const std::int8_t* wk, int ldw,
+                       const std::int8_t* x, int ldx, std::int32_t zero_point,
+                       std::int32_t* c, int ldc);
+
+// --- requantization row kernel ------------------------------------------------
+// The NNE's Functional Unit (BN requant -> SC -> ReLU -> saturate) and its
+// Dropout Unit rescale retire one output row at a time through this kernel:
+//   dst[p] = saturate_int8(max(fixed_multiply(x[p] + bias, (mult, shift))
+//                              + offset [+ sc_term(p)], floor))
+//   sc_term(p) = fixed_multiply(sc[p] - sc_zero_point, (sc_mult, sc_shift))
+// with fixed_multiply exactly quant::fixed_multiply (gemmlowp semantics: a
+// wrapping left shift for shift > 0, the saturating rounding doubling high
+// multiply including its INT32_MIN * INT32_MIN case, and a round-to-nearest
+// right shift for shift <= 0). nn cannot include quant, so a multiplier is
+// the raw (mult, shift) pair of quant::FixedMultiplier. The row constants
+// are hoisted out of the element loop, so the loop vectorizes; like
+// quant::rounding_divide_by_pot, a right shift past 31 (shift < -31)
+// throws std::invalid_argument, checked once per row.
+struct RequantRow {
+  std::int32_t bias = 0;
+  std::int32_t mult = 0;
+  int shift = 0;
+  std::int32_t offset = 0;
+  // The ReLU floor (the output zero point), or INT32_MIN for none.
+  std::int32_t floor = std::numeric_limits<std::int32_t>::min();
+  // Optional shortcut operand (null: no sc_term).
+  const std::int8_t* sc = nullptr;
+  std::int32_t sc_zero_point = 0;
+  std::int32_t sc_mult = 0;
+  int sc_shift = 0;
+};
+
+// The FU form over an int32 term-sum row.
+void requant_row(const std::int32_t* x, int n, const RequantRow& row, std::int8_t* dst);
+// The DU form over an int8 row; dst may equal x (in-place rescale).
+void requant_row(const std::int8_t* x, int n, const RequantRow& row, std::int8_t* dst);
 
 }  // namespace bnn::nn::kernels
 

@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "nn/bitpack_kernels.h"
+#include "nn/gemm_kernels.h"
 #include "util/check.h"
 
 namespace bnn::quant {
@@ -81,6 +82,15 @@ LayerExecPlan build_layer_exec_plan(const QLayer& layer) {
       plan.term_dh[static_cast<std::size_t>(t)] = dh;
       plan.term_dw[static_cast<std::size_t>(t)] = dw;
       plan.term_off[static_cast<std::size_t>(t)] = (ch * g.in_h + dh) * g.in_w + dw;
+    }
+    if (nn::kernels::gemm_i8_filter_vectorized(g.conv_out_h * g.conv_out_w)) {
+      std::vector<std::int8_t> rows(static_cast<std::size_t>(g.out_c) * plan.terms);
+      for (int f = 0; f < g.out_c; ++f)
+        layer.materialize_weight_row(f, rows.data() + static_cast<std::size_t>(f) * plan.terms);
+      plan.ldw = nn::kernels::gemm_i8_ldw(g.out_c);
+      plan.weights_kmajor.resize(static_cast<std::size_t>(plan.terms) * plan.ldw);
+      nn::kernels::pack_i8_kmajor(g.out_c, plan.terms, rows.data(), plan.weights_kmajor.data());
+      plan.weight_bytes += plan.weights_kmajor.size();
     }
   }
 

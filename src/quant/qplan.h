@@ -46,9 +46,17 @@ struct LayerExecPlan {
   int terms = 0;  // in_c * kernel * kernel
   int words = 0;  // bit_words(terms); 0 for non-binarizable layers
 
-  // Resident weight bytes of the QLayer this plan was built from — the
-  // residency currency a segment-granular registry budget is charged in.
+  // Resident weight bytes: the QLayer's own weight storage plus the
+  // K-major copy below — the residency currency a segment-granular
+  // registry budget is charged in.
   std::uint64_t weight_bytes = 0;
+
+  // K-major int8 weight copy [terms][ldw] (kernels::pack_i8_kmajor) that the
+  // filter-vectorized GEMM reads. Built only for conv layers whose map has
+  // fewer than 16 positions (kernels::gemm_i8_filter_vectorized, the same
+  // predicate the NNE dispatches on); empty, with ldw 0, otherwise.
+  int ldw = 0;
+  std::vector<std::int8_t> weights_kmajor;
 
   // Hoisted conv index math (empty for linear layers): term t addresses
   // input channel t/(k*k) at kernel offset (term_dh[t], term_dw[t]);

@@ -217,7 +217,7 @@ std::shared_ptr<const ModelVersion> ModelRegistry::publish(
   auto plan = std::make_shared<const quant::NetworkExecPlan>(
       quant::build_network_exec_plan(*network));
   const std::uint64_t fingerprint = network_fingerprint(*network);
-  const std::uint64_t weight_bytes = network->resident_weight_bytes();
+  const std::uint64_t weight_bytes = plan->weight_bytes();
   std::vector<std::uint64_t> segment_bytes;
   segment_bytes.reserve(plan->layers.size());
   for (const quant::PlanSegment& segment : plan->layers)

@@ -80,7 +80,10 @@ struct ModelVersion {
   ModelConfig config;
   std::shared_ptr<const quant::QuantNetwork> network;
   std::uint64_t fingerprint = 0;    ///< serve::network_fingerprint
-  std::uint64_t weight_bytes = 0;   ///< resident weight footprint (all layers)
+  /// Resident weight footprint (all layers): each plan segment's
+  /// LayerExecPlan::weight_bytes, so a small-map conv layer's K-major copy
+  /// counts too.
+  std::uint64_t weight_bytes = 0;
   /// Per-layer resident weight bytes — the segment-granular residency and
   /// reload-cost currency (sums to weight_bytes).
   std::vector<std::uint64_t> segment_bytes;

@@ -513,6 +513,7 @@ ServerStats Server::stats() const {
 void Server::replica_loop(Replica& replica) {
   for (;;) {
     std::vector<Pending> batch;
+    std::uint64_t dispatch_seq = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       queue_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
@@ -607,9 +608,10 @@ void Server::replica_loop(Replica& replica) {
           ++it;
         }
       }
+      dispatch_seq = ++dispatched_batches_;
     }
     queue_space_.notify_all();  // backpressured submitters may proceed
-    serve_batch(replica, std::move(batch));
+    serve_batch(replica, std::move(batch), dispatch_seq);
     // Journal I/O runs on the replica thread between batches — submitters
     // never pay for the disk write.
     if (recorder_) recorder_->flush();
@@ -654,7 +656,8 @@ core::Accelerator& Server::bind_replica(Replica& replica,
   return *replica.binds.back().accelerator;
 }
 
-void Server::serve_batch(Replica& replica, std::vector<Pending> batch) {
+void Server::serve_batch(Replica& replica, std::vector<Pending> batch,
+                         std::uint64_t dispatch_seq) {
   // Defensive backstop (structurally unreachable after per-(model, shape)
   // batch grouping in replica_loop): a request whose shape or model
   // differs from the batch head fails alone with set_exception; its
@@ -726,6 +729,7 @@ void Server::serve_batch(Replica& replica, std::vector<Pending> batch) {
       response.model_key = pending.bound.version->key;
       response.model_version = pending.bound.version->version;
       response.cold_start = pending.bound.cold_start;
+      response.dispatch_seq = dispatch_seq;
       response.stats = first.stats[static_cast<std::size_t>(n)];
       if (pending.options.use_uncertainty_router) {
         ++screened;

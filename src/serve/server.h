@@ -163,6 +163,11 @@ struct Response {
   /// This request's resolve found its model evicted and paid the modelled
   /// DDR reload (the response itself is bit-identical either way).
   bool cold_start = false;
+  /// Server-wide dispatch order: 1 for the first batch a replica pulled
+  /// from the queue, 2 for the next, and so on. Every response of one batch
+  /// (escalated ones included) carries that batch's number. It reflects
+  /// replica timing, so traces neither journal nor checksum it.
+  std::uint64_t dispatch_seq = 0;
   core::RunStats stats;  ///< modelled hardware cost of the producing pass
 };
 
@@ -514,7 +519,7 @@ class Server {
   /// The replica's accelerator for this model version, binding (and LRU
   /// evicting) as needed. Worker-thread only.
   core::Accelerator& bind_replica(Replica& replica, const ModelRegistry::Bound& bound);
-  void serve_batch(Replica& replica, std::vector<Pending> batch);
+  void serve_batch(Replica& replica, std::vector<Pending> batch, std::uint64_t dispatch_seq);
   // Latency p99 over the current window; requires mutex_ held. Re-sorts
   // only when the window changed since the last call.
   double window_p99_locked() const;
@@ -543,6 +548,7 @@ class Server {
   /// Per-tenant counters, in first-submission order.
   std::vector<ModelServeStats> model_stats_;
   std::uint64_t next_ticket_ = 0;
+  std::uint64_t dispatched_batches_ = 0;  // Response::dispatch_seq source
   bool stopping_ = false;
   ServerStats stats_;
   std::vector<double> latency_window_;  // ring buffer, capacity kLatencyWindow

@@ -457,8 +457,10 @@ TEST(TierIdentity, BitpackCapFallsBackOnThreeValuedInput) {
 TEST(NneScratchArena, SecondRunOverSameShapesIsAllocationFree) {
   util::Rng rng(311);
   // A padded conv written straight into its output, a pooled conv (pre-pool
-  // map in the scratch) and a linear layer, each at both tier caps, with the
-  // site inactive and active (the Dropout Unit draws masks and rescales).
+  // map in the scratch), a padded small-map conv (3x3: the filter-vectorized
+  // tile), a padded wide-map conv (16x16: the largest padded plane) and a
+  // linear layer, each at both tier caps, with the site inactive and active
+  // (the Dropout Unit draws masks and rescales).
   struct Case {
     quant::QLayer layer;
     quant::LayerExecPlan plan;
@@ -466,7 +468,8 @@ TEST(NneScratchArena, SecondRunOverSameShapesIsAllocationFree) {
   };
   std::vector<Case> cases;
   for (const ConvSpec& spec :
-       {ConvSpec{4, 8, 8, 5, 3, 1, 1}, ConvSpec{4, 8, 8, 5, 3, 1, 0, true, 2}})
+       {ConvSpec{4, 8, 8, 5, 3, 1, 1}, ConvSpec{4, 8, 8, 5, 3, 1, 0, true, 2},
+        ConvSpec{6, 3, 3, 17, 3, 1, 1}, ConvSpec{3, 16, 16, 4, 3, 1, 1}})
     cases.push_back({make_binarizable_conv(rng, spec), {}, {}});
   cases.push_back({make_binarizable_linear(rng, 10, 130, false), {}, {}});
   cases.back().layer.in = quant::QuantParams{0.05f, -3};

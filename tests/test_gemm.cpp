@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "nn/gemm_kernels.h"
+#include "quant/fixed_point.h"
 #include "util/rng.h"
 
 namespace bnn::nn {
@@ -261,6 +262,206 @@ TEST(GemmI8, MatchesPlainLoopOnEdgeShapes) {
       }
     }
   }
+}
+
+// gemm_i8_zp_kmajor over a pack_i8_kmajor copy against the same plain loop,
+// on every map size below the position block and filter counts on and off
+// the 16-filter block; nothing past filter m of c may be written.
+TEST(GemmI8, FilterVectorizedTileMatchesPlainLoop) {
+  util::Rng rng(9);
+  for (const int n : {1, 2, 3, 4, 5, 7, 8, 9, 15}) {
+    for (const int m : {1, 5, 16, 17, 64}) {
+      for (const int k : {1, 27, 576}) {
+        ASSERT_TRUE(kernels::gemm_i8_filter_vectorized(n));
+        const int ldx = kernels::gemm_i8_ldx(n);
+        const int ldw = kernels::gemm_i8_ldw(m);
+        ASSERT_EQ(ldw % 16, 0);
+        ASSERT_GE(ldw, m);
+        std::vector<std::int8_t> w(static_cast<std::size_t>(m) * k);
+        std::vector<std::int8_t> x(static_cast<std::size_t>(k) * ldx);
+        for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+        for (auto& v : x) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+        std::fill(w.begin(), w.begin() + k, std::int8_t{-128});
+        std::vector<std::int8_t> wk(static_cast<std::size_t>(k) * ldw, 99);
+        kernels::pack_i8_kmajor(m, k, w.data(), wk.data());
+        for (const std::int32_t zp : {-128, 127}) {
+          const int ldc = n + 2;
+          std::vector<std::int32_t> c(static_cast<std::size_t>(m + 1) * ldc, 0x5a5a5a5a);
+          kernels::gemm_i8_zp_kmajor(m, n, k, wk.data(), ldw, x.data(), ldx, zp, c.data(), ldc);
+          for (int f = 0; f <= m; ++f) {
+            for (int p = 0; p < ldc; ++p) {
+              std::int32_t expected = 0x5a5a5a5a;
+              if (f < m && p < n) {
+                expected = 0;
+                for (int t = 0; t < k; ++t)
+                  expected +=
+                      (static_cast<std::int32_t>(x[static_cast<std::size_t>(t) * ldx + p]) - zp) *
+                      static_cast<std::int32_t>(w[static_cast<std::size_t>(f) * k + t]);
+              }
+              ASSERT_EQ(c[static_cast<std::size_t>(f) * ldc + p], expected)
+                  << "m=" << m << " n=" << n << " k=" << k << " zp=" << zp << " f=" << f
+                  << " p=" << p;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_FALSE(kernels::gemm_i8_filter_vectorized(16));
+  EXPECT_FALSE(kernels::gemm_i8_filter_vectorized(1024));
+}
+
+// --- requantization row kernel -------------------------------------------------
+
+// requant_row, element by element, as the scalar quant chain.
+std::int8_t requant_reference(std::int32_t x, const kernels::RequantRow& row, std::int8_t sc) {
+  std::int32_t q = quant::fixed_multiply(x + row.bias, {row.mult, row.shift}) + row.offset;
+  if (row.sc != nullptr)
+    q += quant::fixed_multiply(static_cast<std::int32_t>(sc) - row.sc_zero_point,
+                               {row.sc_mult, row.sc_shift});
+  return quant::saturate_int8(std::max(q, row.floor));
+}
+
+// A sum drawn log-uniformly in magnitude up to 2^30, either sign.
+std::int32_t log_uniform_sum(util::Rng& rng) {
+  const int bits = rng.uniform_int(0, 30);
+  const std::int32_t magnitude = rng.uniform_int(0, (1 << bits) - 1) | ((1 << bits) >> 1);
+  return rng.uniform_int(0, 1) != 0 ? -magnitude : magnitude;
+}
+
+// True when the chain's int32 additions (x + bias, + offset, + sc_term) stay
+// in range for this element — both the kernel and the scalar chain add in
+// int32, where overflow is undefined.
+bool chain_in_range(std::int32_t x, const kernels::RequantRow& row, std::int8_t sc) {
+  const auto fits = [](std::int64_t v) { return v == static_cast<std::int32_t>(v); };
+  const std::int64_t biased = std::int64_t{x} + row.bias;
+  if (!fits(biased)) return false;
+  const std::int32_t multiplied =
+      quant::fixed_multiply(static_cast<std::int32_t>(biased), {row.mult, row.shift});
+  std::int64_t q = std::int64_t{multiplied} + row.offset;
+  if (!fits(q)) return false;
+  if (row.sc != nullptr)
+    q += quant::fixed_multiply(static_cast<std::int32_t>(sc) - row.sc_zero_point,
+                               {row.sc_mult, row.sc_shift});
+  return fits(q);
+}
+
+TEST(RequantRow, MatchesScalarFixedMultiplyChainBitForBit) {
+  util::Rng rng(10);
+  // Multipliers across 2^-32 .. 2^8 in both signs: quantize_multiplier
+  // shifts from -31 (a right shift of 31) up to +9 (a left shift of 9).
+  std::vector<quant::FixedMultiplier> multipliers;
+  for (int e = -32; e <= 8; ++e)
+    for (const double sign : {1.0, -1.0})
+      multipliers.push_back(
+          quant::quantize_multiplier(sign * std::ldexp(1.0 + rng.uniform(), e)));
+  std::vector<int> shifts;
+  for (const auto& m : multipliers) shifts.push_back(m.shift);
+  EXPECT_EQ(*std::min_element(shifts.begin(), shifts.end()), -31);
+  EXPECT_EQ(*std::max_element(shifts.begin(), shifts.end()), 9);
+
+  for (const int n : {1, 15, 16, 17, 1027}) {
+    std::vector<std::int32_t> sums(static_cast<std::size_t>(n));
+    std::vector<std::int8_t> sc(static_cast<std::size_t>(n)), got(static_cast<std::size_t>(n));
+    for (const auto& m : multipliers) {
+      kernels::RequantRow row;
+      row.bias = rng.uniform_int(-(1 << 20), 1 << 20);
+      row.mult = m.mult;
+      row.shift = m.shift;
+      row.offset = rng.uniform_int(-100, 100);
+      for (const bool relu : {false, true}) {
+        row.floor = relu ? rng.uniform_int(-128, 127) : std::numeric_limits<std::int32_t>::min();
+        for (const std::int32_t sc_zp : {0, -128, 127}) {
+          const quant::FixedMultiplier sc_m =
+              multipliers[static_cast<std::size_t>(rng.uniform_int(
+                  0, static_cast<int>(multipliers.size()) - 1))];
+          // sc_zp 0 runs without the shortcut operand.
+          row.sc = sc_zp == 0 ? nullptr : sc.data();
+          row.sc_zero_point = sc_zp;
+          row.sc_mult = sc_m.mult;
+          row.sc_shift = sc_m.shift;
+          for (int p = 0; p < n; ++p) {
+            std::int32_t& x = sums[static_cast<std::size_t>(p)];
+            std::int8_t& s = sc[static_cast<std::size_t>(p)];
+            do {
+              x = log_uniform_sum(rng);
+              // The shortcut operand at the int8 extremes and in between.
+              const int pick = rng.uniform_int(0, 2);
+              s = static_cast<std::int8_t>(pick == 0   ? -128
+                                           : pick == 1 ? 127
+                                                       : rng.uniform_int(-128, 127));
+            } while (!chain_in_range(x, row, s));
+          }
+          kernels::requant_row(sums.data(), n, row, got.data());
+          for (int p = 0; p < n; ++p)
+            ASSERT_EQ(got[static_cast<std::size_t>(p)],
+                      requant_reference(sums[static_cast<std::size_t>(p)], row,
+                                        sc[static_cast<std::size_t>(p)]))
+                << "n=" << n << " mult=" << m.mult << " shift=" << m.shift << " sum="
+                << sums[static_cast<std::size_t>(p)] << " bias=" << row.bias << " relu=" << relu
+                << " sc_zp=" << sc_zp;
+        }
+      }
+    }
+  }
+}
+
+TEST(RequantRow, SaturationWrapAndDropoutForm) {
+  // The doubling high multiply's INT32_MIN * INT32_MIN saturation and the
+  // wrapping left shift are reachable only through raw (mult, shift) pairs.
+  const std::int32_t int_min = std::numeric_limits<std::int32_t>::min();
+  const std::vector<std::int32_t> sums{int_min, int_min + 1, -(1 << 30), (1 << 30) + 7,
+                                       std::numeric_limits<std::int32_t>::max(), 0, -1, 1};
+  std::vector<std::int8_t> got(sums.size());
+  for (const std::int32_t mult : {int_min, int_min + 1, (1 << 30), -(1 << 30), 1, -1}) {
+    for (const int shift : {-31, -5, 0, 1, 3, 31}) {
+      kernels::RequantRow row;
+      row.mult = mult;
+      row.shift = shift;
+      kernels::requant_row(sums.data(), static_cast<int>(sums.size()), row, got.data());
+      for (std::size_t p = 0; p < sums.size(); ++p)
+        ASSERT_EQ(got[p], requant_reference(sums[p], row, 0))
+            << "mult=" << mult << " shift=" << shift << " sum=" << sums[p];
+    }
+  }
+
+  // The Dropout Unit form rescales an int8 row about its zero point, in place.
+  util::Rng rng(11);
+  for (const std::int32_t zp : {-128, 0, 127}) {
+    std::vector<std::int8_t> plane(37);
+    for (auto& v : plane) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+    const quant::FixedMultiplier keep = quant::quantize_multiplier(1.0 / 0.75);
+    kernels::RequantRow row;
+    row.bias = -zp;
+    row.mult = keep.mult;
+    row.shift = keep.shift;
+    row.offset = zp;
+    std::vector<std::int8_t> expected(plane.size());
+    for (std::size_t i = 0; i < plane.size(); ++i)
+      expected[i] = quant::saturate_int8(
+          quant::fixed_multiply(static_cast<std::int32_t>(plane[i]) - zp, keep) + zp);
+    kernels::requant_row(plane.data(), static_cast<int>(plane.size()), row, plane.data());
+    EXPECT_EQ(plane, expected) << "zp " << zp;
+  }
+}
+
+TEST(RequantRow, RightShiftPast31Throws) {
+  const std::vector<std::int32_t> sums{1, 2, 3};
+  std::vector<std::int8_t> out(sums.size());
+  kernels::RequantRow row;
+  row.mult = 1 << 30;
+  row.shift = -32;
+  EXPECT_THROW(kernels::requant_row(sums.data(), 3, row, out.data()), std::invalid_argument);
+  EXPECT_THROW(quant::fixed_multiply(1, {row.mult, row.shift}), std::invalid_argument);
+  // The shortcut multiplier is checked the same way.
+  const std::vector<std::int8_t> sc(sums.size(), 5);
+  row.shift = -31;
+  row.sc = sc.data();
+  row.sc_mult = 1 << 30;
+  row.sc_shift = -32;
+  EXPECT_THROW(kernels::requant_row(sums.data(), 3, row, out.data()), std::invalid_argument);
+  row.sc_shift = -31;
+  EXPECT_NO_THROW(kernels::requant_row(sums.data(), 3, row, out.data()));
 }
 
 TEST(ConvExtent, Formula) {

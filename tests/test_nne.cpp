@@ -1,13 +1,15 @@
 // The NNE's tiled datapath must be bit-exact against the untiled plain-loop
 // specification (quant/qops.h) for every parallelism configuration in the
-// paper's design space.
+// paper's design space, on both GEMM tiles and every lowering case.
 #include "core/nne.h"
 
 #include <gtest/gtest.h>
 
 #include "data/synth.h"
+#include "nn/gemm_kernels.h"
 #include "nn/models.h"
 #include "quant/qops.h"
+#include "quant/qplan.h"
 #include "train/trainer.h"
 
 namespace bnn::core {
@@ -114,20 +116,24 @@ TEST_P(NneTiling, BitExactAgainstReferenceAndFormula) {
 
   // Tiled execution layer by layer, feeding reference inputs so each layer
   // is compared in isolation as well as in composition.
+  const quant::NetworkExecPlan plan = quant::build_network_exec_plan(qnet);
+  NneScratch scratch;
+  quant::QTensor out;
   const quant::QTensor* input = &image;
   for (int l = 0; l < qnet.num_layers(); ++l) {
     const quant::QLayer& layer = qnet.layers[static_cast<std::size_t>(l)];
     const quant::QTensor* shortcut =
         layer.geom.has_shortcut ? &ref[static_cast<std::size_t>(layer.shortcut_source)]
                                 : nullptr;
-    const NneLayerResult result = nne_run_layer(layer, *input, shortcut, false, nullptr,
-                                                qnet.dropout_keep, config);
-    EXPECT_EQ(result.output.data, ref[static_cast<std::size_t>(l)].data)
+    const NneLayerStats stats =
+        nne_run_layer_into(layer, plan.layer(l), *input, shortcut, false, nullptr,
+                           qnet.dropout_keep, config, nn::kernels::Tier::int8, scratch, out);
+    EXPECT_EQ(out.data, ref[static_cast<std::size_t>(l)].data)
         << "layer " << l << " diverges at PC=" << tc.pc << " PF=" << tc.pf
         << " PV=" << tc.pv;
-    EXPECT_EQ(result.compute_cycles, estimate_layer_cycles(layer.geom, config))
+    EXPECT_EQ(stats.compute_cycles, estimate_layer_cycles(layer.geom, config))
         << "cycle count mismatch at layer " << l;
-    EXPECT_EQ(result.macs_retired, layer.geom.macs());
+    EXPECT_EQ(stats.macs_retired, layer.geom.macs());
     input = &ref[static_cast<std::size_t>(l)];
   }
 }
@@ -138,58 +144,229 @@ INSTANTIATE_TEST_SUITE_P(
                       TilingCase{64, 64, 1}, TilingCase{128, 128, 16},
                       TilingCase{8, 128, 8}, TilingCase{128, 8, 1}));
 
-// The tiny fixture above has no strided, 1x1 or shortcut layers. The
-// reduced ResNet-18 has all of them: 3x3 stride-1 and stride-2 convs with
-// pad 1 (border windows), 1x1 stride-2 pad-0 projections and shortcut adds.
-// Every layer runs through the NNE at both tier caps and several tilings,
-// fed the spec's own inputs, against the plain-loop spec.
+// Which NNE paths a set of int8-tier conv layers exercised: the two GEMM
+// tiles (kernels::gemm_i8_filter_vectorized picks one per layer) and the
+// lowering cases of the padded plane.
+struct PathCoverage {
+  bool position_tile = false, filter_tile = false;
+  bool stride1_pad0 = false, stride1_pad1 = false, stride1_pad2 = false;
+  bool strided = false, pointwise = false, shortcut = false;
+
+  void add(const nn::HwLayer& g) {
+    if (g.op != nn::HwLayer::Op::conv) return;
+    const bool small = nn::kernels::gemm_i8_filter_vectorized(g.conv_out_h * g.conv_out_w);
+    filter_tile = filter_tile || small;
+    position_tile = position_tile || !small;
+    const bool window = g.kernel > 1 && g.stride == 1;
+    stride1_pad0 = stride1_pad0 || (window && g.pad == 0);
+    stride1_pad1 = stride1_pad1 || (window && g.pad == 1);
+    stride1_pad2 = stride1_pad2 || (window && g.pad == 2);
+    strided = strided || g.stride > 1;
+    pointwise = pointwise || g.kernel == 1;
+    shortcut = shortcut || g.has_shortcut;
+  }
+};
+
+// The tiny fixture above has no strided, 1x1, shortcut or small-map layers.
+// The reduced ResNet-18 has 3x3 stride-1 and stride-2 convs with pad 1
+// (border windows), 1x1 stride-2 pad-0 projections and shortcut adds; the
+// reduced VGG-11 (width / 8) ends in 4x4 (16-position) and 2x2
+// (4-position) maps, so both GEMM tiles run. Every layer runs through the
+// NNE at both tier caps and several tilings, fed the spec's own inputs,
+// against the plain-loop spec.
 TEST(QuantConvGather, MatchesPlainLoopBitExactlyOnStridedPaddedShapes) {
   util::Rng rng(17);
-  nn::Model model = nn::make_resnet18(rng, 10, /*base_width=*/4);
-  model.set_bayesian_last(0);
   util::Rng data_rng(18);
-  data::Dataset objects = data::make_synth_objects(32, data_rng);
-  const quant::QuantNetwork qnet = quant::quantize_model(model, objects, {16});
-  const quant::NetworkExecPlan plan = quant::build_network_exec_plan(qnet);
+  const data::Dataset objects = data::make_synth_objects(32, data_rng);
+  nn::Model resnet = nn::make_resnet18(rng, 10, /*base_width=*/4);
+  nn::Model vgg = nn::make_vgg11(rng, 10, /*width_divisor=*/8);
+  const char* names[] = {"resnet18", "vgg11"};
+  nn::Model* models[] = {&resnet, &vgg};
 
-  const quant::QTensor image = quant::quantize_image(objects.images(), 1, qnet.input);
-  const std::vector<quant::QTensor> ref = quant::ref_forward(qnet, image, 0, nullptr);
+  PathCoverage seen;
+  for (int n = 0; n < 2; ++n) {
+    models[n]->set_bayesian_last(0);
+    const quant::QuantNetwork qnet = quant::quantize_model(*models[n], objects, {16});
+    const quant::NetworkExecPlan plan = quant::build_network_exec_plan(qnet);
+    const quant::QTensor image = quant::quantize_image(objects.images(), 1, qnet.input);
+    const std::vector<quant::QTensor> ref = quant::ref_forward(qnet, image, 0, nullptr);
 
-  bool saw_strided = false, saw_padded = false, saw_pointwise = false, saw_shortcut = false;
-  for (const TilingCase tc : {TilingCase{8, 8, 1}, TilingCase{16, 8, 4},
-                              TilingCase{128, 32, 16}}) {
-    NneConfig config;
-    config.pc = tc.pc;
-    config.pf = tc.pf;
-    config.pv = tc.pv;
-    for (const nn::kernels::Tier tier : {nn::kernels::Tier::int8, nn::kernels::Tier::bitpack}) {
-      NneScratch scratch;
-      quant::QTensor out;
-      for (int l = 0; l < qnet.num_layers(); ++l) {
-        const quant::QLayer& layer = qnet.layers[static_cast<std::size_t>(l)];
-        const nn::HwLayer& g = layer.geom;
-        const quant::QTensor& input =
-            layer.input_source < 0 ? image : ref[static_cast<std::size_t>(layer.input_source)];
-        const quant::QTensor* shortcut =
-            g.has_shortcut ? &ref[static_cast<std::size_t>(layer.shortcut_source)] : nullptr;
-        nne_run_layer_into(layer, plan.layer(l), input, shortcut, false, nullptr,
-                           qnet.dropout_keep, config, tier, scratch, out);
-        EXPECT_EQ(out.data, ref[static_cast<std::size_t>(l)].data)
-            << "layer " << l << " (" << g.label << ") diverges at tier "
-            << nn::kernels::tier_name(tier) << " PC=" << tc.pc << " PF=" << tc.pf
-            << " PV=" << tc.pv;
-        if (g.op != nn::HwLayer::Op::conv) continue;
-        saw_strided = saw_strided || g.stride > 1;
-        saw_padded = saw_padded || g.pad > 0;
-        saw_pointwise = saw_pointwise || g.kernel == 1;
-        saw_shortcut = saw_shortcut || g.has_shortcut;
+    for (const TilingCase tc : {TilingCase{8, 8, 1}, TilingCase{16, 8, 4},
+                                TilingCase{128, 32, 16}}) {
+      NneConfig config;
+      config.pc = tc.pc;
+      config.pf = tc.pf;
+      config.pv = tc.pv;
+      for (const nn::kernels::Tier tier :
+           {nn::kernels::Tier::int8, nn::kernels::Tier::bitpack}) {
+        NneScratch scratch;
+        quant::QTensor out;
+        for (int l = 0; l < qnet.num_layers(); ++l) {
+          const quant::QLayer& layer = qnet.layers[static_cast<std::size_t>(l)];
+          const nn::HwLayer& g = layer.geom;
+          const quant::QTensor& input =
+              layer.input_source < 0 ? image : ref[static_cast<std::size_t>(layer.input_source)];
+          const quant::QTensor* shortcut =
+              g.has_shortcut ? &ref[static_cast<std::size_t>(layer.shortcut_source)] : nullptr;
+          nne_run_layer_into(layer, plan.layer(l), input, shortcut, false, nullptr,
+                             qnet.dropout_keep, config, tier, scratch, out);
+          EXPECT_EQ(out.data, ref[static_cast<std::size_t>(l)].data)
+              << names[n] << " layer " << l << " (" << g.label << ") diverges at tier "
+              << nn::kernels::tier_name(tier) << " PC=" << tc.pc << " PF=" << tc.pf
+              << " PV=" << tc.pv;
+          seen.add(g);
+        }
       }
     }
   }
-  EXPECT_TRUE(saw_strided) << "fixture lost its stride-2 conv coverage";
-  EXPECT_TRUE(saw_padded) << "fixture lost its padded conv coverage";
-  EXPECT_TRUE(saw_pointwise) << "fixture lost its 1x1 projection coverage";
-  EXPECT_TRUE(saw_shortcut) << "fixture lost its shortcut coverage";
+  EXPECT_TRUE(seen.strided) << "fixtures lost their stride-2 conv coverage";
+  EXPECT_TRUE(seen.stride1_pad1) << "fixtures lost their padded conv coverage";
+  EXPECT_TRUE(seen.pointwise) << "fixtures lost their 1x1 projection coverage";
+  EXPECT_TRUE(seen.shortcut) << "fixtures lost their shortcut coverage";
+  EXPECT_TRUE(seen.filter_tile) << "fixtures lost their small-map (filter tile) coverage";
+  EXPECT_TRUE(seen.position_tile) << "fixtures lost their wide-map (position tile) coverage";
+}
+
+// A conv layer with arbitrary int8 weights (no binarizable structure) and
+// every FU/DU constant drawn at random.
+struct SmallConv {
+  int in_c, in_h, in_w, kernel, stride, pad;
+  enum class Pool { none, max2, avg2, global } pool = Pool::none;
+  bool shortcut = false;
+};
+
+quant::QLayer make_conv(util::Rng& rng, const SmallConv& spec, int out_c, std::int32_t zp_in) {
+  quant::QLayer layer;
+  nn::HwLayer& g = layer.geom;
+  g.op = nn::HwLayer::Op::conv;
+  g.in_c = spec.in_c;
+  g.in_h = spec.in_h;
+  g.in_w = spec.in_w;
+  g.out_c = out_c;
+  g.kernel = spec.kernel;
+  g.stride = spec.stride;
+  g.pad = spec.pad;
+  g.conv_out_h = (spec.in_h + 2 * spec.pad - spec.kernel) / spec.stride + 1;
+  g.conv_out_w = (spec.in_w + 2 * spec.pad - spec.kernel) / spec.stride + 1;
+  g.has_relu = rng.uniform_int(0, 1) != 0;
+  g.has_shortcut = spec.shortcut;
+  g.out_h = g.conv_out_h;
+  g.out_w = g.conv_out_w;
+  if (spec.pool == SmallConv::Pool::global) {
+    g.pool_is_global = true;
+    g.out_h = g.out_w = 1;
+  } else if (spec.pool != SmallConv::Pool::none) {
+    g.pool_kernel = g.pool_stride = 2;
+    g.pool_is_max = spec.pool == SmallConv::Pool::max2;
+    g.out_h = (g.conv_out_h - 2) / 2 + 1;
+    g.out_w = (g.conv_out_w - 2) / 2 + 1;
+  }
+  const int terms = spec.in_c * spec.kernel * spec.kernel;
+  layer.weights.resize(static_cast<std::size_t>(out_c) * terms);
+  for (auto& w : layer.weights) w = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+  layer.bias.resize(static_cast<std::size_t>(out_c));
+  for (auto& b : layer.bias) b = rng.uniform_int(-5000, 5000);
+  layer.weight_scales.assign(static_cast<std::size_t>(out_c), 1.0f);
+  layer.requant.resize(static_cast<std::size_t>(out_c));
+  for (auto& m : layer.requant)
+    m = quant::quantize_multiplier((rng.uniform_int(0, 3) == 0 ? -1.0 : 1.0) *
+                                   (0.0002 + 0.0001 * rng.uniform_int(0, 40)));
+  layer.post_add.resize(static_cast<std::size_t>(out_c));
+  for (auto& p : layer.post_add) p = rng.uniform_int(-20, 20);
+  layer.in = quant::QuantParams{0.05f, zp_in};
+  layer.out = quant::QuantParams{0.1f, rng.uniform_int(-10, 10)};
+  layer.shortcut_rescale = quant::quantize_multiplier(0.7);
+  return layer;
+}
+
+// Hand-built conv layers with 1, 4, 9, 15 and 16 output positions, 1 to 64
+// filters, every lowering case (stride 1 with pad 0/1/2, stride 2, 1x1), a
+// shortcut, max/average/global pools and the extreme input zero points,
+// each run through the NNE (with and without the Dropout Unit) against the
+// plain-loop spec.
+TEST(QuantConvGather, SmallAndBoundaryMapsMatchPlainLoop) {
+  using Pool = SmallConv::Pool;
+  const SmallConv specs[] = {
+      {3, 3, 3, 3, 1, 0},                      // 1 position, stride 1 pad 0
+      {2, 2, 2, 3, 2, 1, Pool::none, true},    // 1 position, stride 2 pad 1, shortcut
+      {5, 1, 1, 1, 1, 0},                      // 1 position, 1x1
+      {4, 2, 2, 3, 1, 1, Pool::avg2},          // 4 positions -> avg pool to 1
+      {3, 4, 4, 1, 2, 0},                      // 4 positions, 1x1 stride 2
+      {6, 3, 3, 3, 1, 1, Pool::none, true},    // 9 positions, pad 1, shortcut
+      {2, 6, 6, 3, 2, 1, Pool::global},        // 9 positions, stride 2, global pool
+      {3, 3, 5, 5, 1, 2},                      // 15 positions, pad 2
+      {4, 5, 7, 3, 1, 0, Pool::none, true},    // 15 positions, pad 0, shortcut
+      {4, 4, 4, 3, 1, 1, Pool::max2},          // 16 positions -> max pool to 4
+      {3, 8, 8, 1, 2, 0, Pool::global},        // 16 positions, 1x1 stride 2
+      {2, 8, 8, 3, 2, 1, Pool::none, true},    // 16 positions, stride 2, shortcut
+  };
+  util::Rng rng(23);
+  const quant::FixedMultiplier keep = quant::quantize_multiplier(1.0 / 0.75);
+  NneConfig config;
+  NneScratch scratch;
+  quant::QTensor out;
+  PathCoverage seen;
+  for (const SmallConv& spec : specs) {
+    for (const int out_c : {1, 5, 17, 64}) {
+      for (const std::int32_t zp_in : {-128, 127}) {
+        const quant::QLayer layer = make_conv(rng, spec, out_c, zp_in);
+        const nn::HwLayer& g = layer.geom;
+        const quant::LayerExecPlan plan = quant::build_layer_exec_plan(layer);
+        quant::QTensor input({spec.in_c, spec.in_h, spec.in_w}, layer.in);
+        for (auto& v : input.data) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+        // The shortcut operand at its int8 extremes and random values.
+        quant::QTensor sc({out_c, g.conv_out_h, g.conv_out_w},
+                          quant::QuantParams{0.2f, rng.uniform_int(0, 1) ? -128 : 127});
+        for (auto& v : sc.data)
+          v = static_cast<std::int8_t>(rng.uniform_int(0, 3) == 0   ? -128
+                                       : rng.uniform_int(0, 2) == 0 ? 127
+                                                                    : rng.uniform_int(-128, 127));
+        const quant::QTensor* shortcut = spec.shortcut ? &sc : nullptr;
+        for (const bool active : {false, true}) {
+          nn::RngMaskSource masks_ref(0.25, util::Rng(41));
+          nn::RngMaskSource masks_nne(0.25, util::Rng(41));
+          const quant::QTensor expected =
+              quant::ref_run_layer(layer, input, shortcut, active, &masks_ref, keep);
+          nne_run_layer_into(layer, plan, input, shortcut, active, &masks_nne, keep, config,
+                             nn::kernels::Tier::int8, scratch, out);
+          ASSERT_EQ(out.data, expected.data)
+              << "in " << spec.in_c << "x" << spec.in_h << "x" << spec.in_w << " k"
+              << spec.kernel << " s" << spec.stride << " p" << spec.pad << " out_c " << out_c
+              << " zp_in " << zp_in << " dropout " << active;
+        }
+        seen.add(g);
+      }
+    }
+  }
+  EXPECT_TRUE(seen.filter_tile && seen.position_tile);
+  EXPECT_TRUE(seen.stride1_pad0 && seen.stride1_pad1 && seen.stride1_pad2);
+  EXPECT_TRUE(seen.strided && seen.pointwise && seen.shortcut);
+}
+
+// The K-major weight copy exists exactly where the NNE reads it, and the
+// plan's weight_bytes (the residency currency) counts it.
+TEST(QuantConvGather, PlanCarriesKMajorCopyOnlyForSmallMaps) {
+  util::Rng rng(24);
+  for (const SmallConv& spec : {SmallConv{4, 3, 3, 3, 1, 1}, SmallConv{4, 4, 4, 3, 1, 1}}) {
+    const quant::QLayer layer = make_conv(rng, spec, 17, 0);
+    const quant::LayerExecPlan plan = quant::build_layer_exec_plan(layer);
+    const int terms = spec.in_c * spec.kernel * spec.kernel;
+    if (nn::kernels::gemm_i8_filter_vectorized(layer.geom.conv_out_h * layer.geom.conv_out_w)) {
+      EXPECT_EQ(spec.in_h, 3);
+      EXPECT_EQ(plan.ldw, 32);
+      ASSERT_EQ(plan.weights_kmajor.size(), static_cast<std::size_t>(terms) * plan.ldw);
+      for (int f = 0; f < plan.ldw; ++f)
+        for (int t = 0; t < terms; ++t)
+          EXPECT_EQ(plan.weights_kmajor[static_cast<std::size_t>(t) * plan.ldw + f],
+                    f < 17 ? layer.weight_row(f)[t] : 0);
+      EXPECT_EQ(plan.weight_bytes, layer.resident_weight_bytes() + plan.weights_kmajor.size());
+    } else {
+      EXPECT_EQ(spec.in_h, 4);
+      EXPECT_EQ(plan.ldw, 0);
+      EXPECT_TRUE(plan.weights_kmajor.empty());
+      EXPECT_EQ(plan.weight_bytes, layer.resident_weight_bytes());
+    }
+  }
 }
 
 TEST(NneDropout, SameMaskStreamGivesSameOutputs) {
@@ -208,22 +385,24 @@ TEST(NneDropout, SameMaskStreamGivesSameOutputs) {
   const std::vector<quant::QTensor> ref =
       quant::ref_forward(qnet, image, qnet.num_sites, &masks_ref);
 
+  const quant::NetworkExecPlan plan = quant::build_network_exec_plan(qnet);
+  NneScratch scratch;
+  std::vector<quant::QTensor> outputs(static_cast<std::size_t>(qnet.num_layers()));
   const quant::QTensor* input = &image;
-  std::vector<quant::QTensor> outputs;
   for (int l = 0; l < qnet.num_layers(); ++l) {
     const quant::QLayer& layer = qnet.layers[static_cast<std::size_t>(l)];
     const quant::QTensor* shortcut =
         layer.geom.has_shortcut ? &outputs[static_cast<std::size_t>(layer.shortcut_source)]
                                 : nullptr;
-    NneLayerResult result =
-        nne_run_layer(layer, *input, shortcut, layer.geom.is_bayes_site, &masks_nne,
-                      qnet.dropout_keep, config);
+    quant::QTensor& out = outputs[static_cast<std::size_t>(l)];
+    const NneLayerStats stats = nne_run_layer_into(
+        layer, plan.layer(l), *input, shortcut, layer.geom.is_bayes_site, &masks_nne,
+        qnet.dropout_keep, config, nn::kernels::Tier::int8, scratch, out);
     if (layer.geom.is_bayes_site) {
-      EXPECT_EQ(result.mask_bits_consumed, layer.geom.out_c);
+      EXPECT_EQ(stats.mask_bits_consumed, layer.geom.out_c);
     }
-    outputs.push_back(std::move(result.output));
-    EXPECT_EQ(outputs.back().data, ref[static_cast<std::size_t>(l)].data) << "layer " << l;
-    input = &outputs.back();
+    EXPECT_EQ(out.data, ref[static_cast<std::size_t>(l)].data) << "layer " << l;
+    input = &out;
   }
 }
 
@@ -231,25 +410,25 @@ TEST(NneValidation, RejectsBadArguments) {
   auto& fx = fixture();
   const quant::QuantNetwork& qnet = *fx.qnet;
   const quant::QLayer& first = qnet.layers.front();
+  const quant::LayerExecPlan plan = quant::build_layer_exec_plan(first);
   const quant::QTensor image = quant::quantize_image(fx.dataset->images(), 0, qnet.input);
   NneConfig config;
+  NneScratch scratch;
+  quant::QTensor out;
+  const auto run = [&](const quant::QLayer& layer, const quant::QTensor& input, bool active) {
+    nne_run_layer_into(layer, plan, input, nullptr, active, nullptr, qnet.dropout_keep, config,
+                       nn::kernels::Tier::int8, scratch, out);
+  };
   // Active site without a mask source.
-  EXPECT_THROW(
-      nne_run_layer(first, image, nullptr, true, nullptr, qnet.dropout_keep, config),
-      std::invalid_argument);
+  EXPECT_THROW(run(first, image, true), std::invalid_argument);
   // Wrong input shape.
   quant::QTensor wrong({3, 5, 5}, qnet.input);
-  EXPECT_THROW(
-      nne_run_layer(first, wrong, nullptr, false, nullptr, qnet.dropout_keep, config),
-      std::invalid_argument);
+  EXPECT_THROW(run(first, wrong, false), std::invalid_argument);
   // An input zero point outside int8 (the int8 tier lowers padding as it).
   for (const std::int32_t zp : {-129, 128}) {
     quant::QLayer bad_zero_point = first;
     bad_zero_point.in.zero_point = zp;
-    EXPECT_THROW(nne_run_layer(bad_zero_point, image, nullptr, false, nullptr,
-                               qnet.dropout_keep, config),
-                 std::invalid_argument)
-        << "zp_in " << zp;
+    EXPECT_THROW(run(bad_zero_point, image, false), std::invalid_argument) << "zp_in " << zp;
   }
 }
 

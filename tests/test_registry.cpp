@@ -12,12 +12,11 @@
 //   - per-tenant queue quotas reject with QuotaExceededError and count in
 //     ServerStats::quota_rejected,
 //   - a cold tenant's DDR-reload-inflated cost reorders cost-aware dispatch
-//     ahead of a cheaper hot group.
+//     ahead of a cheaper hot group (exactly, by Response::dispatch_seq).
 #include "serve/model_registry.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
@@ -455,13 +454,17 @@ TEST(RegistryServer, ColdReloadCostInflatesCostAwareDispatchOrdering) {
   cost.bind_model(1, sizing.publish("cold", fx.net_b)->network->describe(),
                   bytes_cold);
   EXPECT_GT(cost.cold_reload_ms(1), 0.0);
-  // The contenders' S sets the test's timing margin: the hot contender's
-  // pass is the window in which this thread must observe the cold response
-  // first, so it is sized to stay milliseconds long on a fast NNE.
   serve::RequestOptions contender;
-  contender.num_samples = 256;
+  contender.num_samples = 64;
   EXPECT_DOUBLE_EQ(cost.first_pass_ms(0, contender),
                    cost.first_pass_ms(1, contender));
+  // The blocker outranks even the reload-inflated cold group, so it leaves
+  // the queue first whether or not the replica took it before the
+  // contenders arrived.
+  serve::RequestOptions blocking;
+  blocking.num_samples = 128;
+  EXPECT_GT(cost.first_pass_ms(0, blocking),
+            cost.first_pass_ms(1, contender) + cost.cold_reload_ms(1));
 
   // The serving-order consequence: with the replica pinned by a blocker,
   // a later-submitted equal-S request on the COLD tenant must jump the
@@ -482,18 +485,19 @@ TEST(RegistryServer, ColdReloadCostInflatesCostAwareDispatchOrdering) {
   server_config.default_model = "hot";
   serve::Server server(registry, config, server_config);
 
-  auto blocker = server.submit(make_request(0, 0, 128, "hot"));
+  auto blocker = server.submit(make_request(0, 0, blocking.num_samples, "hot"));
   auto hot_contender = server.submit(make_request(1, 1, contender.num_samples, "hot"));
   auto cold_contender = server.submit(make_request(2, 2, contender.num_samples, "cold"));
 
+  const serve::Response blocked = blocker.get();
   const serve::Response cold_response = cold_contender.get();
+  const serve::Response hot_response = hot_contender.get();
   EXPECT_TRUE(cold_response.cold_start);
-  // The hot contender (submitted earlier, equal S) must still be queued or
-  // in service when the reload-inflated cold group has already completed.
-  EXPECT_NE(hot_contender.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  (void)blocker.get();
-  (void)hot_contender.get();
+  // The replica pulled the blocker first; the reload-inflated cold group
+  // must then leave the queue before the hot contender submitted ahead of
+  // it (equal S). dispatch_seq numbers the pulls, so the order is exact.
+  EXPECT_LT(blocked.dispatch_seq, cold_response.dispatch_seq);
+  EXPECT_LT(cold_response.dispatch_seq, hot_response.dispatch_seq);
 }
 
 }  // namespace
