@@ -1,7 +1,8 @@
 // Micro-kernel GEMM benchmark: the blocked/vectorized kernels in
 // nn/gemm_kernels.h versus their plain scalar references, on the layer
 // shapes the float path actually runs (VGG-class im2col GEMM, conv backward
-// passes, FC forward) plus the int8 NNE dot kernels.
+// passes, FC forward), the int8 NNE dot kernel, and the NNE's four-term
+// int8 conv GEMM on every distinct conv shape of the paper networks.
 //
 // Every row first PROVES bit-identity (memcmp of the full output, both
 // accumulate modes) and only then times the two variants; a mismatch is a
@@ -13,7 +14,8 @@
 //                                 [--bitpack]
 //
 // --json writes a BENCH_gemm.json-style artifact so successive PRs have a
-// recorded perf trajectory for the hot path. --bitpack switches to the
+// recorded perf trajectory for the hot path; it names the four-term step
+// the int8 GEMM ran (kernels::gemm_i8_body). --bitpack switches to the
 // packed XNOR/popcount kernel tier (quant/qplan.h): binarizable rows
 // against the int8 dot_i8_zp baseline, same hard bit-identity gate (the
 // bench.bitpack_smoke ctest entry).
@@ -61,7 +63,9 @@ struct Result {
   int m, n, k;
   double scalar_ms, fast_ms;
   bool bit_identical;
+  double macs = 0.0;  // multiply-adds in one timed fast run
   double speedup() const { return fast_ms > 0.0 ? scalar_ms / fast_ms : 0.0; }
+  double gmac_s() const { return fast_ms > 0.0 ? macs / (fast_ms * 1e6) : 0.0; }
 };
 
 std::vector<float> random_matrix(std::size_t elems, util::Rng& rng) {
@@ -95,7 +99,8 @@ Result run_float_case(const FloatCase& fc, int repeats) {
   const double fast_s = best_seconds(repeats, [&] {
     fc.blocked(fc.m, fc.n, fc.k, a.data(), b.data(), c_blocked.data(), false);
   });
-  return {fc.name, fc.variant, fc.m, fc.n, fc.k, scalar_s * 1e3, fast_s * 1e3, identical};
+  return {fc.name, fc.variant, fc.m, fc.n, fc.k, scalar_s * 1e3, fast_s * 1e3, identical,
+          static_cast<double>(fc.m) * fc.n * fc.k};
 }
 
 // int8 NNE inner product: one full output-filter sweep of a linear layer
@@ -138,7 +143,100 @@ Result run_int8_case(int rows, int len, int repeats) {
     for (int i = 0; i < inner; ++i) kernel_sweep();
   });
   return {"nne linear tile", "dot_i8_zp", rows, 1, len, scalar_s * 1e3, kernel_s * 1e3,
-          identical};
+          identical, static_cast<double>(inner) * rows * len};
+}
+
+// One distinct conv GEMM shape of the paper networks (bench/common.h's
+// LeNet-5, VGG-11 / 8 and ResNet-18 base 8): m filters, n output positions,
+// k = in_c * kernel^2 terms.
+struct ConvShape {
+  const char* layers;
+  int m, n, k;
+};
+
+constexpr ConvShape kPaperConvShapes[] = {
+    {"lenet5 L0", 6, 784, 25},
+    {"lenet5 L1", 16, 100, 150},
+    {"vgg11 L0, resnet18 L0", 8, 1024, 27},
+    {"resnet18 L1-L4", 8, 1024, 72},
+    {"vgg11 L1, resnet18 L5", 16, 256, 72},
+    {"resnet18 L6, L8-L9", 16, 256, 144},
+    {"resnet18 L7 (1x1)", 16, 256, 8},
+    {"vgg11 L2, resnet18 L10", 32, 64, 144},
+    {"vgg11 L3, resnet18 L11, L13-L14", 32, 64, 288},
+    {"resnet18 L12 (1x1)", 32, 64, 16},
+    {"vgg11 L4, resnet18 L15", 64, 16, 288},
+    {"vgg11 L5, resnet18 L16, L18-L19", 64, 16, 576},
+    {"resnet18 L17 (1x1)", 64, 16, 32},
+    {"vgg11 L6-L7", 64, 4, 576},
+};
+
+// The NNE's conv GEMM on one shape, as core::nne_gemm calls it: the panel
+// is interleaved from K-major int8 term rows by kernels::interleave_group
+// (a tenth of the entries are padding at the zero point), the tile is the
+// one kernels::gemm_i8_filter_vectorized picks, and the output must EQUAL
+// the plain loop sum_t (x[t][p] - zp) * w[f][t] (hard gate). The plain loop
+// is timed once per call, the kernel over enough calls for a stable time.
+Result run_conv_gemm_case(const ConvShape& shape, int repeats) {
+  const int m = shape.m, n = shape.n, k = shape.k;
+  const std::int32_t zp = -3;
+  util::Rng rng(m * 7 + n * 131 + k * 1009);
+  std::vector<std::int8_t> w(static_cast<std::size_t>(m) * k), x(static_cast<std::size_t>(k) * n);
+  for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+  for (auto& v : x)
+    v = static_cast<std::int8_t>(rng.uniform_int(0, 9) == 0 ? zp : rng.uniform_int(-128, 127));
+
+  const int ldx = kernels::gemm_i8_ldx(n);
+  const int groups = kernels::gemm_i8_groups(k);
+  std::vector<std::uint8_t> panel(static_cast<std::size_t>(groups) * ldx * 4, 0);
+  const std::vector<std::int8_t> tail_row(static_cast<std::size_t>(n), std::int8_t{-128});
+  for (int g = 0; g < groups; ++g) {
+    const std::int8_t* rows[4];
+    for (int j = 0; j < 4; ++j)
+      rows[j] = 4 * g + j < k ? x.data() + static_cast<std::size_t>(4 * g + j) * n
+                              : tail_row.data();
+    kernels::interleave_group(rows, 1, n, 0, 1,
+                               panel.data() + static_cast<std::size_t>(g) * ldx * 4);
+  }
+  std::vector<std::int32_t> correction(static_cast<std::size_t>(m));
+  kernels::gemm_i8_corrections(m, k, w.data(), zp, correction.data());
+  const bool filter_tile = kernels::gemm_i8_filter_vectorized(n);
+  std::vector<std::int8_t> wk;
+  if (filter_tile) {
+    wk.resize(static_cast<std::size_t>(groups) * kernels::gemm_i8_ldw(m) * 4);
+    kernels::pack_i8_kmajor(m, k, w.data(), wk.data());
+  }
+
+  std::vector<std::int32_t> plain(static_cast<std::size_t>(m) * n),
+      fast(static_cast<std::size_t>(m) * n);
+  const auto plain_gemm = [&] {
+    std::fill(plain.begin(), plain.end(), 0);
+    for (int f = 0; f < m; ++f)
+      for (int t = 0; t < k; ++t) {
+        const std::int32_t wt = w[static_cast<std::size_t>(f) * k + t];
+        const std::int8_t* xt = x.data() + static_cast<std::size_t>(t) * n;
+        std::int32_t* c = plain.data() + static_cast<std::size_t>(f) * n;
+        for (int p = 0; p < n; ++p) c[p] += (static_cast<std::int32_t>(xt[p]) - zp) * wt;
+      }
+  };
+  const auto kernel_gemm = [&] {
+    if (filter_tile)
+      kernels::gemm_u8i8_kmajor(m, n, k, wk.data(), kernels::gemm_i8_ldw(m), panel.data(), ldx,
+                                correction.data(), fast.data(), n);
+    else
+      kernels::gemm_u8i8(m, n, k, w.data(), panel.data(), ldx, correction.data(), fast.data(), n);
+  };
+  plain_gemm();
+  kernel_gemm();
+  const bool identical = plain == fast;
+
+  const int inner = std::max(1, 4'000'000 / (m * n * k));
+  const double plain_s = best_seconds(repeats, plain_gemm);
+  const double kernel_s = best_seconds(repeats, [&] {
+    for (int i = 0; i < inner; ++i) kernel_gemm();
+  });
+  return {shape.layers, filter_tile ? "gemm_u8i8_kmajor" : "gemm_u8i8", m, n, k, plain_s * 1e3,
+          kernel_s / inner * 1e3, identical, static_cast<double>(m) * n * k};
 }
 
 // Bit-packed kernel tier: one output-filter sweep of a binarizable linear
@@ -207,16 +305,18 @@ void write_json(const char* path, bool smoke, const std::vector<Result>& results
     std::fprintf(stderr, "gemm_microbench: cannot open %s for writing\n", path);
     std::exit(1);
   }
-  std::fprintf(f, "{\n  \"bench\": \"gemm_microbench\",\n  \"smoke\": %s,\n  \"rows\": [\n",
-               smoke ? "true" : "false");
+  std::fprintf(f,
+               "{\n  \"bench\": \"gemm_microbench\",\n  \"smoke\": %s,\n"
+               "  \"gemm_i8_body\": \"%s\",\n  \"rows\": [\n",
+               smoke ? "true" : "false", kernels::gemm_i8_body());
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"variant\": \"%s\", \"m\": %d, \"n\": %d, "
                  "\"k\": %d, \"scalar_ms\": %.4f, \"blocked_ms\": %.4f, "
-                 "\"speedup\": %.3f, \"bit_identical\": %s}%s\n",
+                 "\"speedup\": %.3f, \"gmac_s\": %.2f, \"bit_identical\": %s}%s\n",
                  r.name.c_str(), r.variant.c_str(), r.m, r.n, r.k, r.scalar_ms, r.fast_ms,
-                 r.speedup(), r.bit_identical ? "true" : "false",
+                 r.speedup(), r.gmac_s(), r.bit_identical ? "true" : "false",
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -312,24 +412,32 @@ int main(int argc, char** argv) {
   for (const FloatCase& fc : cases) results.push_back(run_float_case(fc, repeats));
   results.push_back(smoke ? run_int8_case(16, 300, repeats)
                           : run_int8_case(128, 1152, repeats));
+  // The paper-net conv shapes are small, so the smoke runs all of them:
+  // their equality gate covers both int8 GEMM tiles in every build.
+  for (const ConvShape& shape : kPaperConvShapes)
+    results.push_back(run_conv_gemm_case(shape, repeats));
 
   util::TextTable table("GEMM micro-kernels — blocked vs scalar reference (single thread)");
   table.set_header({"shape (layer)", "variant", "m", "n", "k", "scalar ms", "blocked ms",
-                    "speedup", "bit-identical"});
+                    "speedup", "GMAC/s", "bit-identical"});
   bool all_identical = true;
   for (const Result& r : results) {
     all_identical = all_identical && r.bit_identical;
     table.add_row({r.name, r.variant, std::to_string(r.m), std::to_string(r.n),
                    std::to_string(r.k), util::fixed(r.scalar_ms, 3), util::fixed(r.fast_ms, 3),
-                   util::fixed(r.speedup(), 2) + "x", r.bit_identical ? "yes" : "NO"});
+                   util::fixed(r.speedup(), 2) + "x", util::fixed(r.gmac_s(), 1),
+                   r.bit_identical ? "yes" : "NO"});
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf(
       "Reading the table: the blocked kernels hold a small output tile in\n"
       "registers across L1-resident k-panels; each c[i,j] still sums its\n"
       "k-terms in ascending order, so outputs are bit-identical to the scalar\n"
-      "loops (hard-checked above). The speedup is single-thread and composes\n"
-      "with the across-sample thread parallelism of predict_batch.\n");
+      "loops (hard-checked above). The int8 conv GEMM rows (gemm_u8i8*) take\n"
+      "four terms per step with the '%s' step and must equal the plain\n"
+      "loop exactly. Speedups are single-thread and compose with the\n"
+      "across-sample thread parallelism of predict_batch.\n",
+      kernels::gemm_i8_body());
 
   if (json_path != nullptr) write_json(json_path, smoke, results);
   if (!all_identical) {

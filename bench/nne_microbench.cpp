@@ -99,18 +99,20 @@ void bm_int8_dot_kernel(benchmark::State& state) {
 BENCHMARK(bm_int8_dot_kernel)->Arg(1152);
 
 // The int8 tier's conv GEMM on a VGG-class layer: 64 filters x 576 terms
-// (64 channels, 3x3) over an 8x8 map, from an already-lowered panel.
+// (64 channels, 3x3) over an 8x8 map, from an already-lowered grouped panel.
 void bm_int8_gemm(benchmark::State& state) {
   const int m = 64, k = 576, n = static_cast<int>(state.range(0));
   const int ldx = nn::kernels::gemm_i8_ldx(n);
   util::Rng rng(1234);
-  std::vector<std::int8_t> w(static_cast<std::size_t>(m) * k), x(static_cast<std::size_t>(k) * ldx);
+  std::vector<std::int8_t> w(static_cast<std::size_t>(m) * k);
+  std::vector<std::uint8_t> x(static_cast<std::size_t>(nn::kernels::gemm_i8_groups(k)) * ldx * 4);
   for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-  for (auto& v : x) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+  for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  std::vector<std::int32_t> correction(static_cast<std::size_t>(m));
+  nn::kernels::gemm_i8_corrections(m, k, w.data(), -3, correction.data());
   std::vector<std::int32_t> c(static_cast<std::size_t>(m) * n);
-  const std::int32_t zp = -3;
   for (auto _ : state) {
-    nn::kernels::gemm_i8_zp(m, n, k, w.data(), x.data(), ldx, zp, c.data(), n);
+    nn::kernels::gemm_u8i8(m, n, k, w.data(), x.data(), ldx, correction.data(), c.data(), n);
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
@@ -347,6 +349,8 @@ void register_breakdowns() {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // Which four-term step the int8 GEMM rows ran (BENCH_nne.json's context).
+  benchmark::AddCustomContext("gemm_i8_body", nn::kernels::gemm_i8_body());
   register_breakdowns();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

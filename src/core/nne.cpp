@@ -101,37 +101,74 @@ void pad_conv_input(const nn::HwLayer& g, const std::int8_t* in, std::int8_t zp,
          padded + (static_cast<std::size_t>(c) * ph + pad) * pw + pad, pw, in_h, in_w);
 }
 
-// Lowers a conv input into gemm_i8_zp's K-major panel: row t = (c, kh, kw)
-// holds term t's input value at every output position. `plane` is the
-// input padded by pad_conv_input (the input itself for pad 0), so a window
-// reaching into the padding reads the zero point there, and a padding term
-// contributes (zp - zp) * w = 0 to its sum — exactly the specification's
-// skipped term. The row's ldx padding is left as it was: the GEMM reads
-// those columns but never stores what they produce.
+// Gathers a strided term row: out_h rows of out_w bytes, every `stride`-th
+// byte of every `stride`-th plane row.
+void gather_rows(const std::int8_t* src, int pw, std::int8_t* dst, int out_h, int out_w,
+                 int stride) {
+  for (int oh = 0; oh < out_h; ++oh) {
+    std::int8_t* out_row = dst + static_cast<std::size_t>(oh) * out_w;
+    const std::int8_t* in_row = src + static_cast<std::size_t>(oh) * stride * pw;
+    for (int ow = 0; ow < out_w; ++ow) out_row[ow] = in_row[ow * stride];
+  }
+}
+
+// Lowers a conv input into the GEMM's grouped panel, [groups][ldx][4]
+// (kernels::interleave_group flips each byte to u = x + 128): group g holds
+// terms 4g..4g+3, term t = (c, kh, kw) taking its input value at every
+// output position. `plane` is the input padded by pad_conv_input (the input
+// itself for pad 0), so a window reaching into the padding reads the zero
+// point there, and a padding term contributes (zp - zp) * w = 0 to its sum —
+// exactly the specification's skipped term. A term row is out_h runs of
+// out_w bytes `stride` apart, the runs stride * pw apart in the plane (a
+// 1x1 stride-1 conv's row is its whole channel plane, one run), and a full
+// group is interleaved straight from the plane. Stride-1 runs that do not
+// fill whole 16-position vectors are first copied into `stage`'s four
+// ldx-long rows instead: a scalar interleave of the short runs measured
+// twice as slow. The tail group is staged too, its rows past the last term
+// filled with -128, so they hold u = 0. Columns past the positions are left
+// as they were: the GEMM reads them but never stores what they produce.
 void lower_conv_input(const nn::HwLayer& g, const std::int8_t* plane, int ldx,
-                      std::int8_t* panel) {
+                      std::int8_t* stage, std::uint8_t* panel) {
   // Geometry in locals: the int8 stores below may alias any object, so
   // fields read through `g` would be reloaded after every one.
   const int kernel = g.kernel, stride = g.stride;
   const int ph = g.in_h + 2 * g.pad, pw = g.in_w + 2 * g.pad;
   const int out_h = g.conv_out_h, out_w = g.conv_out_w;
+  const int terms = g.in_c * kernel * kernel, groups = nn::kernels::gemm_i8_groups(terms);
+  const bool whole_plane = stride == 1 && out_w == pw;
+  const bool direct = stride > 1 || whole_plane || out_w % 16 == 0;
+  const int runs = whole_plane ? 1 : out_h, run = whole_plane ? out_h * out_w : out_w;
   const RowCopy copy = row_copy_for(out_w);
-  for (int c = 0; c < g.in_c; ++c) {
-    for (int kh = 0; kh < kernel; ++kh) {
-      for (int kw = 0; kw < kernel; ++kw) {
-        std::int8_t* row = panel + static_cast<std::size_t>((c * kernel + kh) * kernel + kw) * ldx;
-        const std::int8_t* src = plane + (static_cast<std::size_t>(c) * ph + kh) * pw + kw;
-        if (stride == 1) {
-          copy(src, pw, row, out_w, out_h, out_w);
-          continue;
-        }
-        for (int oh = 0; oh < out_h; ++oh) {
-          std::int8_t* dst = row + static_cast<std::size_t>(oh) * out_w;
-          const std::int8_t* in_row = src + static_cast<std::size_t>(oh) * stride * pw;
-          for (int ow = 0; ow < out_w; ++ow) dst[ow] = in_row[ow * stride];
+  int c = 0, kh = 0, kw = 0;  // the next term's (c, kh, kw)
+  for (int grp = 0; grp < groups; ++grp) {
+    std::uint8_t* dst = panel + static_cast<std::size_t>(grp) * ldx * 4;
+    const std::int8_t* rows[4];
+    const int count = std::min(4, terms - 4 * grp);
+    for (int j = 0; j < count; ++j) {
+      rows[j] = plane + (static_cast<std::size_t>(c) * ph + kh) * pw + kw;
+      if (++kw == kernel) {
+        kw = 0;
+        if (++kh == kernel) {
+          kh = 0;
+          ++c;
         }
       }
     }
+    if (direct && count == 4) {
+      nn::kernels::interleave_group(rows, runs, run, stride * pw, stride, dst);
+      continue;
+    }
+    for (int j = 0; j < 4; ++j) {
+      std::int8_t* staged = stage + static_cast<std::size_t>(j) * ldx;
+      if (j >= count)
+        std::fill(staged, staged + ldx, std::numeric_limits<std::int8_t>::min());
+      else if (stride == 1)
+        copy(rows[j], pw, staged, out_w, out_h, out_w);
+      else
+        gather_rows(rows[j], pw, staged, out_h, out_w, stride);
+      rows[j] = staged;
+    }
+    nn::kernels::interleave_group(rows, 1, ldx, 0, 1, dst);
   }
 }
 
@@ -161,9 +198,10 @@ void nne_lower(const quant::QLayer& layer, const quant::QTensor& input, NneScrat
     plane = scratch.padded.data();
   }
   const int ldx = nn::kernels::gemm_i8_ldx(g.conv_out_h * g.conv_out_w);
-  grow_to(scratch.panel, static_cast<std::size_t>(g.in_c) * g.kernel * g.kernel * ldx,
-          scratch.grow_events);
-  lower_conv_input(g, plane, ldx, scratch.panel.data());
+  const int groups = nn::kernels::gemm_i8_groups(g.in_c * g.kernel * g.kernel);
+  grow_to(scratch.panel, static_cast<std::size_t>(groups) * ldx * 4, scratch.grow_events);
+  grow_to(scratch.stage, static_cast<std::size_t>(4) * ldx, scratch.grow_events);
+  lower_conv_input(g, plane, ldx, scratch.stage.data(), scratch.panel.data());
 }
 
 void nne_gemm(const quant::QLayer& layer, const quant::LayerExecPlan& plan,
@@ -171,18 +209,21 @@ void nne_gemm(const quant::QLayer& layer, const quant::LayerExecPlan& plan,
   const nn::HwLayer& g = layer.geom;
   const int positions = g.conv_out_h * g.conv_out_w;
   const int ldx = nn::kernels::gemm_i8_ldx(positions);
+  util::require(plan.correction.size() == static_cast<std::size_t>(g.out_c),
+                "nne: plan lacks the zero-point correction of a conv layer");
   grow_to(scratch.sums, static_cast<std::size_t>(g.out_c) * positions, scratch.grow_events);
   if (nn::kernels::gemm_i8_filter_vectorized(positions)) {
     util::require(plan.ldw == nn::kernels::gemm_i8_ldw(g.out_c) &&
                       plan.weights_kmajor.size() ==
-                          static_cast<std::size_t>(plan.terms) * plan.ldw,
+                          static_cast<std::size_t>(nn::kernels::gemm_i8_groups(plan.terms)) *
+                              plan.ldw * 4,
                   "nne: plan lacks the K-major weight copy of a small-map layer");
-    nn::kernels::gemm_i8_zp_kmajor(g.out_c, positions, plan.terms, plan.weights_kmajor.data(),
-                                   plan.ldw, scratch.panel.data(), ldx, layer.in.zero_point,
-                                   scratch.sums.data(), positions);
+    nn::kernels::gemm_u8i8_kmajor(g.out_c, positions, plan.terms, plan.weights_kmajor.data(),
+                                  plan.ldw, scratch.panel.data(), ldx, plan.correction.data(),
+                                  scratch.sums.data(), positions);
   } else {
-    nn::kernels::gemm_i8_zp(g.out_c, positions, plan.terms, weights, scratch.panel.data(), ldx,
-                            layer.in.zero_point, scratch.sums.data(), positions);
+    nn::kernels::gemm_u8i8(g.out_c, positions, plan.terms, weights, scratch.panel.data(), ldx,
+                           plan.correction.data(), scratch.sums.data(), positions);
   }
 }
 

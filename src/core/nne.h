@@ -27,12 +27,15 @@
 // On the host the GEMM is meant to be the layer, as the PE array is on the
 // FPGA. A conv layer's int8 path is four stages (declared below):
 //   - lowering copies the input once into a zero-point-bordered plane and
-//     fills each K-major panel row from it, so padding needs no bounds
+//     interleaves the layer's terms, four at a time, into the GEMM's grouped
+//     unsigned panel (kernels::interleave_group), so padding needs no bounds
 //     logic;
-//   - one GEMM computes the sum plane, vectorized along positions for maps
-//     of 16 positions and more, and along filters below that (over a
-//     K-major weight copy the plan builds once), so a 2 x 2 map does not
-//     leave 12 of 16 lanes idle;
+//   - one GEMM computes the sum plane four terms per step (the u8 x s8
+//     dot-product instruction where the kernel TU targets AVX512-VNNI),
+//     subtracting the plan's per-filter zero-point correction; it
+//     vectorizes along positions for maps of 16 positions and more, and
+//     along filters below that (over a grouped K-major weight copy the plan
+//     builds once), so a 2 x 2 map does not leave 12 of 16 lanes idle;
 //   - one requant row kernel (kernels::requant_row, compiled with the GEMM
 //     for the build machine's ISA) retires each filter's row through the
 //     FU chain — the same kernel rescales the Dropout Unit's kept rows;
@@ -111,7 +114,8 @@ struct NneScratch {
   quant::QTensor pre;                // pre-pool position map (pooled layers)
   std::vector<std::int32_t> sums;    // term sums, [out_c][positions]
   std::vector<std::int8_t> padded;   // zp-bordered conv input, [in_c][h + 2 pad][w + 2 pad]
-  std::vector<std::int8_t> panel;    // lowered conv windows, [terms][ldx] (int8 tier)
+  std::vector<std::uint8_t> panel;   // lowered conv windows, [groups][ldx][4] (int8 tier)
+  std::vector<std::int8_t> stage;    // four term rows of a staged panel group, [4][ldx]
   std::vector<std::uint64_t> xbits;  // one packed activation window, [words] (bitpack tier)
   std::vector<std::int8_t> wrows;    // materialized byte rows of packed-weight layers
   std::uint64_t grow_events = 0;
@@ -138,17 +142,24 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
 // nne_run_layer_into's contract; each stage grows only NneScratch buffers.
 //
 // 1. Lowering: copies the input once into scratch.padded with a zero-point
-//    border (pad 0 reads the input itself), then fills each panel row
-//    (c, kh, kw) of scratch.panel, [terms][gemm_i8_ldx(positions)], from
-//    that plane — one memcpy per output row at stride 1, a strided gather
-//    otherwise.
+//    border (pad 0 reads the input itself), then writes each four-term
+//    group of scratch.panel, [gemm_i8_groups(terms)][gemm_i8_ldx(positions)]
+//    [4], as unsigned bytes u = x + 128 (the border becomes zp + 128, tail
+//    terms past the last one hold 0) with one kernels::interleave_group
+//    call. A group's four term rows (c, kh, kw) are read straight from the
+//    plane at the layer's stride — a 1x1 conv's are four channels of the
+//    input itself — except where stride-1 rows do not fill whole
+//    16-position vectors, and in the tail group: those are first copied
+//    into scratch.stage.
 void nne_lower(const quant::QLayer& layer, const quant::QTensor& input, NneScratch& scratch);
-// 2. One int8 GEMM from scratch.panel into scratch.sums, [out_c][positions].
-//    Maps of 16 positions and more take the position-vectorized tile over
-//    `weights` (row-major [out_c][terms]); smaller maps take the
-//    filter-vectorized tile over the plan's K-major copy
-//    (kernels::gemm_i8_filter_vectorized decides both here and at plan
-//    build).
+// 2. One int8 GEMM from scratch.panel into scratch.sums, [out_c][positions],
+//    four terms per step, minus the plan's per-filter correction
+//    (zp_in + 128) * sum_t w[f][t], which makes each sum exactly
+//    sum_t (x_t - zp_in) * w[f][t]. Maps of 16 positions and more take the
+//    position-vectorized tile over `weights` (row-major [out_c][terms]);
+//    smaller maps take the filter-vectorized tile over the plan's grouped
+//    K-major copy (kernels::gemm_i8_filter_vectorized decides both here and
+//    at plan build).
 void nne_gemm(const quant::QLayer& layer, const quant::LayerExecPlan& plan,
               const std::int8_t* weights, NneScratch& scratch);
 // 3. The FU requant chain, bias -> BN requant -> SC -> ReLU -> saturate:

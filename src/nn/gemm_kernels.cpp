@@ -8,6 +8,10 @@
 
 #include "util/check.h"
 
+#if defined(__AVX512VNNI__)
+#include <immintrin.h>
+#endif
+
 namespace bnn::nn::kernels {
 
 const char* tier_name(Tier tier) {
@@ -323,15 +327,16 @@ std::int32_t dot_i8_zp(const std::int8_t* __restrict x, const std::int8_t* __res
 
 namespace {
 
-// The int8 GEMM vectorizes along positions: per term, one vector of lowered
-// activations (widened to int32, zero point subtracted) is multiplied by one
-// broadcast weight per filter row of the tile. int32 lanes hold every product
-// and sum exactly. The vector width follows the strongest integer ISA the TU
-// is compiled for — generic vector types again, so no intrinsic pins an ISA,
-// and no vector is wider than the target's registers (a wider one changes
-// the psABI, which -Wpsabi flags). The position block stays 16 wide on every
-// ISA and the filter block shrinks as the vectors per block row grow, so a
-// tile always keeps 8 accumulator registers.
+// The conv GEMM's vectors hold int32 lanes, one output per lane, and each
+// lane reduces four terms per step: lane l of a panel vector is the four
+// unsigned term bytes of one position (position tile) or of one broadcast
+// position (filter tile), lane l of a weight vector the four signed weight
+// bytes of one filter. The vector width follows the strongest integer ISA
+// the TU is compiled for, with generic vector types, and no vector is wider
+// than the target's registers (a wider one changes the psABI, which -Wpsabi
+// flags). The position block stays 16 wide on every ISA and the filter block
+// shrinks as the vectors per block row grow, so a tile always keeps 8
+// accumulator registers.
 #if defined(__AVX512F__)
 #define BNN_KERNEL_INT_VEC_BYTES 64
 #elif defined(__AVX2__)
@@ -340,100 +345,249 @@ namespace {
 #define BNN_KERNEL_INT_VEC_BYTES 16
 #endif
 typedef std::int32_t vi __attribute__((vector_size(BNN_KERNEL_INT_VEC_BYTES)));
+typedef std::uint32_t vu __attribute__((vector_size(BNN_KERNEL_INT_VEC_BYTES)));
 constexpr int IVL = BNN_KERNEL_INT_VEC_BYTES / static_cast<int>(sizeof(std::int32_t));
-// The widening goes int8 -> int16 -> int32: one doubling per step is what
-// the compiler lowers to sign-extending moves (one quadrupling step is
-// scalarized lane by lane).
-typedef std::int8_t vb __attribute__((vector_size(IVL)));
-typedef std::int16_t vh __attribute__((vector_size(2 * IVL)));
 constexpr int I8_NR = 16;           // positions per tile
 constexpr int I8_NV = I8_NR / IVL;  // vectors per tile row: 1 (AVX-512), 2 (AVX2), 4
 constexpr int I8_MR = 8 / I8_NV;    // filters per tile: 8, 4, 2
+constexpr int KF_NR = I8_NR;        // filters per block of the filter tile
 
-// One I8_MR x I8_NR tile over the whole term range. `rows` are the tile's
-// weight rows (a partial filter block repeats its last row; only the first
-// `mr` rows are stored), `x` is the tile's first panel column, and only the
-// first `nr` positions are stored.
-void gemm_i8_tile(int k, const std::int8_t* const* rows, const std::int8_t* __restrict x,
-                  int ldx, std::int32_t zero_point, std::int32_t* __restrict c, int ldc, int mr,
-                  int nr) {
+inline vi load_vi(const void* p) {
+  vi out;
+  __builtin_memcpy(&out, p, sizeof(vi));
+  return out;
+}
+
+inline std::int32_t load_word(const void* p) {
+  std::int32_t out;
+  __builtin_memcpy(&out, p, sizeof(out));
+  return out;
+}
+
+inline vi splat_word(std::int32_t v) { return vi{} + v; }
+
+// The four-term step: lane l of the result is
+//   acc[l] + sum_{j < 4} u_j * w_j,
+// u_j the unsigned byte j of u[l], w_j the signed byte j of w[l]. Products
+// are at most 255 * 128 in magnitude, so neither form saturates or wraps
+// within the bound build_layer_exec_plan requires.
+#if defined(__AVX512VNNI__)
+// One vpdpbusd (the non-saturating form; vpdpbusds would clamp).
+inline vi dot4(vi acc, vi u, vi w) {
+  return reinterpret_cast<vi>(_mm512_dpbusd_epi32(reinterpret_cast<__m512i>(acc),
+                                                  reinterpret_cast<__m512i>(u),
+                                                  reinterpret_cast<__m512i>(w)));
+}
+constexpr const char* kDot4Body = "dot4-avx512vnni";
+#else
+// Each product u_j * w_j fits in int16 (|u w| <= 255 * 128 = 32640), so the
+// step shifts and masks each lane's even terms (0, 2) and odd terms (1, 3)
+// into int16 pairs, multiplies them in int16 lanes (exact), and adds the
+// four sign-extended products in int32. Inlined into a tile, the unpacking
+// of the operand its accumulators share is computed once per group.
+inline vi dot4(vi acc, vi u, vi w) {
+  typedef std::int16_t vh __attribute__((vector_size(sizeof(vi))));
+  const vi u_even = u & 0x00FF00FF;
+  const vi u_odd = reinterpret_cast<vi>(reinterpret_cast<vu>(u) >> 8) & 0x00FF00FF;
+  const vi w_even = (((w << 24) >> 24) & 0xFFFF) | (((w << 8) >> 24) << 16);
+  const vi w_odd = (((w << 16) >> 24) & 0xFFFF) | ((w >> 24) << 16);
+  const auto times = [](vi a, vi b) {
+    return reinterpret_cast<vi>(reinterpret_cast<vh>(a) * reinterpret_cast<vh>(b));
+  };
+  const vi p_even = times(u_even, w_even), p_odd = times(u_odd, w_odd);
+  return acc + ((p_even << 16) >> 16) + (p_even >> 16) + ((p_odd << 16) >> 16) + (p_odd >> 16);
+}
+constexpr const char* kDot4Body = IVL == 16 ? "generic-512" : IVL == 8 ? "generic-256"
+                                                                       : "generic-128";
+#endif
+
+// One I8_MR x I8_NR tile of the position-vectorized GEMM over the whole term
+// range. `rows` are the tile's weight rows (a partial filter block repeats
+// its last row; only the first `mr` rows are stored), `x` is the tile's first
+// panel column, and only the first `nr` positions are stored.
+void gemm_u8i8_tile(int k, const std::int8_t* const* rows, const std::uint8_t* __restrict x,
+                    int ldx, const std::int32_t* correction, std::int32_t* __restrict c, int ldc,
+                    int mr, int nr) {
+  const int full = k / 4, tail = k % 4;
+  const std::size_t group_bytes = static_cast<std::size_t>(ldx) * 4;
   vi acc[I8_MR][I8_NV] = {};
-  for (int t = 0; t < k; ++t) {
-    const std::int8_t* xt = x + static_cast<std::size_t>(t) * ldx;
-    vi xv[I8_NV];
-    for (int v = 0; v < I8_NV; ++v) {
-      vb raw;
-      __builtin_memcpy(&raw, xt + v * IVL, sizeof(vb));
-      xv[v] = __builtin_convertvector(__builtin_convertvector(raw, vh), vi) - zero_point;
-    }
+  if (tail != 0) {
+    // The tail group first (the accumulators then stay in registers through
+    // the main loop): its weight words end at each row's last byte, and
+    // zero weights fill the rest.
+    const std::uint8_t* xg = x + full * group_bytes;
     for (int r = 0; r < I8_MR; ++r) {
-      const std::int32_t wt = rows[r][t];
-      for (int v = 0; v < I8_NV; ++v) acc[r][v] += xv[v] * wt;
+      std::uint32_t word = 0;
+      for (int j = 0; j < tail; ++j)
+        word |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(rows[r][4 * full + j]))
+                << (8 * j);
+      const vi wv = splat_word(static_cast<std::int32_t>(word));
+      for (int v = 0; v < I8_NV; ++v) acc[r][v] = dot4(acc[r][v], load_vi(xg + v * IVL * 4), wv);
+    }
+  }
+  for (int g = 0; g < full; ++g) {
+    const std::uint8_t* xg = x + g * group_bytes;
+    vi xv[I8_NV];
+    for (int v = 0; v < I8_NV; ++v) xv[v] = load_vi(xg + v * IVL * 4);
+    for (int r = 0; r < I8_MR; ++r) {
+      const vi wv = splat_word(load_word(rows[r] + 4 * g));
+      for (int v = 0; v < I8_NV; ++v) acc[r][v] = dot4(acc[r][v], xv[v], wv);
     }
   }
   for (int r = 0; r < mr; ++r) {
-    std::int32_t* c_row = c + static_cast<std::size_t>(r) * ldc;
-    if (nr == I8_NR) {
-      for (int v = 0; v < I8_NV; ++v) __builtin_memcpy(c_row + v * IVL, &acc[r][v], sizeof(vi));
-    } else {
-      std::int32_t lanes[I8_NR];
-      for (int v = 0; v < I8_NV; ++v) __builtin_memcpy(lanes + v * IVL, &acc[r][v], sizeof(vi));
-      std::copy(lanes, lanes + nr, c_row);
+    std::int32_t lanes[I8_NR];
+    for (int v = 0; v < I8_NV; ++v) {
+      const vi sums = acc[r][v] - correction[r];
+      __builtin_memcpy(lanes + v * IVL, &sums, sizeof(vi));
     }
+    std::int32_t* c_row = c + static_cast<std::size_t>(r) * ldc;
+    if (nr == I8_NR)
+      __builtin_memcpy(c_row, lanes, sizeof(lanes));
+    else
+      std::copy(lanes, lanes + nr, c_row);
   }
 }
 
-}  // namespace
-
-int gemm_i8_ldx(int n) { return (n + I8_NR - 1) / I8_NR * I8_NR; }
-
-namespace {
-
 // The filter-vectorized tile mirrors the position tile with the axes
-// swapped: 16 filters per block held as I8_NV vectors, I8_MR positions per
-// tile, so a full tile again keeps 8 accumulator registers. `p_count`
-// positions (1..I8_MR) are computed, each from one broadcast lowered
-// activation per term; filters past `mr` are computed from the copy's zero
-// padding and never stored.
-constexpr int KF_NR = I8_NR;  // filters per block: the K-major copy's rounding
-
+// swapped: 16 filters per block held as I8_NV vectors, P <= I8_MR positions
+// per tile, so a full tile again keeps 8 accumulator registers. Each
+// position's group word is broadcast; filters past `mr` are computed from
+// the copy's zero padding and never stored.
 template <int P>
-void gemm_i8_ftile(int k, const std::int8_t* __restrict wk, int ldw,
-                   const std::int8_t* __restrict x, int ldx, std::int32_t zero_point,
-                   std::int32_t* __restrict c, int ldc, int mr) {
+void gemm_u8i8_ftile(int groups, const std::int8_t* __restrict wk, int ldw,
+                     const std::uint8_t* __restrict x, int ldx, const std::int32_t* correction,
+                     std::int32_t* __restrict c, int ldc, int mr) {
   vi acc[P][I8_NV] = {};
-  for (int t = 0; t < k; ++t) {
-    const std::int8_t* wt = wk + static_cast<std::size_t>(t) * ldw;
+  for (int g = 0; g < groups; ++g) {
+    const std::int8_t* wg = wk + static_cast<std::size_t>(g) * ldw * 4;
     vi wv[I8_NV];
-    for (int v = 0; v < I8_NV; ++v) {
-      vb raw;
-      __builtin_memcpy(&raw, wt + v * IVL, sizeof(vb));
-      wv[v] = __builtin_convertvector(__builtin_convertvector(raw, vh), vi);
-    }
-    const std::int8_t* xt = x + static_cast<std::size_t>(t) * ldx;
+    for (int v = 0; v < I8_NV; ++v) wv[v] = load_vi(wg + v * IVL * 4);
+    const std::uint8_t* xg = x + static_cast<std::size_t>(g) * ldx * 4;
     for (int p = 0; p < P; ++p) {
-      const std::int32_t xs = static_cast<std::int32_t>(xt[p]) - zero_point;
-      for (int v = 0; v < I8_NV; ++v) acc[p][v] += wv[v] * xs;
+      const vi xs = splat_word(load_word(xg + 4 * p));
+      for (int v = 0; v < I8_NV; ++v) acc[p][v] = dot4(acc[p][v], xs, wv[v]);
     }
   }
   for (int p = 0; p < P; ++p) {
     std::int32_t lanes[KF_NR];
     for (int v = 0; v < I8_NV; ++v) __builtin_memcpy(lanes + v * IVL, &acc[p][v], sizeof(vi));
-    for (int f = 0; f < mr; ++f) c[static_cast<std::size_t>(f) * ldc + p] = lanes[f];
+    for (int f = 0; f < mr; ++f)
+      c[static_cast<std::size_t>(f) * ldc + p] = lanes[f] - correction[f];
   }
 }
 
 template <int... Ps>
-void gemm_i8_ftile_n(std::integer_sequence<int, Ps...>, int p_count, int k,
-                     const std::int8_t* wk, int ldw, const std::int8_t* x, int ldx,
-                     std::int32_t zero_point, std::int32_t* c, int ldc, int mr) {
+void gemm_u8i8_ftile_n(std::integer_sequence<int, Ps...>, int p_count, int groups,
+                       const std::int8_t* wk, int ldw, const std::uint8_t* x, int ldx,
+                       const std::int32_t* correction, std::int32_t* c, int ldc, int mr) {
   // Dispatch the runtime position count to its fixed-trip instantiation.
   (void)((p_count == Ps + 1 &&
-          (gemm_i8_ftile<Ps + 1>(k, wk, ldw, x, ldx, zero_point, c, ldc, mr), true)) ||
+          (gemm_u8i8_ftile<Ps + 1>(groups, wk, ldw, x, ldx, correction, c, ldc, mr), true)) ||
          ...);
 }
 
 }  // namespace
+
+int gemm_i8_groups(int k) { return (k + 3) / 4; }
+
+int gemm_i8_ldx(int n) { return (n + I8_NR - 1) / I8_NR * I8_NR; }
+
+namespace {
+
+// One run of interleave_group: dst[p * 4 + j] = r_j[p * step] ^ 0x80 for
+// p < n. A constant S > 0 is the step (S = 1 vectorizes 16 positions at a
+// time); S = 0 reads `step`.
+template <int S>
+void interleave_run(const std::int8_t* __restrict r0, const std::int8_t* __restrict r1,
+                    const std::int8_t* __restrict r2, const std::int8_t* __restrict r3, int n,
+                    int step, std::uint8_t* __restrict dst) {
+  typedef std::uint8_t v16b __attribute__((vector_size(16)));
+  typedef std::uint16_t v8h __attribute__((vector_size(16)));
+  int p = 0;
+  for (; S == 1 && p + 16 <= n; p += 16) {
+    v16b a, b, c, d;
+    __builtin_memcpy(&a, r0 + p, 16);
+    __builtin_memcpy(&b, r1 + p, 16);
+    __builtin_memcpy(&c, r2 + p, 16);
+    __builtin_memcpy(&d, r3 + p, 16);
+    // Byte pairs (a_i, b_i) and (c_i, d_i), then pairs of pairs.
+    const v16b ab_lo = __builtin_shufflevector(a, b, 0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6,
+                                               22, 7, 23);
+    const v16b ab_hi = __builtin_shufflevector(a, b, 8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13,
+                                               29, 14, 30, 15, 31);
+    const v16b cd_lo = __builtin_shufflevector(c, d, 0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6,
+                                               22, 7, 23);
+    const v16b cd_hi = __builtin_shufflevector(c, d, 8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13,
+                                               29, 14, 30, 15, 31);
+    const v8h lo_ab = reinterpret_cast<v8h>(ab_lo), lo_cd = reinterpret_cast<v8h>(cd_lo);
+    const v8h hi_ab = reinterpret_cast<v8h>(ab_hi), hi_cd = reinterpret_cast<v8h>(cd_hi);
+    // Stored one by one: an array of the four would round-trip the stack.
+    std::uint8_t* out = dst + static_cast<std::size_t>(p) * 4;
+    const auto put = [](std::uint8_t* at, v8h words) {
+      const v16b flipped = reinterpret_cast<v16b>(words) ^ 0x80;
+      __builtin_memcpy(at, &flipped, 16);
+    };
+    put(out, __builtin_shufflevector(lo_ab, lo_cd, 0, 8, 1, 9, 2, 10, 3, 11));
+    put(out + 16, __builtin_shufflevector(lo_ab, lo_cd, 4, 12, 5, 13, 6, 14, 7, 15));
+    put(out + 32, __builtin_shufflevector(hi_ab, hi_cd, 0, 8, 1, 9, 2, 10, 3, 11));
+    put(out + 48, __builtin_shufflevector(hi_ab, hi_cd, 4, 12, 5, 13, 6, 14, 7, 15));
+  }
+  const std::size_t s = S > 0 ? S : static_cast<std::size_t>(step);
+  for (; p < n; ++p) {
+    const std::size_t at = p * s;
+    const auto byte = [at](const std::int8_t* r) {
+      return static_cast<std::uint32_t>(static_cast<std::uint8_t>(r[at]));
+    };
+    const std::uint32_t word =
+        (byte(r0) | byte(r1) << 8 | byte(r2) << 16 | byte(r3) << 24) ^ 0x80808080u;
+    __builtin_memcpy(dst + static_cast<std::size_t>(p) * 4, &word, 4);
+  }
+}
+
+template <int S>
+void interleave_runs(const std::int8_t* const rows[4], int runs, int run, int pitch, int step,
+                     std::uint8_t* dst) {
+  for (int r = 0; r < runs; ++r) {
+    const std::size_t at = static_cast<std::size_t>(r) * pitch;
+    interleave_run<S>(rows[0] + at, rows[1] + at, rows[2] + at, rows[3] + at, run, step,
+                      dst + static_cast<std::size_t>(r) * run * 4);
+  }
+}
+
+}  // namespace
+
+void interleave_group(const std::int8_t* const rows[4], int runs, int run, int pitch, int step,
+                      std::uint8_t* dst) {
+  (step == 1 ? interleave_runs<1> : step == 2 ? interleave_runs<2> : interleave_runs<0>)(
+      rows, runs, run, pitch, step, dst);
+}
+
+void gemm_i8_corrections(int m, int k, const std::int8_t* w, std::int32_t zero_point,
+                         std::int32_t* correction) {
+  for (int f = 0; f < m; ++f) {
+    std::int64_t sum = 0;
+    const std::int8_t* row = w + static_cast<std::size_t>(f) * k;
+    for (int t = 0; t < k; ++t) sum += row[t];
+    correction[f] = static_cast<std::int32_t>((std::int64_t{zero_point} + 128) * sum);
+  }
+}
+
+void gemm_u8i8(int m, int n, int k, const std::int8_t* w, const std::uint8_t* x, int ldx,
+               const std::int32_t* correction, std::int32_t* c, int ldc) {
+  // Position blocks outer: a block's groups x 16 panel columns stay
+  // cache-resident while every filter block sweeps them.
+  for (int p0 = 0; p0 < n; p0 += I8_NR) {
+    const int nr = std::min(I8_NR, n - p0);
+    for (int f0 = 0; f0 < m; f0 += I8_MR) {
+      const int mr = std::min(I8_MR, m - f0);
+      const std::int8_t* rows[I8_MR];
+      for (int r = 0; r < I8_MR; ++r)
+        rows[r] = w + static_cast<std::size_t>(f0 + std::min(r, mr - 1)) * k;
+      gemm_u8i8_tile(k, rows, x + static_cast<std::size_t>(p0) * 4, ldx, correction + f0,
+                     c + static_cast<std::size_t>(f0) * ldc + p0, ldc, mr, nr);
+    }
+  }
+}
 
 bool gemm_i8_filter_vectorized(int n) { return n < I8_NR; }
 
@@ -441,23 +595,28 @@ int gemm_i8_ldw(int m) { return (m + KF_NR - 1) / KF_NR * KF_NR; }
 
 void pack_i8_kmajor(int m, int k, const std::int8_t* w, std::int8_t* wk) {
   const int ldw = gemm_i8_ldw(m);
-  std::fill(wk, wk + static_cast<std::size_t>(k) * ldw, std::int8_t{0});
+  std::fill(wk, wk + static_cast<std::size_t>(gemm_i8_groups(k)) * ldw * 4, std::int8_t{0});
   for (int f = 0; f < m; ++f)
     for (int t = 0; t < k; ++t)
-      wk[static_cast<std::size_t>(t) * ldw + f] = w[static_cast<std::size_t>(f) * k + t];
+      wk[(static_cast<std::size_t>(t / 4) * ldw + f) * 4 + t % 4] =
+          w[static_cast<std::size_t>(f) * k + t];
 }
 
-void gemm_i8_zp_kmajor(int m, int n, int k, const std::int8_t* wk, int ldw,
-                       const std::int8_t* x, int ldx, std::int32_t zero_point,
-                       std::int32_t* c, int ldc) {
+void gemm_u8i8_kmajor(int m, int n, int k, const std::int8_t* wk, int ldw,
+                      const std::uint8_t* x, int ldx, const std::int32_t* correction,
+                      std::int32_t* c, int ldc) {
+  const int groups = gemm_i8_groups(k);
   for (int f0 = 0; f0 < m; f0 += KF_NR) {
     const int mr = std::min(KF_NR, m - f0);
     for (int p0 = 0; p0 < n; p0 += I8_MR)
-      gemm_i8_ftile_n(std::make_integer_sequence<int, I8_MR>{}, std::min(I8_MR, n - p0), k,
-                      wk + f0, ldw, x + p0, ldx, zero_point,
-                      c + static_cast<std::size_t>(f0) * ldc + p0, ldc, mr);
+      gemm_u8i8_ftile_n(std::make_integer_sequence<int, I8_MR>{}, std::min(I8_MR, n - p0),
+                        groups, wk + static_cast<std::size_t>(f0) * 4, ldw,
+                        x + static_cast<std::size_t>(p0) * 4, ldx, correction + f0,
+                        c + static_cast<std::size_t>(f0) * ldc + p0, ldc, mr);
   }
 }
+
+const char* gemm_i8_body() { return kDot4Body; }
 
 // --- requantization row kernel ------------------------------------------------
 
@@ -535,23 +694,6 @@ void requant_row(const std::int32_t* x, int n, const RequantRow& row, std::int8_
 
 void requant_row(const std::int8_t* x, int n, const RequantRow& row, std::int8_t* dst) {
   requant_row_any(x, n, row, dst);
-}
-
-void gemm_i8_zp(int m, int n, int k, const std::int8_t* w, const std::int8_t* x, int ldx,
-                std::int32_t zero_point, std::int32_t* c, int ldc) {
-  // Position blocks outer: a block's k x 16 panel columns stay cache-resident
-  // while every filter block sweeps them.
-  for (int p0 = 0; p0 < n; p0 += I8_NR) {
-    const int nr = std::min(I8_NR, n - p0);
-    for (int f0 = 0; f0 < m; f0 += I8_MR) {
-      const int mr = std::min(I8_MR, m - f0);
-      const std::int8_t* rows[I8_MR];
-      for (int r = 0; r < I8_MR; ++r)
-        rows[r] = w + static_cast<std::size_t>(f0 + std::min(r, mr - 1)) * k;
-      gemm_i8_tile(k, rows, x + p0, ldx, zero_point, c + static_cast<std::size_t>(f0) * ldc + p0,
-                   ldc, mr, nr);
-    }
-  }
 }
 
 }  // namespace bnn::nn::kernels

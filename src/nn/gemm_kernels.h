@@ -1,10 +1,12 @@
 // Micro-kernel layer under the float GEMM front end and the int8 NNE: the
-// register-blocked, cache-tiled float GEMMs, the int8 GEMM the NNE's int8
-// tier runs every conv layer through (position-vectorized, or
-// filter-vectorized over a K-major weight copy for maps under 16
-// positions), the int8 dot product of its linear layers, and the requant
-// row kernel that retires the NNE's Functional Unit and Dropout Unit rows —
-// compiler-vectorized kernels with no external dependencies.
+// register-blocked, cache-tiled float GEMMs, the four-terms-per-step int8
+// GEMM the NNE's int8 tier runs every conv layer through (position-vectorized,
+// or filter-vectorized over a grouped K-major weight copy for maps under 16
+// positions) with the interleave that fills its panel, the int8 dot product
+// of its linear layers, and the requant row kernel that retires the NNE's
+// Functional Unit and Dropout Unit rows — compiler-vectorized kernels with
+// no external dependencies; the GEMM's four-term step is the u8 x s8
+// dot-product instruction where the TU targets AVX512-VNNI.
 //
 // Bit-identity contract (enforced by tests/test_gemm.cpp and the
 // bench/gemm_microbench smoke run): every blocked float kernel produces the
@@ -36,7 +38,7 @@ namespace bnn::nn::kernels {
 // so outputs are bit-identical across tiers unconditionally. The plain-loop
 // specification both must match is quant/qops.h, which uses no tier.
 enum class Tier {
-  int8,     // gemm_i8_zp (conv) / dot_i8_zp (linear) kernels
+  int8,     // gemm_u8i8 (conv) / dot_i8_zp (linear) kernels
   bitpack,  // bit-packed XNOR/popcount (+ ternary pass/negate/zero) tier
 };
 
@@ -47,8 +49,9 @@ const char* tier_name(Tier tier);
 // the accumulator tile plus operands fit the vector register file without
 // spilling. The translation unit is optionally compiled with -march=native
 // (CMake option BNN_KERNEL_NATIVE, default ON) — the ISA choice never
-// leaks: callers only see the C interface below, and bit-identity between
-// blocked and scalar variants is a within-TU property enforced by tests.
+// reaches a result: callers only see the C interface below (gemm_i8_body
+// names the int8 step for benches), and bit-identity between blocked and
+// scalar variants is a within-TU property enforced by tests.
 
 // --- scalar references ------------------------------------------------------
 // The plain triple loops the blocked kernels must match bit-for-bit. These
@@ -91,48 +94,88 @@ void gemm_bt_blocked(int m, int n, int k, const float* a, const float* b, float*
 std::int32_t dot_i8_zp(const std::int8_t* x, const std::int8_t* w, int len,
                        std::int32_t zero_point);
 
-// The NNE's conv GEMM over a lowered input:
-//   c[f * ldc + p] = sum_{t < k} (x[t * ldx + p] - zero_point) * w[f * k + t]
-// for f < m filters and p < n positions. w is row-major [m][k] (one weight
-// row per filter); x is K-major [k][ldx] — one row per term, positions
-// contiguous — with ldx >= gemm_i8_ldx(n). The kernel works on whole
-// position blocks, so it READS columns n..gemm_i8_ldx(n)-1 of every x row
-// (any int8 values; they never reach c) and writes only columns < n of c
-// (ldc >= n).
-// Each (filter block, position block) tile runs the whole term range in
-// registers — the PF x PV reuse of the NNE's PE array, on vector lanes.
-void gemm_i8_zp(int m, int n, int k, const std::int8_t* w, const std::int8_t* x, int ldx,
-                std::int32_t zero_point, std::int32_t* c, int ldc);
+// --- the NNE's conv GEMM, four terms per step --------------------------------
+// The conv GEMM reduces terms in groups of four, as the PE's multiply-add
+// modules reduce PC terms per cycle through an adder tree. Its lowered
+// panel x holds each activation as the unsigned byte u = x ^ 0x80 = x + 128
+// (0..255), laid out [gemm_i8_groups(k)][ldx][4]: group g's four terms of
+// position p are the four bytes at x + (g * ldx + p) * 4. A step multiplies
+// four such bytes by four int8 weights and adds the four products, so
+//   sum_t (x_t - zp) * w_t = sum_t u_t * w_t - (zp + 128) * sum_t w_t
+// holds exactly in int32: the GEMM accumulates the first sum and subtracts a
+// per-filter correction, (zp + 128) * sum_t w_t (gemm_i8_corrections). A
+// padding term holds u = zp + 128, which the correction cancels, so it adds
+// 0 as the specification's skipped term does; a tail term t >= k (the last
+// group of a k that is not a multiple of 4) has weight 0 and any u. Every
+// partial sum is bounded by 255 * 128 * k, so k < 2^31 / 32640 keeps the
+// accumulation exact (quant::build_layer_exec_plan requires it).
 
-// Row stride of gemm_i8_zp's x panel for n positions: n rounded up to the
-// kernel's position block (16).
+// Four-term groups covering k terms: ceil(k / 4).
+int gemm_i8_groups(int k);
+
+// Row stride, in positions, of the panel for n positions: n rounded up to
+// the position tile (16).
 int gemm_i8_ldx(int n);
 
-// --- filter-vectorized int8 GEMM (maps under 16 positions) -------------------
-// gemm_i8_zp vectorizes along positions in blocks of 16, so a map with fewer
-// positions leaves lanes idle. Below that size the conv GEMM vectorizes
-// along filters instead: per term, one broadcast lowered activation per
-// position against a vector of filter weights. Those weights are read from
-// a K-major copy built once per layer (quant::build_layer_exec_plan), so
-// a small-map call does no packing. The plan build and the NNE both ask
-// gemm_i8_filter_vectorized, so they agree on which layers carry the copy.
+// Writes one group of the panel from its four term rows, each read as
+// `runs` runs of `run` positions, runs `pitch` bytes apart and positions
+// `step` bytes apart (a conv term row at stride `step`):
+//   dst[(r * run + p) * 4 + j] = rows[j][r * pitch + p * step] ^ 0x80
+// for r < runs, p < run, j < 4, reading no other byte. The NNE's lowering
+// calls it once per group.
+void interleave_group(const std::int8_t* const rows[4], int runs, int run, int pitch, int step,
+                      std::uint8_t* dst);
+
+// correction[f] = (zero_point + 128) * sum_{t < k} w[f * k + t] for f < m.
+void gemm_i8_corrections(int m, int k, const std::int8_t* w, std::int32_t zero_point,
+                         std::int32_t* correction);
+
+// Position-vectorized GEMM (maps of 16 positions and more):
+//   c[f * ldc + p] = sum_{t < k} u[t][p] * w[f * k + t] - correction[f]
+// for f < m filters and p < n positions, with u[t][p] the panel byte of
+// term t at position p. w is row-major [m][k] (one weight row per filter,
+// read up to its last byte and no further: the tail group assembles its
+// weights in the tile). The kernel works on whole 16-position blocks, so it
+// READS columns n..ldx-1 of every group (any bytes; they never reach c) and
+// writes only columns < n of c (ldc >= n). Each (filter block, position
+// block) tile runs the whole term range in registers — the PF x PV reuse of
+// the NNE's PE array, on vector lanes.
+void gemm_u8i8(int m, int n, int k, const std::int8_t* w, const std::uint8_t* x, int ldx,
+               const std::int32_t* correction, std::int32_t* c, int ldc);
+
+// --- filter-vectorized GEMM (maps under 16 positions) -------------------------
+// gemm_u8i8 vectorizes along positions in blocks of 16, so a map with fewer
+// positions would leave lanes idle. Below that size the conv GEMM vectorizes
+// along filters instead: per group, one broadcast four-term activation word
+// per position against a vector of filters' four-term weight words. Those
+// weights are read from a grouped K-major copy built once per layer
+// (quant::build_layer_exec_plan), so a small-map call does no packing. The
+// plan build and the NNE both ask gemm_i8_filter_vectorized, so they agree
+// on which layers carry the copy.
 bool gemm_i8_filter_vectorized(int n);
 
-// Filter stride of the K-major weight copy for m filters: m rounded up to
+// Filter stride of the grouped K-major copy for m filters: m rounded up to
 // the filter block (16).
 int gemm_i8_ldw(int m);
 
-// Packs row-major w[m][k] into K-major wk[k][ldw], ldw = gemm_i8_ldw(m);
-// filters m..ldw-1 of every term row hold 0.
+// Packs row-major w[m][k] into the grouped K-major copy
+// wk[gemm_i8_groups(k)][ldw][4], ldw = gemm_i8_ldw(m): byte j of filter f in
+// group g is w[f][4g + j]. Filters m..ldw-1 and tail terms t >= k hold 0.
 void pack_i8_kmajor(int m, int k, const std::int8_t* w, std::int8_t* wk);
 
-// gemm_i8_zp's contract with K-major weights wk = pack_i8_kmajor(w):
-//   c[f * ldc + p] = sum_{t < k} (x[t * ldx + p] - zero_point) * wk[t * ldw + f]
-// for f < m, p < n. Reads only columns < n of each x row and writes only
-// filters < m of c.
-void gemm_i8_zp_kmajor(int m, int n, int k, const std::int8_t* wk, int ldw,
-                       const std::int8_t* x, int ldx, std::int32_t zero_point,
-                       std::int32_t* c, int ldc);
+// gemm_u8i8's contract with weights from wk = pack_i8_kmajor(w):
+//   c[f * ldc + p] = sum_{t < k} u[t][p] * w[f * k + t] - correction[f]
+// for f < m, p < n. Reads only columns < n of each panel group and writes
+// only filters < m of c.
+void gemm_u8i8_kmajor(int m, int n, int k, const std::int8_t* wk, int ldw,
+                      const std::uint8_t* x, int ldx, const std::int32_t* correction,
+                      std::int32_t* c, int ldc);
+
+// Names the four-term step this build's kernel TU compiled: "dot4-avx512vnni"
+// (one vpdpbusd per accumulator) where the TU targets AVX512-VNNI, else
+// "generic-<vector bits>" (a shift/mask/multiply step on generic vectors).
+// Benches record it beside their timings.
+const char* gemm_i8_body();
 
 // --- requantization row kernel ------------------------------------------------
 // The NNE's Functional Unit (BN requant -> SC -> ReLU -> saturate) and its

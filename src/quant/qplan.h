@@ -46,15 +46,24 @@ struct LayerExecPlan {
   int terms = 0;  // in_c * kernel * kernel
   int words = 0;  // bit_words(terms); 0 for non-binarizable layers
 
-  // Resident weight bytes: the QLayer's own weight storage plus the
-  // K-major copy below — the residency currency a segment-granular
-  // registry budget is charged in.
+  // Resident weight bytes: the QLayer's own weight storage plus, for a
+  // conv layer, the zero-point correction and any grouped K-major copy
+  // below — the residency currency a segment-granular registry budget is
+  // charged in.
   std::uint64_t weight_bytes = 0;
 
-  // K-major int8 weight copy [terms][ldw] (kernels::pack_i8_kmajor) that the
-  // filter-vectorized GEMM reads. Built only for conv layers whose map has
-  // fewer than 16 positions (kernels::gemm_i8_filter_vectorized, the same
-  // predicate the NNE dispatches on); empty, with ldw 0, otherwise.
+  // The conv GEMM's per-filter zero-point correction,
+  // (in.zero_point + 128) * sum_t w[f][t] (kernels::gemm_i8_corrections):
+  // the GEMM sums unsigned activations u = x + 128 and subtracts it, which
+  // leaves exactly sum_t (x_t - zp) * w[f][t]. out_c entries for conv
+  // layers (4 bytes each in weight_bytes), empty for linear layers.
+  std::vector<std::int32_t> correction;
+
+  // Grouped K-major int8 weight copy [gemm_i8_groups(terms)][ldw][4]
+  // (kernels::pack_i8_kmajor) that the filter-vectorized GEMM reads. Built
+  // only for conv layers whose map has fewer than 16 positions
+  // (kernels::gemm_i8_filter_vectorized, the same predicate the NNE
+  // dispatches on); empty, with ldw 0, otherwise.
   int ldw = 0;
   std::vector<std::int8_t> weights_kmajor;
 

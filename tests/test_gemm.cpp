@@ -217,98 +217,197 @@ TEST(DotI8, MatchesPlainLoopForAnyLengthAndZeroPoint) {
 
 // --- int8 GEMM ----------------------------------------------------------------
 
-// gemm_i8_zp against its own plain loop, c[f][p] = sum_t (x[t][p] - zp) *
-// w[f][t], over shapes at every blocking edge: m = 1 and m off the filter
-// block (2, 4 or 8 rows per ISA), n = 1, n below and off the 16-position
-// block, k = 1 and k >= 576, the extreme zero points and weights at -128.
-// The panel's ldx padding holds junk that must not reach c, and nothing
-// past column n of a c row may be written.
+// A conv GEMM operand pair in the kernels' contract: a logical K-major
+// activation panel x[k][ldx] (int8; entries marked as padding hold the zero
+// point, as lowering stores them), its grouped unsigned form
+// [groups][ldx][4] built by the plain definition u = x + 128 (tail terms 0,
+// columns past n random junk), and weights in an exact-size heap array, so
+// a tail group reading past its row is an ASan report.
+struct I8Operands {
+  int m, n, k, ldx;
+  std::vector<std::int8_t> w, x;
+  std::vector<std::uint8_t> panel;
+};
+
+I8Operands make_i8_operands(util::Rng& rng, int m, int n, int k, std::int32_t zp) {
+  I8Operands o{m, n, k, kernels::gemm_i8_ldx(n), {}, {}, {}};
+  o.w.resize(static_cast<std::size_t>(m) * k);
+  for (auto& v : o.w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+  // Weights at -128 and 127: a whole row of each, and the first and last
+  // term of every row.
+  std::fill(o.w.begin(), o.w.begin() + k, std::int8_t{-128});
+  if (m > 1) std::fill(o.w.begin() + k, o.w.begin() + 2 * k, std::int8_t{127});
+  for (int f = 0; f < m; ++f) {
+    o.w[static_cast<std::size_t>(f) * k] = -128;
+    o.w[static_cast<std::size_t>(f) * k + k - 1] = 127;
+  }
+  o.x.resize(static_cast<std::size_t>(k) * o.ldx);
+  for (auto& v : o.x)
+    v = static_cast<std::int8_t>(rng.uniform_int(0, 3) == 0 ? zp : rng.uniform_int(-128, 127));
+  const int groups = kernels::gemm_i8_groups(k);
+  o.panel.resize(static_cast<std::size_t>(groups) * o.ldx * 4);
+  for (auto& v : o.panel) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (int t = 0; t < groups * 4; ++t)
+    for (int p = 0; p < n; ++p)
+      o.panel[(static_cast<std::size_t>(t / 4) * o.ldx + p) * 4 + t % 4] =
+          t < k ? static_cast<std::uint8_t>(o.x[static_cast<std::size_t>(t) * o.ldx + p] + 128)
+                : 0;
+  return o;
+}
+
+// The specification's sums: c[f][p] = sum_t (x[t][p] - zp) * w[f][t].
+std::vector<std::int32_t> plain_sums(const I8Operands& o, std::int32_t zp) {
+  std::vector<std::int32_t> c(static_cast<std::size_t>(o.m) * o.n, 0);
+  for (int f = 0; f < o.m; ++f)
+    for (int t = 0; t < o.k; ++t) {
+      const std::int32_t w = o.w[static_cast<std::size_t>(f) * o.k + t];
+      const std::int8_t* x = o.x.data() + static_cast<std::size_t>(t) * o.ldx;
+      for (int p = 0; p < o.n; ++p)
+        c[static_cast<std::size_t>(f) * o.n + p] += (static_cast<std::int32_t>(x[p]) - zp) * w;
+    }
+  return c;
+}
+
+// The plan's correction against (zp + 128) * sum_t w[f][t].
+std::vector<std::int32_t> checked_corrections(const I8Operands& o, std::int32_t zp) {
+  std::vector<std::int32_t> correction(static_cast<std::size_t>(o.m));
+  kernels::gemm_i8_corrections(o.m, o.k, o.w.data(), zp, correction.data());
+  for (int f = 0; f < o.m; ++f) {
+    std::int32_t sum = 0;
+    for (int t = 0; t < o.k; ++t) sum += o.w[static_cast<std::size_t>(f) * o.k + t];
+    EXPECT_EQ(correction[static_cast<std::size_t>(f)], (zp + 128) * sum) << "f=" << f;
+  }
+  return correction;
+}
+
+// Checks c[m + 1][ldc] against the plain sums: filters and columns past m
+// and n must keep their 0x5a5a5a5a fill.
+void expect_plain_sums(const I8Operands& o, std::int32_t zp, const std::vector<std::int32_t>& c,
+                       int ldc, const char* tile) {
+  const std::vector<std::int32_t> expected = plain_sums(o, zp);
+  for (int f = 0; f <= o.m; ++f)
+    for (int p = 0; p < ldc; ++p)
+      ASSERT_EQ(c[static_cast<std::size_t>(f) * ldc + p],
+                f < o.m && p < o.n ? expected[static_cast<std::size_t>(f) * o.n + p] : 0x5a5a5a5a)
+          << tile << " m=" << o.m << " n=" << o.n << " k=" << o.k << " zp=" << zp
+          << " f=" << f << " p=" << p;
+}
+
+// The term counts of the grouped panel's edge cases: k = 1..5 (tail groups
+// of 1, 2 and 3 terms and one whole group), the 1- and 3-channel first
+// layers' 9, 25 and 27, LeNet-5 conv2's 150 and the largest paper-net k.
+constexpr int kGroupedKs[] = {1, 2, 3, 4, 5, 9, 25, 27, 150, 576};
+
+// gemm_u8i8 against the plain loop over every k above, filter counts on and
+// off the tile, n at, just past and far past the 16-position block, and the
+// zero points that put padding bytes at u = 0 (zp -128) and u = 255 (zp
+// 127); then the earlier edge shapes (m = 1, n = 1, n off the block, k past
+// 576). The panel's junk columns must not reach c, and nothing past column
+// n of a c row, nor any row past m, may be written.
 TEST(GemmI8, MatchesPlainLoopOnEdgeShapes) {
   util::Rng rng(8);
-  const struct {
+  struct Shape {
     int m, n, k;
-  } shapes[] = {{1, 1, 1},   {1, 37, 9},  {3, 16, 27},  {5, 20, 72},  {7, 33, 25},
-                {9, 15, 144}, {13, 7, 600}, {8, 1, 144},  {16, 4, 576}, {6, 15, 25},
-                {8, 17, 9},   {4, 100, 1},  {64, 49, 577}, {10, 32, 288}};
-  for (const auto& s : shapes) {
-    const int ldx = kernels::gemm_i8_ldx(s.n);
-    ASSERT_GE(ldx, s.n);
-    ASSERT_EQ(ldx % 16, 0);
-    const int ldc = s.n + 3;
-    std::vector<std::int8_t> w(static_cast<std::size_t>(s.m) * s.k);
-    std::vector<std::int8_t> x(static_cast<std::size_t>(s.k) * ldx);
-    for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-    for (auto& v : x) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-    // Weights at -128: a whole row, and the first term of every row.
-    std::fill(w.begin(), w.begin() + s.k, std::int8_t{-128});
-    for (int f = 0; f < s.m; ++f) w[static_cast<std::size_t>(f) * s.k] = -128;
+  };
+  std::vector<Shape> shapes;
+  for (const int k : kGroupedKs)
+    for (const int m : {1, 5, 16, 17, 64})
+      for (const int n : {16, 17, 1024}) shapes.push_back({m, n, k});
+  for (const Shape s : {Shape{1, 1, 1}, Shape{1, 37, 9}, Shape{3, 16, 27}, Shape{5, 20, 72},
+                        Shape{7, 33, 25}, Shape{9, 15, 144}, Shape{13, 7, 600}, Shape{8, 1, 144},
+                        Shape{16, 4, 576}, Shape{6, 15, 25}, Shape{8, 17, 9}, Shape{4, 100, 1},
+                        Shape{64, 49, 577}, Shape{10, 32, 288}})
+    shapes.push_back(s);
+  for (const Shape& s : shapes) {
     for (const std::int32_t zp : {-128, -3, 127}) {
-      std::vector<std::int32_t> c(static_cast<std::size_t>(s.m) * ldc, 0x5a5a5a5a);
-      kernels::gemm_i8_zp(s.m, s.n, s.k, w.data(), x.data(), ldx, zp, c.data(), ldc);
-      for (int f = 0; f < s.m; ++f) {
-        for (int p = 0; p < ldc; ++p) {
-          std::int32_t expected = 0x5a5a5a5a;
-          if (p < s.n) {
-            expected = 0;
-            for (int t = 0; t < s.k; ++t)
-              expected += (static_cast<std::int32_t>(x[static_cast<std::size_t>(t) * ldx + p]) -
-                           zp) *
-                          static_cast<std::int32_t>(w[static_cast<std::size_t>(f) * s.k + t]);
-          }
-          ASSERT_EQ(c[static_cast<std::size_t>(f) * ldc + p], expected)
-              << "m=" << s.m << " n=" << s.n << " k=" << s.k << " zp=" << zp << " f=" << f
-              << " p=" << p;
-        }
-      }
+      const I8Operands o = make_i8_operands(rng, s.m, s.n, s.k, zp);
+      ASSERT_GE(o.ldx, s.n);
+      ASSERT_EQ(o.ldx % 16, 0);
+      const std::vector<std::int32_t> correction = checked_corrections(o, zp);
+      const int ldc = s.n + 3;
+      std::vector<std::int32_t> c(static_cast<std::size_t>(s.m + 1) * ldc, 0x5a5a5a5a);
+      kernels::gemm_u8i8(s.m, s.n, s.k, o.w.data(), o.panel.data(), o.ldx, correction.data(),
+                         c.data(), ldc);
+      expect_plain_sums(o, zp, c, ldc, "position tile");
     }
   }
 }
 
-// gemm_i8_zp_kmajor over a pack_i8_kmajor copy against the same plain loop,
-// on every map size below the position block and filter counts on and off
-// the 16-filter block; nothing past filter m of c may be written.
+// gemm_u8i8_kmajor over a pack_i8_kmajor copy against the same plain loop,
+// on every map size below the position block, filter counts on and off the
+// 16-filter block and every k above; the copy is checked byte for byte
+// (tail terms and filters past m hold 0).
 TEST(GemmI8, FilterVectorizedTileMatchesPlainLoop) {
   util::Rng rng(9);
-  for (const int n : {1, 2, 3, 4, 5, 7, 8, 9, 15}) {
+  for (int n = 1; n < 16; ++n) {
+    ASSERT_TRUE(kernels::gemm_i8_filter_vectorized(n));
     for (const int m : {1, 5, 16, 17, 64}) {
-      for (const int k : {1, 27, 576}) {
-        ASSERT_TRUE(kernels::gemm_i8_filter_vectorized(n));
-        const int ldx = kernels::gemm_i8_ldx(n);
+      for (const int k : kGroupedKs) {
         const int ldw = kernels::gemm_i8_ldw(m);
         ASSERT_EQ(ldw % 16, 0);
         ASSERT_GE(ldw, m);
-        std::vector<std::int8_t> w(static_cast<std::size_t>(m) * k);
-        std::vector<std::int8_t> x(static_cast<std::size_t>(k) * ldx);
-        for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-        for (auto& v : x) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-        std::fill(w.begin(), w.begin() + k, std::int8_t{-128});
-        std::vector<std::int8_t> wk(static_cast<std::size_t>(k) * ldw, 99);
-        kernels::pack_i8_kmajor(m, k, w.data(), wk.data());
-        for (const std::int32_t zp : {-128, 127}) {
+        for (const std::int32_t zp : {-128, -3, 127}) {
+          const I8Operands o = make_i8_operands(rng, m, n, k, zp);
+          const int groups = kernels::gemm_i8_groups(k);
+          std::vector<std::int8_t> wk(static_cast<std::size_t>(groups) * ldw * 4, 99);
+          kernels::pack_i8_kmajor(m, k, o.w.data(), wk.data());
+          for (int t = 0; t < groups * 4; ++t)
+            for (int f = 0; f < ldw; ++f)
+              ASSERT_EQ(wk[(static_cast<std::size_t>(t / 4) * ldw + f) * 4 + t % 4],
+                        t < k && f < m ? o.w[static_cast<std::size_t>(f) * k + t] : 0)
+                  << "m=" << m << " k=" << k << " t=" << t << " f=" << f;
+          const std::vector<std::int32_t> correction = checked_corrections(o, zp);
           const int ldc = n + 2;
           std::vector<std::int32_t> c(static_cast<std::size_t>(m + 1) * ldc, 0x5a5a5a5a);
-          kernels::gemm_i8_zp_kmajor(m, n, k, wk.data(), ldw, x.data(), ldx, zp, c.data(), ldc);
-          for (int f = 0; f <= m; ++f) {
-            for (int p = 0; p < ldc; ++p) {
-              std::int32_t expected = 0x5a5a5a5a;
-              if (f < m && p < n) {
-                expected = 0;
-                for (int t = 0; t < k; ++t)
-                  expected +=
-                      (static_cast<std::int32_t>(x[static_cast<std::size_t>(t) * ldx + p]) - zp) *
-                      static_cast<std::int32_t>(w[static_cast<std::size_t>(f) * k + t]);
-              }
-              ASSERT_EQ(c[static_cast<std::size_t>(f) * ldc + p], expected)
-                  << "m=" << m << " n=" << n << " k=" << k << " zp=" << zp << " f=" << f
-                  << " p=" << p;
-            }
-          }
+          kernels::gemm_u8i8_kmajor(m, n, k, wk.data(), ldw, o.panel.data(), o.ldx,
+                                    correction.data(), c.data(), ldc);
+          expect_plain_sums(o, zp, c, ldc, "filter tile");
         }
       }
     }
   }
   EXPECT_FALSE(kernels::gemm_i8_filter_vectorized(16));
   EXPECT_FALSE(kernels::gemm_i8_filter_vectorized(1024));
+}
+
+// interleave_group writes exactly runs x run words, each the four rows'
+// bytes with the sign bit flipped, whatever the run length is relative to
+// its 16-position vectors and at steps 1 (stride-1 conv rows), 2 and 3;
+// bytes between runs and between a run's positions are never read, and a
+// row's last read is its last byte.
+TEST(GemmI8, InterleaveGroupFlipsAndInterleavesFourRows) {
+  util::Rng rng(11);
+  for (const int step : {1, 2, 3})
+    for (const int runs : {1, 3})
+      for (const int run : {1, 3, 15, 16, 17, 31, 64, 100}) {
+        const int pitch = run * step + 5;
+        const int n = runs * run;
+        // Exact-size rows ending at the last run's last position: a read
+        // past it is an ASan report.
+        std::vector<std::vector<std::int8_t>> rows(4);
+        const std::int8_t* row_ptrs[4];
+        for (int j = 0; j < 4; ++j) {
+          std::vector<std::int8_t>& row = rows[static_cast<std::size_t>(j)];
+          row.resize(static_cast<std::size_t>((runs - 1) * pitch + (run - 1) * step + 1));
+          for (auto& v : row) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+          row[0] = j % 2 == 0 ? -128 : 127;
+          row_ptrs[j] = row.data();
+        }
+        std::vector<std::uint8_t> dst(static_cast<std::size_t>(4) * (n + 2), 0xa5);
+        kernels::interleave_group(row_ptrs, runs, run, pitch, step, dst.data());
+        for (int p = 0; p < n + 2; ++p)
+          for (int j = 0; j < 4; ++j)
+            ASSERT_EQ(dst[static_cast<std::size_t>(p) * 4 + j],
+                      p < n ? static_cast<std::uint8_t>(
+                                  row_ptrs[j][p / run * pitch + p % run * step] + 128)
+                            : 0xa5)
+                << "step=" << step << " runs=" << runs << " run=" << run << " p=" << p
+                << " j=" << j;
+      }
+  EXPECT_EQ(kernels::gemm_i8_groups(1), 1);
+  EXPECT_EQ(kernels::gemm_i8_groups(4), 1);
+  EXPECT_EQ(kernels::gemm_i8_groups(5), 2);
+  EXPECT_EQ(kernels::gemm_i8_groups(576), 144);
 }
 
 // --- requantization row kernel -------------------------------------------------

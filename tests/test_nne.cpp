@@ -280,7 +280,7 @@ quant::QLayer make_conv(util::Rng& rng, const SmallConv& spec, int out_c, std::i
 }
 
 // Hand-built conv layers with 1, 4, 9, 15 and 16 output positions, 1 to 64
-// filters, every lowering case (stride 1 with pad 0/1/2, stride 2, 1x1), a
+// filters, every lowering case (stride 1 with pad 0/1/2, stride 2 and 3, 1x1), a
 // shortcut, max/average/global pools and the extreme input zero points,
 // each run through the NNE (with and without the Dropout Unit) against the
 // plain-loop spec.
@@ -294,6 +294,7 @@ TEST(QuantConvGather, SmallAndBoundaryMapsMatchPlainLoop) {
       {3, 4, 4, 1, 2, 0},                      // 4 positions, 1x1 stride 2
       {6, 3, 3, 3, 1, 1, Pool::none, true},    // 9 positions, pad 1, shortcut
       {2, 6, 6, 3, 2, 1, Pool::global},        // 9 positions, stride 2, global pool
+      {2, 7, 7, 3, 3, 1},                      // 9 positions, stride 3
       {3, 3, 5, 5, 1, 2},                      // 15 positions, pad 2
       {4, 5, 7, 3, 1, 0, Pool::none, true},    // 15 positions, pad 0, shortcut
       {4, 4, 4, 3, 1, 1, Pool::max2},          // 16 positions -> max pool to 4
@@ -343,28 +344,48 @@ TEST(QuantConvGather, SmallAndBoundaryMapsMatchPlainLoop) {
   EXPECT_TRUE(seen.strided && seen.pointwise && seen.shortcut);
 }
 
-// The K-major weight copy exists exactly where the NNE reads it, and the
-// plan's weight_bytes (the residency currency) counts it.
+// The grouped K-major weight copy exists exactly where the NNE reads it,
+// every conv layer carries its zero-point correction, and the plan's
+// weight_bytes (the residency currency) counts both: for 17 filters, the
+// resident rows (17 x terms bytes), the copy (groups x 32 filters x 4
+// bytes) on a 3 x 3 map, and 4 bytes of correction per filter.
 TEST(QuantConvGather, PlanCarriesKMajorCopyOnlyForSmallMaps) {
   util::Rng rng(24);
-  for (const SmallConv& spec : {SmallConv{4, 3, 3, 3, 1, 1}, SmallConv{4, 4, 4, 3, 1, 1}}) {
-    const quant::QLayer layer = make_conv(rng, spec, 17, 0);
+  const std::int32_t zp_in = -3;
+  const struct {
+    SmallConv spec;
+    std::uint64_t weight_bytes;
+  } cases[] = {
+      {SmallConv{4, 3, 3, 3, 1, 1}, 17 * 36 + 9 * 32 * 4 + 17 * 4},  // 1832: 36 terms, 9 groups
+      {SmallConv{3, 3, 3, 3, 1, 1}, 17 * 27 + 7 * 32 * 4 + 17 * 4},  // 1423: a 3-term tail group
+      {SmallConv{4, 4, 4, 3, 1, 1}, 17 * 36 + 17 * 4},               // 680: 16 positions, no copy
+  };
+  for (const auto& c : cases) {
+    const SmallConv& spec = c.spec;
+    const quant::QLayer layer = make_conv(rng, spec, 17, zp_in);
     const quant::LayerExecPlan plan = quant::build_layer_exec_plan(layer);
     const int terms = spec.in_c * spec.kernel * spec.kernel;
+    EXPECT_EQ(plan.weight_bytes, c.weight_bytes) << "in_c " << spec.in_c << " map " << spec.in_h;
+    ASSERT_EQ(plan.correction.size(), 17u);
+    for (int f = 0; f < 17; ++f) {
+      std::int32_t sum = 0;
+      for (int t = 0; t < terms; ++t) sum += layer.weight_row(f)[t];
+      EXPECT_EQ(plan.correction[static_cast<std::size_t>(f)], (zp_in + 128) * sum);
+    }
     if (nn::kernels::gemm_i8_filter_vectorized(layer.geom.conv_out_h * layer.geom.conv_out_w)) {
       EXPECT_EQ(spec.in_h, 3);
       EXPECT_EQ(plan.ldw, 32);
-      ASSERT_EQ(plan.weights_kmajor.size(), static_cast<std::size_t>(terms) * plan.ldw);
-      for (int f = 0; f < plan.ldw; ++f)
-        for (int t = 0; t < terms; ++t)
-          EXPECT_EQ(plan.weights_kmajor[static_cast<std::size_t>(t) * plan.ldw + f],
-                    f < 17 ? layer.weight_row(f)[t] : 0);
-      EXPECT_EQ(plan.weight_bytes, layer.resident_weight_bytes() + plan.weights_kmajor.size());
+      const int groups = (terms + 3) / 4;
+      ASSERT_EQ(plan.weights_kmajor.size(), static_cast<std::size_t>(groups) * plan.ldw * 4);
+      for (int t = 0; t < groups * 4; ++t)
+        for (int f = 0; f < plan.ldw; ++f)
+          EXPECT_EQ(plan.weights_kmajor[(static_cast<std::size_t>(t / 4) * plan.ldw + f) * 4 +
+                                        t % 4],
+                    f < 17 && t < terms ? layer.weight_row(f)[t] : 0);
     } else {
       EXPECT_EQ(spec.in_h, 4);
       EXPECT_EQ(plan.ldw, 0);
       EXPECT_TRUE(plan.weights_kmajor.empty());
-      EXPECT_EQ(plan.weight_bytes, layer.resident_weight_bytes());
     }
   }
 }

@@ -47,18 +47,28 @@ core::AcceleratorConfig accel_config(int num_threads = 1) {
 
 // --- qplan: segment accounting ------------------------
 
+// cnn12's segments: each layer's resident weight rows, plus the conv GEMM's
+// 4-byte zero-point correction per filter on the two conv layers (conv1
+// 8 x 9 terms, conv2 16 x 72 on a 6 x 6 map, so neither carries a K-major
+// copy), then fc1 144 -> 32 and fc2 32 -> 10.
 TEST(PlanSegments, AccountingSumsToWholePlanFootprint) {
   const bench::ServeFixture& fixture = bench::shared_cnn12_fixture();
   const quant::NetworkExecPlan plan = quant::build_network_exec_plan(fixture.qnet);
-  ASSERT_EQ(plan.num_layers(), static_cast<int>(fixture.qnet.layers.size()));
+  const std::uint64_t expected[] = {8 * 9 + 8 * 4, 16 * 72 + 16 * 4, 144 * 32, 32 * 10};
+  ASSERT_EQ(plan.num_layers(), 4);
+  ASSERT_EQ(static_cast<int>(fixture.qnet.layers.size()), 4);
   std::uint64_t summed = 0;
   for (int i = 0; i < plan.num_layers(); ++i) {
-    EXPECT_EQ(plan.layer(i).weight_bytes,
-              fixture.qnet.layers[static_cast<std::size_t>(i)].resident_weight_bytes());
+    const quant::QLayer& layer = fixture.qnet.layers[static_cast<std::size_t>(i)];
+    const std::uint64_t correction_bytes =
+        layer.geom.op == nn::HwLayer::Op::conv ? 4u * layer.geom.out_c : 0u;
+    EXPECT_EQ(plan.layer(i).weight_bytes, expected[i]) << "layer " << i;
+    EXPECT_EQ(plan.layer(i).weight_bytes, layer.resident_weight_bytes() + correction_bytes)
+        << "layer " << i;
     summed += plan.layer(i).weight_bytes;
   }
   EXPECT_EQ(summed, plan.weight_bytes());
-  EXPECT_EQ(summed, fixture.qnet.resident_weight_bytes());
+  EXPECT_EQ(summed, fixture.qnet.resident_weight_bytes() + (8 + 16) * 4);
 
   // An independently rebuilt segment accounts identically — rebuilds are
   // pure functions of the layer constants.
