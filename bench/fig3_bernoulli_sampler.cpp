@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "core/bernoulli_sampler.h"
 #include "core/lfsr.h"
@@ -17,6 +18,14 @@ void bm_lfsr128_step(benchmark::State& state) {
 }
 BENCHMARK(bm_lfsr128_step);
 
+// 64 clocks of the same register in one Lfsr::leap64 (exactly 64 steps).
+void bm_lfsr128_leap64(benchmark::State& state) {
+  bnn::core::Lfsr lfsr = bnn::core::make_lfsr128(0x1234ull);
+  for (auto _ : state) benchmark::DoNotOptimize(lfsr.leap64());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+}
+BENCHMARK(bm_lfsr128_leap64);
+
 void bm_sampler_bit(benchmark::State& state) {
   bnn::core::BernoulliSamplerConfig config;
   config.p = 1.0 / static_cast<double>(state.range(0));
@@ -26,6 +35,40 @@ void bm_sampler_bit(benchmark::State& state) {
   state.SetLabel("p=1/" + std::to_string(state.range(0)));
 }
 BENCHMARK(bm_sampler_bit)->Arg(2)->Arg(4)->Arg(8);
+
+// A Dropout Unit's bulk draw: the decisions of a range(1)-filter site,
+// served a word at a time.
+void bm_sampler_draw_drops(benchmark::State& state) {
+  bnn::core::BernoulliSamplerConfig config;
+  config.p = 1.0 / static_cast<double>(state.range(0));
+  bnn::core::BernoulliSampler sampler(config);
+  const int n = static_cast<int>(state.range(1));
+  std::vector<std::uint64_t> words(static_cast<std::size_t>((n + 63) / 64));
+  for (auto _ : state) {
+    sampler.draw_drops(n, words.data());
+    benchmark::DoNotOptimize(words.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
+  state.SetLabel("p=1/" + std::to_string(state.range(0)) + " n=" + std::to_string(n));
+}
+BENCHMARK(bm_sampler_draw_drops)->Args({4, 64})->Args({4, 416});
+
+// One Monte Carlo lane's reseed: every register re-derived from the lane's
+// seed (util::mt19937_64_prefix, no engine), SIPO and FIFO cleared.
+void bm_sampler_reseed(benchmark::State& state) {
+  bnn::core::BernoulliSamplerConfig config;
+  config.p = 1.0 / static_cast<double>(state.range(0));
+  bnn::core::BernoulliSampler sampler(config);
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    sampler.reseed(seed++);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetLabel("p=1/" + std::to_string(state.range(0)));
+}
+BENCHMARK(bm_sampler_reseed)->Arg(2)->Arg(4)->Arg(256);
 
 void bm_sampler_mask_word(benchmark::State& state) {
   bnn::core::BernoulliSamplerConfig config;

@@ -1,8 +1,9 @@
 // Micro-kernel GEMM benchmark: the blocked/vectorized kernels in
 // nn/gemm_kernels.h versus their plain scalar references, on the layer
 // shapes the float path actually runs (VGG-class im2col GEMM, conv backward
-// passes, FC forward), the int8 NNE dot kernel, and the NNE's four-term
-// int8 conv GEMM on every distinct conv shape of the paper networks.
+// passes, FC forward), the int8 NNE's linear layer (the filter tile over a
+// one-position map), and the NNE's four-term int8 conv GEMM on every
+// distinct conv shape of the paper networks.
 //
 // Every row first PROVES bit-identity (memcmp of the full output, both
 // accumulate modes) and only then times the two variants; a mismatch is a
@@ -17,7 +18,7 @@
 // recorded perf trajectory for the hot path; it names the four-term step
 // the int8 GEMM ran (kernels::gemm_i8_body). --bitpack switches to the
 // packed XNOR/popcount kernel tier (quant/qplan.h): binarizable rows
-// against the int8 dot_i8_zp baseline, same hard bit-identity gate (the
+// against the plain int8 dot, same hard bit-identity gate (the
 // bench.bitpack_smoke ctest entry).
 #include <cstdio>
 #include <cstdlib>
@@ -103,8 +104,17 @@ Result run_float_case(const FloatCase& fc, int repeats) {
           static_cast<double>(fc.m) * fc.n * fc.k};
 }
 
-// int8 NNE inner product: one full output-filter sweep of a linear layer
-// (rows x len dots), scalar loop vs kernels::dot_i8_zp.
+// sum_t (x[t] - zp) * w[t], the specification's per-term loop.
+std::int32_t plain_dot(const std::int8_t* x, const std::int8_t* w, int len, std::int32_t zp) {
+  std::int32_t acc = 0;
+  for (int t = 0; t < len; ++t)
+    acc += (static_cast<std::int32_t>(x[t]) - zp) * static_cast<std::int32_t>(w[t]);
+  return acc;
+}
+
+// int8 NNE linear layer: one full output-filter sweep (rows x len dots),
+// the scalar loop vs the NNE's form — the input row flipped to u = x + 128
+// and one n = 1 call of the filter tile over a K-major copy packed once.
 Result run_int8_case(int rows, int len, int repeats) {
   util::Rng rng(rows * 1009 + len);
   std::vector<std::int8_t> x(static_cast<std::size_t>(len));
@@ -112,23 +122,26 @@ Result run_int8_case(int rows, int len, int repeats) {
   for (auto& v : x) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
   for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
   const std::int32_t zp = -3;
+  const int groups = kernels::gemm_i8_groups(len), ldw = kernels::gemm_i8_ldw(rows);
+  std::vector<std::int8_t> wk(static_cast<std::size_t>(groups) * ldw * 4);
+  kernels::pack_i8_kmajor(rows, len, w.data(), wk.data());
+  std::vector<std::int32_t> correction(static_cast<std::size_t>(rows));
+  kernels::gemm_i8_corrections(rows, len, w.data(), zp, correction.data());
+  std::vector<std::uint8_t> u(static_cast<std::size_t>(groups) * 4, 0);
 
   std::vector<std::int32_t> out_scalar(static_cast<std::size_t>(rows)),
       out_kernel(static_cast<std::size_t>(rows));
   const auto scalar_sweep = [&] {
-    for (int f = 0; f < rows; ++f) {
-      std::int32_t acc = 0;
-      const std::int8_t* wr = w.data() + static_cast<std::size_t>(f) * len;
-      for (int t = 0; t < len; ++t)
-        acc += (static_cast<std::int32_t>(x[static_cast<std::size_t>(t)]) - zp) *
-               static_cast<std::int32_t>(wr[t]);
-      out_scalar[static_cast<std::size_t>(f)] = acc;
-    }
+    for (int f = 0; f < rows; ++f)
+      out_scalar[static_cast<std::size_t>(f)] =
+          plain_dot(x.data(), w.data() + static_cast<std::size_t>(f) * len, len, zp);
   };
   const auto kernel_sweep = [&] {
-    for (int f = 0; f < rows; ++f)
-      out_kernel[static_cast<std::size_t>(f)] =
-          kernels::dot_i8_zp(x.data(), w.data() + static_cast<std::size_t>(f) * len, len, zp);
+    for (int t = 0; t < len; ++t)
+      u[static_cast<std::size_t>(t)] =
+          static_cast<std::uint8_t>(x[static_cast<std::size_t>(t)]) ^ 0x80u;
+    kernels::gemm_u8i8_kmajor(rows, 1, len, wk.data(), ldw, u.data(), 1, correction.data(),
+                              out_kernel.data(), 1);
   };
   scalar_sweep();
   kernel_sweep();
@@ -142,8 +155,8 @@ Result run_int8_case(int rows, int len, int repeats) {
   const double kernel_s = best_seconds(repeats, [&] {
     for (int i = 0; i < inner; ++i) kernel_sweep();
   });
-  return {"nne linear tile", "dot_i8_zp", rows, 1, len, scalar_s * 1e3, kernel_s * 1e3,
-          identical, static_cast<double>(inner) * rows * len};
+  return {"nne linear tile", "gemm_u8i8_kmajor n=1", rows, 1, len, scalar_s * 1e3,
+          kernel_s * 1e3, identical, static_cast<double>(inner) * rows * len};
 }
 
 // One distinct conv GEMM shape of the paper networks (bench/common.h's
@@ -240,7 +253,7 @@ Result run_conv_gemm_case(const ConvShape& shape, int repeats) {
 }
 
 // Bit-packed kernel tier: one output-filter sweep of a binarizable linear
-// layer (rows x len dots), the int8 dot_i8_zp baseline vs pack-once +
+// layer (rows x len dots), the plain int8 dot baseline vs pack-once +
 // packed_row_dot. Activation packing runs INSIDE the timed sweep — the real
 // path packs each input once and amortizes it over all filters, and so does
 // this. `ternary` adds zero weights (the AND2 path); without it every row
@@ -272,8 +285,7 @@ Result run_bitpack_case(const char* variant, int rows, int len, bool ternary, in
       out_packed(static_cast<std::size_t>(rows));
   const auto int8_sweep = [&] {
     for (int f = 0; f < rows; ++f)
-      out_i8[static_cast<std::size_t>(f)] =
-          kernels::dot_i8_zp(x.data(), layer.weight_row(f), len, zp);
+      out_i8[static_cast<std::size_t>(f)] = plain_dot(x.data(), layer.weight_row(f), len, zp);
   };
   std::vector<std::uint64_t> xbits(static_cast<std::size_t>(plan.words));
   const auto packed_sweep = [&] {
@@ -373,7 +385,7 @@ int main(int argc, char** argv) {
         "Reading the table: weights in {-W, 0, +W} collapse the int8 dot to\n"
         "word-level popcounts (64 terms per XOR+POPCNT); the activation plane\n"
         "is packed once per input and amortized over all filters. The packed\n"
-        "accumulator equals dot_i8_zp exactly (integer identity, hard-checked\n"
+        "accumulator equals the int8 dot exactly (integer identity, hard-checked\n"
         "above), so the tier changes host speed only — never a bit of output.\n");
 
     if (json_path != nullptr) write_json(json_path, smoke, results);

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "data/synth.h"
+#include "core/accelerator.h"
+#include "core/bernoulli_sampler.h"
 #include "core/nne.h"
 #include "nn/bitpack_kernels.h"
 #include "nn/gemm_kernels.h"
@@ -63,40 +65,70 @@ void bm_reference_layer(benchmark::State& state) {
 }
 BENCHMARK(bm_reference_layer);
 
-// One full-length int8 inner product in isolation: plain per-term loop vs
-// kernels::dot_i8_zp on a VGG-class term count (in_c=128, 3x3 kernel).
-void bm_int8_dot_scalar(benchmark::State& state) {
-  const int len = static_cast<int>(state.range(0));
-  util::Rng rng(1234);
-  std::vector<std::int8_t> x(static_cast<std::size_t>(len)), w(static_cast<std::size_t>(len));
-  for (auto& v : x) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-  for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-  const std::int32_t zp = -3;
-  for (auto _ : state) {
-    std::int32_t acc = 0;
-    for (int t = 0; t < len; ++t)
-      acc += (static_cast<std::int32_t>(x[static_cast<std::size_t>(t)]) - zp) *
-             static_cast<std::int32_t>(w[static_cast<std::size_t>(t)]);
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() * len);
-}
-BENCHMARK(bm_int8_dot_scalar)->Arg(1152);
+// One int8 linear layer in isolation (LeNet-5's 400 -> 120 shape): the
+// plain per-term loop per filter vs the NNE's form, the input flipped to
+// u = x + 128 and one n = 1 call of the filter tile over a K-major copy
+// packed once.
+struct LinearOperands {
+  int rows, len;
+  std::vector<std::int8_t> x, w, wk;
+  std::vector<std::int32_t> correction, out;
+  std::vector<std::uint8_t> u;
+};
 
-void bm_int8_dot_kernel(benchmark::State& state) {
-  const int len = static_cast<int>(state.range(0));
+LinearOperands linear_operands(int rows, int len) {
+  LinearOperands o{rows, len, {}, {}, {}, {}, {}, {}};
   util::Rng rng(1234);
-  std::vector<std::int8_t> x(static_cast<std::size_t>(len)), w(static_cast<std::size_t>(len));
-  for (auto& v : x) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-  for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+  o.x.resize(static_cast<std::size_t>(len));
+  o.w.resize(static_cast<std::size_t>(rows) * len);
+  for (auto& v : o.x) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+  for (auto& v : o.w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+  const int groups = nn::kernels::gemm_i8_groups(len);
+  o.wk.resize(static_cast<std::size_t>(groups) * nn::kernels::gemm_i8_ldw(rows) * 4);
+  nn::kernels::pack_i8_kmajor(rows, len, o.w.data(), o.wk.data());
+  o.correction.resize(static_cast<std::size_t>(rows));
+  nn::kernels::gemm_i8_corrections(rows, len, o.w.data(), -3, o.correction.data());
+  o.out.resize(static_cast<std::size_t>(rows));
+  o.u.assign(static_cast<std::size_t>(groups) * 4, 0);
+  return o;
+}
+
+void bm_int8_linear_scalar(benchmark::State& state) {
+  LinearOperands o = linear_operands(static_cast<int>(state.range(0)),
+                                     static_cast<int>(state.range(1)));
   const std::int32_t zp = -3;
   for (auto _ : state) {
-    std::int32_t acc = nn::kernels::dot_i8_zp(x.data(), w.data(), len, zp);
-    benchmark::DoNotOptimize(acc);
+    for (int f = 0; f < o.rows; ++f) {
+      std::int32_t acc = 0;
+      const std::int8_t* w = o.w.data() + static_cast<std::size_t>(f) * o.len;
+      for (int t = 0; t < o.len; ++t)
+        acc += (static_cast<std::int32_t>(o.x[static_cast<std::size_t>(t)]) - zp) *
+               static_cast<std::int32_t>(w[t]);
+      o.out[static_cast<std::size_t>(f)] = acc;
+    }
+    benchmark::DoNotOptimize(o.out.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * len);
+  state.SetItemsProcessed(state.iterations() * o.rows * o.len);
 }
-BENCHMARK(bm_int8_dot_kernel)->Arg(1152);
+BENCHMARK(bm_int8_linear_scalar)->Args({120, 400});
+
+void bm_int8_linear_kernel(benchmark::State& state) {
+  LinearOperands o = linear_operands(static_cast<int>(state.range(0)),
+                                     static_cast<int>(state.range(1)));
+  const int ldw = nn::kernels::gemm_i8_ldw(o.rows);
+  for (auto _ : state) {
+    for (int t = 0; t < o.len; ++t)
+      o.u[static_cast<std::size_t>(t)] =
+          static_cast<std::uint8_t>(o.x[static_cast<std::size_t>(t)]) ^ 0x80u;
+    nn::kernels::gemm_u8i8_kmajor(o.rows, 1, o.len, o.wk.data(), ldw, o.u.data(), 1,
+                                  o.correction.data(), o.out.data(), 1);
+    benchmark::DoNotOptimize(o.out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * o.rows * o.len);
+}
+BENCHMARK(bm_int8_linear_kernel)->Args({120, 400});
 
 // The int8 tier's conv GEMM on a VGG-class layer: 64 filters x 576 terms
 // (64 channels, 3x3) over an 8x8 map, from an already-lowered grouped panel.
@@ -328,6 +360,77 @@ void bm_nne_breakdown(benchmark::State& state, int net_index, int only_layer) {
   state.SetItemsProcessed(state.iterations() * macs);
 }
 
+// --- the Dropout Unit per Bayesian site ------------------------------------------
+// `nne_du/<net>/L<l>` times core::apply_dropout_unit on layer l's
+// deterministic output with the accelerator's own sampler (its dropout p,
+// PF and FIFO depth), reseeded every iteration from sample_stream_seed as a
+// Monte Carlo lane is; the row's time is the DU call alone, and the
+// counter `reseed_us` times the reseed. A row fails, and the binary exits
+// 1, when the DU's output differs from the plain loop (one next_drop per
+// filter, then the scalar quant chain) on the same stream.
+
+// The plain-loop DU on `out`, drawing from `masks`.
+void plain_dropout(quant::QTensor& out, nn::MaskSource& masks, quant::FixedMultiplier keep) {
+  const std::int32_t zp = out.params.zero_point;
+  const std::size_t plane = static_cast<std::size_t>(out.height()) * out.width();
+  for (int f = 0; f < out.channels(); ++f) {
+    std::int8_t* row = out.data.data() + static_cast<std::size_t>(f) * plane;
+    const bool drop = masks.next_drop();
+    for (std::size_t i = 0; i < plane; ++i)
+      row[i] = drop ? quant::saturate_int8(zp)
+                    : quant::saturate_int8(
+                          quant::fixed_multiply(static_cast<std::int32_t>(row[i]) - zp, keep) +
+                          zp);
+  }
+}
+
+void bm_nne_du(benchmark::State& state, int net_index, int layer_index) {
+  PaperNet& net = paper_nets()[static_cast<std::size_t>(net_index)];
+  const quant::QTensor& site_output = net.outputs[static_cast<std::size_t>(layer_index)];
+  const core::AcceleratorConfig accel;
+  core::BernoulliSamplerConfig config;
+  config.p = net.qnet->dropout_p;
+  config.pf = accel.nne.pf;
+  config.fifo_depth = accel.sampler_fifo_depth;
+  core::BernoulliSampler sampler(config), reference(config);
+  const quant::FixedMultiplier keep = net.qnet->dropout_keep;
+
+  // The exactness check, on a few lanes' streams.
+  bool same = true;
+  for (int sample = 0; sample < 4; ++sample) {
+    const std::uint64_t seed =
+        core::Accelerator::sample_stream_seed(accel.sampler_seed, 0, sample);
+    sampler.reseed(seed);
+    reference.reseed(seed);
+    quant::QTensor got = site_output, expected = site_output;
+    core::apply_dropout_unit(got, sampler, keep);
+    plain_dropout(expected, reference, keep);
+    same = same && got.data == expected.data;
+  }
+
+  quant::QTensor work = site_output;
+  double reseed_us = 0.0;
+  int sample = 0;
+  for (auto _ : state) {
+    work.data = site_output.data;  // same size: no allocation
+    const auto t0 = Clock::now();
+    sampler.reseed(core::Accelerator::sample_stream_seed(accel.sampler_seed, 0, sample++));
+    const auto t1 = Clock::now();
+    core::apply_dropout_unit(work, sampler, keep);
+    const auto t2 = Clock::now();
+    benchmark::DoNotOptimize(work.data.data());
+    benchmark::ClobberMemory();
+    reseed_us += std::chrono::duration<double, std::micro>(t1 - t0).count();
+    state.SetIterationTime(std::chrono::duration<double>(t2 - t1).count());
+  }
+  if (!same) {
+    g_stages_diverged = true;
+    state.SkipWithError("apply_dropout_unit differs from the plain-loop DU");
+  }
+  state.counters["reseed_us"] = benchmark::Counter(reseed_us, benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(state.iterations() * site_output.numel());
+}
+
 void register_breakdowns() {
   const std::vector<PaperNet>& nets = paper_nets();
   for (int n = 0; n < static_cast<int>(nets.size()); ++n) {
@@ -339,6 +442,13 @@ void register_breakdowns() {
       if (qnet.layers[static_cast<std::size_t>(l)].geom.op != nn::HwLayer::Op::conv) continue;
       benchmark::RegisterBenchmark((prefix + "/L" + std::to_string(l)).c_str(),
                                    bm_nne_breakdown, n, l)
+          ->UseManualTime();
+    }
+    for (int l = 0; l < qnet.num_layers(); ++l) {
+      if (!qnet.layers[static_cast<std::size_t>(l)].geom.is_bayes_site) continue;
+      benchmark::RegisterBenchmark(
+          ("nne_du/" + nets[static_cast<std::size_t>(n)].name + "/L" + std::to_string(l)).c_str(),
+          bm_nne_du, n, l)
           ->UseManualTime();
     }
   }

@@ -18,7 +18,8 @@ namespace {
 // the float path's ReplayArena. Thread-local so lanes never contend: a lane
 // keeps every layer output, the NNE scratch (sum plane, lowered windows,
 // packed windows) and its Bernoulli sampler across (image, sample) pairs,
-// predict calls and accelerator instances; the IC prefix layers an image's
+// predict calls and accelerator instances (a deterministic L = 0 lane draws
+// no masks and leaves the sampler alone); the IC prefix layers an image's
 // first lane runs use the same scratch. All buffers grow to the largest
 // shapes seen and are fully overwritten per use, so steady-state lanes are
 // allocation-free; grow_events counts the warmup growths (plus NneScratch's
@@ -253,8 +254,11 @@ Accelerator::BatchPrediction Accelerator::predict_batch(
           arena.outputs.resize(network_->layers.size());
           ++arena.grow_events;
         }
-        BernoulliSampler& sampler =
-            lane_sampler(arena, request.stream_id, request.sample_offset + s);
+        // A deterministic (L = 0) lane draws nothing, so it gets no sampler.
+        BernoulliSampler* sampler =
+            request.bayes_layers > 0
+                ? &lane_sampler(arena, request.stream_id, request.sample_offset + s)
+                : nullptr;
         std::int64_t cycles = 0;
         float* prob_row = all_probs.data() + all_probs.index2(static_cast<int>(pair), 0);
 
@@ -266,7 +270,7 @@ Accelerator::BatchPrediction Accelerator::predict_batch(
             const quant::QLayer& layer = network_->layers[static_cast<std::size_t>(l)];
             const bool active = request.bayes_layers > 0 && layer.geom.is_bayes_site &&
                                 layer.geom.site_index >= plan.first_active_site;
-            run_layer(l, stored, state.qimage, active, &sampler, cycles, arena.scratch,
+            run_layer(l, stored, state.qimage, active, sampler, cycles, arena.scratch,
                       arena.outputs[static_cast<std::size_t>(l)]);
           }
           store_probs(arena.outputs[static_cast<std::size_t>(network_->num_layers() - 1)],
@@ -280,7 +284,7 @@ Accelerator::BatchPrediction Accelerator::predict_batch(
           quant::QTensor& masked = arena.outputs[static_cast<std::size_t>(cut)];
           if (boundary.data.size() > masked.data.capacity()) ++arena.grow_events;
           masked = boundary;
-          apply_dropout_unit(masked, sampler, network_->dropout_keep);
+          apply_dropout_unit(masked, *sampler, network_->dropout_keep);
 
           // Suffix layers into the arena's true-index slots; inputs before
           // the cut resolve against the shared prefix, the cut itself to
@@ -293,7 +297,7 @@ Accelerator::BatchPrediction Accelerator::predict_batch(
             const quant::QLayer& layer = network_->layers[static_cast<std::size_t>(l)];
             const bool active = layer.geom.is_bayes_site &&
                                 layer.geom.site_index >= plan.first_active_site;
-            run_layer(l, stored, state.qimage, active, &sampler, cycles, arena.scratch,
+            run_layer(l, stored, state.qimage, active, sampler, cycles, arena.scratch,
                       arena.outputs[static_cast<std::size_t>(l)]);
           }
           store_probs(arena.outputs[static_cast<std::size_t>(network_->num_layers() - 1)],

@@ -18,39 +18,56 @@ int lfsrs_for_probability(double p) {
   return k;
 }
 
+template <typename Set>
+void BernoulliSampler::derive_register_seeds(std::uint64_t seed, int k, Set&& set) {
+  // Decorrelate the k register chains with independent non-zero seeds: one
+  // shared util::Rng(seed) stream, in register order, skipping all-zero
+  // pairs. Its draws come from the engine-free prefix: 2k draws, and the
+  // whole prefix in the (2^-128 per pair) case of an all-zero pair.
+  std::uint64_t draws[util::kMt19937_64PrefixMax];
+  int have = 2 * k;
+  util::mt19937_64_prefix(seed, have, draws);
+  int next = 0;
+  const auto draw = [&] {
+    if (next == have) {
+      util::ensure(have < util::kMt19937_64PrefixMax,
+                   "bernoulli sampler: seed stream held no non-zero register seeds");
+      have = util::kMt19937_64PrefixMax;
+      util::mt19937_64_prefix(seed, have, draws);
+    }
+    return draws[next++];
+  };
+  for (int i = 0; i < k; ++i) {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    while (lo == 0 && hi == 0) {
+      lo = draw();
+      hi = draw();
+    }
+    set(i, lo, hi);
+  }
+}
+
 BernoulliSampler::BernoulliSampler(const BernoulliSamplerConfig& config) : config_(config) {
   util::require(config.pf >= 1, "bernoulli sampler: pf must be positive");
   util::require(config.fifo_depth >= 1, "bernoulli sampler: fifo_depth must be positive");
   const int k = lfsrs_for_probability(config.p);
   lfsrs_.reserve(static_cast<std::size_t>(k));
-  // Decorrelate the k register chains with independent non-zero seeds.
-  util::Rng seeder(config.seed);
-  for (int i = 0; i < k; ++i) {
-    std::uint64_t lo = 0;
-    std::uint64_t hi = 0;
-    while (lo == 0 && hi == 0) {
-      lo = seeder.next_u64();
-      hi = seeder.next_u64();
-    }
+  derive_register_seeds(config.seed, k, [this](int, std::uint64_t lo, std::uint64_t hi) {
     lfsrs_.push_back(make_lfsr128(lo, hi));
-  }
+  });
   sipo_.assign(static_cast<std::size_t>(config.pf), 0);
 }
 
 void BernoulliSampler::reseed(std::uint64_t seed) {
   config_.seed = seed;
-  // Same derivation as the constructor: one shared Rng, skipping all-zero
-  // draws, in LFSR order — so the register contents match a fresh sampler's.
-  util::Rng seeder(seed);
-  for (Lfsr& lfsr : lfsrs_) {
-    std::uint64_t lo = 0;
-    std::uint64_t hi = 0;
-    while (lo == 0 && hi == 0) {
-      lo = seeder.next_u64();
-      hi = seeder.next_u64();
-    }
-    lfsr.reseed(lo, hi);
-  }
+  // Same derivation as the constructor, so the register contents match a
+  // fresh sampler's.
+  derive_register_seeds(seed, num_lfsrs(), [this](int i, std::uint64_t lo, std::uint64_t hi) {
+    lfsrs_[static_cast<std::size_t>(i)].reseed(lo, hi);
+  });
+  pending_ = 0;
+  pending_bits_ = 0;
   std::fill(sipo_.begin(), sipo_.end(), static_cast<std::uint8_t>(0));
   sipo_fill_ = 0;
   fifo_.clear();
@@ -59,14 +76,45 @@ void BernoulliSampler::reseed(std::uint64_t seed) {
   stall_cycles_ = 0;
 }
 
-int BernoulliSampler::raw_drop_bit() {
-  int bit = 1;
-  for (Lfsr& lfsr : lfsrs_) bit &= lfsr.step();
-  ++bits_produced_;
-  return bit;
+std::uint64_t BernoulliSampler::next_word() {
+  std::uint64_t word = ~std::uint64_t{0};
+  for (Lfsr& lfsr : lfsrs_) word &= lfsr.leap64();
+  return word;
 }
 
-bool BernoulliSampler::next_drop() { return raw_drop_bit() != 0; }
+std::uint64_t BernoulliSampler::take(int count) {
+  std::uint64_t out = pending_;
+  if (pending_bits_ >= count) {
+    pending_ = count == 64 ? 0 : pending_ << count;
+    pending_bits_ -= count;
+  } else {
+    // The pending bits first, then the top of a fresh word.
+    const int have = pending_bits_;  // < count <= 64
+    const std::uint64_t fresh = next_word();
+    out |= fresh >> have;
+    const int used = count - have;
+    pending_ = used == 64 ? 0 : fresh << used;
+    pending_bits_ = 64 - used;
+  }
+  return count == 64 ? out : out & ~(~std::uint64_t{0} >> count);
+}
+
+bool BernoulliSampler::next_drop() {
+  if (pending_bits_ == 0) {
+    pending_ = next_word();
+    pending_bits_ = 64;
+  }
+  const bool drop = (pending_ >> 63) != 0;
+  pending_ <<= 1;
+  --pending_bits_;
+  ++bits_produced_;
+  return drop;
+}
+
+void BernoulliSampler::draw_drops(int n, std::uint64_t* words) {
+  for (int w = 0; w * 64 < n; ++w) words[w] = take(std::min(64, n - w * 64));
+  bits_produced_ += static_cast<std::uint64_t>(std::max(n, 0));
+}
 
 void BernoulliSampler::step_cycle() {
   if (sipo_fill_ == config_.pf) {
@@ -79,7 +127,7 @@ void BernoulliSampler::step_cycle() {
     ++words_pushed_;
     sipo_fill_ = 0;
   }
-  sipo_[static_cast<std::size_t>(sipo_fill_++)] = static_cast<std::uint8_t>(raw_drop_bit());
+  sipo_[static_cast<std::size_t>(sipo_fill_++)] = next_drop() ? 1 : 0;
   if (sipo_fill_ == config_.pf && static_cast<int>(fifo_.size()) < config_.fifo_depth) {
     fifo_.push_back(sipo_);
     ++words_pushed_;

@@ -14,6 +14,8 @@ Lfsr::Lfsr(int width, std::vector<int> taps, std::uint64_t seed_lo, std::uint64_
     util::require(tap >= 1 && tap <= width, "lfsr: tap out of range");
   util::require(std::find(taps_.begin(), taps_.end(), width) != taps_.end(),
                 "lfsr: the output register (tap == width) must be tapped");
+  leaps_ = width == 128 &&
+           std::all_of(taps_.begin(), taps_.end(), [](int tap) { return tap >= 64; });
 
   reseed(seed_lo, seed_hi);
 }
@@ -51,6 +53,21 @@ int Lfsr::step() {
   } else {
     state_hi_ &= width_ == 128 ? ~0ull : ((1ull << (width_ - 64)) - 1);
   }
+  return out;
+}
+
+std::uint64_t Lfsr::leap64() {
+  util::require(leaps_, "lfsr: leap64 needs width 128 and every tap >= 64");
+  std::uint64_t fresh = 0;
+  for (int tap : taps_) {
+    const int shift = tap - 64;  // low 64 bits of (hi:lo) >> shift
+    fresh ^= shift == 0    ? state_lo_
+             : shift == 64 ? state_hi_
+                           : (state_lo_ >> shift) | (state_hi_ << (64 - shift));
+  }
+  const std::uint64_t out = state_hi_;
+  state_hi_ = state_lo_;
+  state_lo_ = fresh;
   return out;
 }
 

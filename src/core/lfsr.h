@@ -3,7 +3,10 @@
 // The paper's Bernoulli sampler (Fig. 3) is built from 128-bit 4-tap LFSRs;
 // at 160 MHz a maximal-length 128-bit sequence takes ~1500 years to repeat
 // [Andraka & Phelps 1998]. This module models the register chain exactly:
-// one step per clock cycle, one pseudo-random bit out.
+// one step per clock cycle, one pseudo-random bit out. `step` is that
+// bit-serial definition; `leap64` advances 64 clocks in a few word
+// operations and is exactly 64 steps (the Bernoulli sampler draws through
+// it).
 #ifndef BNN_CORE_LFSR_H
 #define BNN_CORE_LFSR_H
 
@@ -25,6 +28,18 @@ class Lfsr {
   // last register).
   int step();
 
+  // Advances 64 clocks; returns their 64 output bits, the first in bit 63 —
+  // exactly 64 step() calls. Requires width 128 and every tap >= 64 (the
+  // paper's taps qualify; throws std::invalid_argument otherwise). Then the
+  // next 64 outputs are the current positions 128 down to 65 (state_hi,
+  // read from bit 63 down), and every feedback bit of those 64 steps reads
+  // an original state bit: the feedback of step j lands at position 65 - j
+  // and is the XOR over taps t of position t - j + 1. So after the leap
+  // state_hi' = state_lo, and state_lo' is the XOR over taps t of the low
+  // 64 bits of (state_hi:state_lo) >> (t - 64) — state_hi itself for
+  // t = 128.
+  std::uint64_t leap64();
+
   // Reloads the register chain from a new seed — exactly the constructor's
   // seeding (width masking, all-zero state forbidden) without rebuilding the
   // tap list. Lets the accelerator's per-lane sampler be reused across
@@ -41,6 +56,7 @@ class Lfsr {
 
   int width_;
   std::vector<int> taps_;
+  bool leaps_ = false;  // width 128 with every tap >= 64: leap64 is exact
   std::uint64_t state_lo_;
   std::uint64_t state_hi_;
 };

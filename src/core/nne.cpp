@@ -230,25 +230,22 @@ void nne_gemm(const quant::QLayer& layer, const quant::LayerExecPlan& plan,
 void nne_requant(const quant::QLayer& layer, const std::int32_t* sums,
                  const quant::QTensor* shortcut, quant::QTensor& pre) {
   const nn::HwLayer& g = layer.geom;
-  const int positions = g.conv_out_h * g.conv_out_w;
-  const std::int32_t zp_out = layer.out.zero_point;
-  nn::kernels::RequantRow fu;
-  if (g.has_relu) fu.floor = zp_out;
+  util::require(layer.bias.size() == static_cast<std::size_t>(g.out_c) &&
+                    layer.requant.size() == static_cast<std::size_t>(g.out_c) &&
+                    layer.post_add.size() == static_cast<std::size_t>(g.out_c),
+                "nne: layer lacks per-filter FU constants");
+  nn::kernels::RequantPlane fu;
+  fu.bias = layer.bias.data();
+  fu.requant = layer.requant.data();
+  fu.post_add = layer.post_add.data();
+  fu.zero_point = layer.out.zero_point;
+  fu.relu = g.has_relu;
   if (g.has_shortcut) {
+    fu.sc = shortcut->data.data();
     fu.sc_zero_point = shortcut->params.zero_point;
-    fu.sc_mult = layer.shortcut_rescale.mult;
-    fu.sc_shift = layer.shortcut_rescale.shift;
+    fu.sc_rescale = layer.shortcut_rescale;
   }
-  for (int f = 0; f < g.out_c; ++f) {
-    const std::size_t row = static_cast<std::size_t>(f) * positions;
-    const quant::FixedMultiplier requant = layer.requant[static_cast<std::size_t>(f)];
-    fu.bias = layer.bias[static_cast<std::size_t>(f)];
-    fu.mult = requant.mult;
-    fu.shift = requant.shift;
-    fu.offset = layer.post_add[static_cast<std::size_t>(f)] + zp_out;
-    if (g.has_shortcut) fu.sc = shortcut->data.data() + row;
-    nn::kernels::requant_row(sums + row, positions, fu, pre.data.data() + row);
-  }
+  nn::kernels::requant_plane(sums, g.out_c, g.conv_out_h * g.conv_out_w, fu, pre.data.data());
 }
 
 void nne_pool(const nn::HwLayer& g, const quant::QTensor& pre, quant::QTensor& out) {
@@ -379,7 +376,7 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
       (g.pad > 0 || (g.conv_out_h - 1) * g.stride + g.kernel > g.in_h ||
        (g.conv_out_w - 1) * g.stride + g.kernel > g.in_w);
   const bool kmajor =
-      tier == Tier::int8 && !is_linear && nn::kernels::gemm_i8_filter_vectorized(positions);
+      tier == Tier::int8 && (is_linear || nn::kernels::gemm_i8_filter_vectorized(positions));
   const std::int8_t* wmatrix = layer.weights.data();
   if (layer.weights_packed && !kmajor && (tier != Tier::bitpack || has_border)) {
     grow_to(scratch.wrows, static_cast<std::size_t>(g.out_c) * terms, scratch.grow_events);
@@ -393,8 +390,22 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
   };
 
   if (tier == Tier::int8 && is_linear) {
-    for (int f = 0; f < g.out_c; ++f)
-      sums[f] = nn::kernels::dot_i8_zp(in_data, weight_row(f), terms, zp_in);
+    // The specification's 1x1 conv over a 1x1 map: the input row, flipped
+    // once to u = x + 128 and padded with zeros to whole four-term groups
+    // (their weights are 0), is the one-position panel of the filter tile
+    // over the plan's grouped K-major copy.
+    const int padded_terms = 4 * nn::kernels::gemm_i8_groups(terms);
+    util::require(plan.correction.size() == static_cast<std::size_t>(g.out_c) &&
+                      plan.ldw == nn::kernels::gemm_i8_ldw(g.out_c) &&
+                      plan.weights_kmajor.size() ==
+                          static_cast<std::size_t>(padded_terms) * plan.ldw,
+                  "nne: plan lacks the K-major weight copy of a linear layer");
+    grow_to(scratch.panel, static_cast<std::size_t>(padded_terms), scratch.grow_events);
+    std::uint8_t* u = scratch.panel.data();
+    for (int t = 0; t < terms; ++t) u[t] = static_cast<std::uint8_t>(in_data[t]) ^ 0x80u;
+    std::fill(u + terms, u + padded_terms, std::uint8_t{0});
+    nn::kernels::gemm_u8i8_kmajor(g.out_c, 1, terms, plan.weights_kmajor.data(), plan.ldw, u, 1,
+                                  plan.correction.data(), sums, 1);
   } else if (tier == Tier::int8) {
     // Lower every window once, then one GEMM computes every (filter,
     // position) sum: each lowered term feeds all filters and positions of a
@@ -466,22 +477,19 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
 
 void apply_dropout_unit(quant::QTensor& out, nn::MaskSource& masks,
                         quant::FixedMultiplier dropout_keep) {
-  const std::int32_t zp = out.params.zero_point;
-  const int plane = out.height() * out.width();
-  // A kept filter's plane is rescaled about the zero point:
+  // The site's decisions in ascending filter order, drawn as whole words
+  // into a stack block (one block covers every layer up to kBlockRows
+  // filters), then one plane call per block: dropped planes become the
+  // zero point, kept ones are rescaled about it,
   // saturate(fixed_multiply(x - zp, keep) + zp).
-  nn::kernels::RequantRow keep_row;
-  keep_row.bias = -zp;
-  keep_row.mult = dropout_keep.mult;
-  keep_row.shift = dropout_keep.shift;
-  keep_row.offset = zp;
-  for (int f = 0; f < out.channels(); ++f) {
-    std::int8_t* row = out.data.data() + static_cast<std::size_t>(f) * plane;
-    if (masks.next_drop()) {
-      std::fill(row, row + plane, quant::saturate_int8(zp));
-    } else {
-      nn::kernels::requant_row(row, plane, keep_row, row);
-    }
+  constexpr int kBlockRows = 4096;
+  std::uint64_t drop[kBlockRows / 64] = {};
+  const int plane = out.height() * out.width();
+  for (int f0 = 0; f0 < out.channels(); f0 += kBlockRows) {
+    const int rows = std::min(kBlockRows, out.channels() - f0);
+    masks.draw_drops(rows, drop);
+    nn::kernels::dropout_plane(out.data.data() + static_cast<std::size_t>(f0) * plane, rows,
+                               plane, drop, out.params.zero_point, dropout_keep);
   }
 }
 

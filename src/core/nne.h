@@ -36,10 +36,16 @@
 //     vectorizes along positions for maps of 16 positions and more, and
 //     along filters below that (over a grouped K-major weight copy the plan
 //     builds once), so a 2 x 2 map does not leave 12 of 16 lanes idle;
-//   - one requant row kernel (kernels::requant_row, compiled with the GEMM
-//     for the build machine's ISA) retires each filter's row through the
-//     FU chain — the same kernel rescales the Dropout Unit's kept rows;
+//   - one requant plane call (kernels::requant_plane, compiled with the
+//     GEMM for the build machine's ISA) retires the whole sum plane
+//     through the FU chain, per-filter constants set up once per row;
 //   - the pool stage walks raw row pointers.
+// A linear layer is the specification's 1x1 conv over a 1x1 map: its input
+// row, flipped once to u = x + 128, is a one-position panel for the
+// filter-vectorized tile over the plan's grouped K-major copy. The Dropout
+// Unit draws a site's decisions as whole mask words (nn::MaskSource::
+// draw_drops) and retires the site in one call of the plane kernel's int8
+// form (kernels::dropout_plane).
 //
 // Kernel tiers: the inner product dispatches through nn::kernels::Tier. The
 // tier changes only HOW the int32 sums are computed (the int8 GEMM over the
@@ -114,7 +120,7 @@ struct NneScratch {
   quant::QTensor pre;                // pre-pool position map (pooled layers)
   std::vector<std::int32_t> sums;    // term sums, [out_c][positions]
   std::vector<std::int8_t> padded;   // zp-bordered conv input, [in_c][h + 2 pad][w + 2 pad]
-  std::vector<std::uint8_t> panel;   // lowered conv windows, [groups][ldx][4] (int8 tier)
+  std::vector<std::uint8_t> panel;   // [groups][ldx][4] conv windows, or a linear input row (int8)
   std::vector<std::int8_t> stage;    // four term rows of a staged panel group, [4][ldx]
   std::vector<std::uint64_t> xbits;  // one packed activation window, [words] (bitpack tier)
   std::vector<std::int8_t> wrows;    // materialized byte rows of packed-weight layers
@@ -163,8 +169,11 @@ void nne_lower(const quant::QLayer& layer, const quant::QTensor& input, NneScrat
 void nne_gemm(const quant::QLayer& layer, const quant::LayerExecPlan& plan,
               const std::int8_t* weights, NneScratch& scratch);
 // 3. The FU requant chain, bias -> BN requant -> SC -> ReLU -> saturate:
-//    one kernels::requant_row per filter from `sums` into the pre-pool map
-//    `pre`, [out_c][conv_out_h][conv_out_w] (already shaped).
+//    one kernels::requant_plane call over the whole [out_c][positions]
+//    plane, from `sums` into the pre-pool map `pre`,
+//    [out_c][conv_out_h][conv_out_w] (already shaped), the shortcut operand
+//    read in the same pass. The layer's per-filter bias, multipliers and
+//    post-adds are read where they are stored.
 void nne_requant(const quant::QLayer& layer, const std::int32_t* sums,
                  const quant::QTensor* shortcut, quant::QTensor& pre);
 // 4. The FU pool stage (max, average or global) from `pre` into `out`
@@ -172,12 +181,13 @@ void nne_requant(const quant::QLayer& layer, const std::int32_t* sums,
 void nne_pool(const nn::HwLayer& g, const quant::QTensor& pre, quant::QTensor& out);
 
 // The Dropout Unit: one drop decision per filter of `out`, drawn from
-// `masks` in ascending filter order. A dropped filter's plane becomes the
-// tensor's zero point; a kept one is rescaled by `dropout_keep` (the
-// fixed-point 1/(1-p)) about the zero point through kernels::requant_row,
-// the FU's own row kernel. nne_run_layer_into runs it on active sites, and
-// the accelerator's IC schedule on each sample's copy of the cached
-// cut-layer output.
+// `masks` in ascending filter order through the bulk draw
+// (nn::MaskSource::draw_drops, into mask words on the stack), then one
+// kernels::dropout_plane call: a dropped filter's plane becomes the
+// tensor's zero point, a kept one is rescaled by `dropout_keep` (the
+// fixed-point 1/(1-p)) about the zero point. nne_run_layer_into runs it on
+// active sites, and the accelerator's IC schedule on each sample's copy of
+// the cached cut-layer output.
 void apply_dropout_unit(quant::QTensor& out, nn::MaskSource& masks,
                         quant::FixedMultiplier dropout_keep);
 

@@ -11,7 +11,8 @@
 //
 // Exactness: these are integer bit-counting kernels — no rounding anywhere.
 // The composed inner product (quant/qplan.h packed_row_dot) equals the int8
-// dot_i8_zp result exactly whenever its preconditions hold, which is the
+// inner product sum_t (x[t] - zp) * w[t] exactly whenever its preconditions
+// hold, which is the
 // bit-identity contract of the bitpack tier (hard-gated by
 // tests/test_bitpack.cpp and the bench.bitpack_smoke ctest entry).
 #ifndef BNN_NN_BITPACK_KERNELS_H

@@ -1,8 +1,20 @@
 #include "nn/dropout.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace bnn::nn {
+
+void MaskSource::draw_drops(int n, std::uint64_t* words) {
+  for (int w = 0; w * 64 < n; ++w) {
+    std::uint64_t word = 0;
+    const int count = std::min(64, n - w * 64);
+    for (int i = 0; i < count; ++i)
+      if (next_drop()) word |= std::uint64_t{1} << (63 - i);
+    words[w] = word;
+  }
+}
 
 McDropout::McDropout(double p, std::uint64_t seed) : p_(p), seed_(seed) {
   util::require(p >= 0.0 && p < 1.0, "mc_dropout: p must be in [0, 1)");

@@ -10,6 +10,7 @@
 #ifndef BNN_NN_DROPOUT_H
 #define BNN_NN_DROPOUT_H
 
+#include <cstdint>
 #include <memory>
 
 #include "nn/layer.h"
@@ -22,6 +23,13 @@ class MaskSource {
  public:
   virtual ~MaskSource() = default;
   virtual bool next_drop() = 0;
+
+  // Bulk draw: the next n decisions of the same stream, in draw order, into
+  // ceil(n / 64) words. Decision i is bit 63 - i % 64 of words[i / 64] (a
+  // word's first decision is its highest bit), and bits past n in the last
+  // word are 0. The default calls next_drop() n times; a source that makes
+  // whole words (the hardware sampler) serves them directly.
+  virtual void draw_drops(int n, std::uint64_t* words);
 };
 
 // Draws one filter-wise MCD mask of shape (batch, channels) from `source`:

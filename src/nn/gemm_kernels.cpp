@@ -315,16 +315,6 @@ void gemm_bt_blocked(int m, int n, int k, const float* __restrict a, const float
 
 // --- int8 -> int32 kernels --------------------------------------------------
 
-// Plain single-accumulator reduction: integer addition is associative, so
-// the auto-vectorizer is free to widen it.
-std::int32_t dot_i8_zp(const std::int8_t* __restrict x, const std::int8_t* __restrict w, int len,
-                       std::int32_t zero_point) {
-  std::int32_t acc = 0;
-  for (int t = 0; t < len; ++t)
-    acc += (static_cast<std::int32_t>(x[t]) - zero_point) * static_cast<std::int32_t>(w[t]);
-  return acc;
-}
-
 namespace {
 
 // The conv GEMM's vectors hold int32 lanes, one output per lane, and each
@@ -618,82 +608,303 @@ void gemm_u8i8_kmajor(int m, int n, int k, const std::int8_t* wk, int ldw,
 
 const char* gemm_i8_body() { return kDot4Body; }
 
-// --- requantization row kernel ------------------------------------------------
+// --- requantization plane kernels --------------------------------------------
 
 namespace {
 
-// One fixed-point multiplier's per-row constants.
-struct FixedLane {
-  std::uint32_t left_scale;  // 2^left_shift mod 2^32: the wrapping left shift
-  std::int32_t mult;
-  int right_shift;
-  std::int32_t mask;  // 2^right_shift - 1
-  std::int32_t half;  // mask >> 1
-};
+// The requant kernels work on the GEMM's int32 vectors; their 64-bit
+// products use int64 vectors of the same width, and their int8 results the
+// IVL-byte vectors an int32 vector narrows to.
+typedef std::int64_t vl __attribute__((vector_size(sizeof(vi))));
+typedef std::uint64_t vul __attribute__((vector_size(sizeof(vi))));
+typedef std::int8_t vb __attribute__((vector_size(IVL)));
 
-FixedLane fixed_lane(std::int32_t mult, int shift) {
-  const int left = shift > 0 ? shift : 0;
-  const int right = shift > 0 ? 0 : -shift;
-  util::require(right <= 31, "rounding_divide_by_pot: bad exponent");
-  const auto mask = static_cast<std::int32_t>((std::int64_t{1} << right) - 1);
-  return {left < 32 ? std::uint32_t{1} << left : 0u, mult, right, mask, mask >> 1};
+// Sign-extends IVL int8 lanes to int32, through int16 lanes: GCC 12 splits
+// a direct int8 -> int32 conversion of a whole vector into scalar moves.
+inline vi load_i8_lanes(const std::int8_t* p) {
+  typedef std::int16_t vh __attribute__((vector_size(2 * IVL)));
+  vb bytes;
+  __builtin_memcpy(&bytes, p, sizeof(vb));
+  return __builtin_convertvector(__builtin_convertvector(bytes, vh), vi);
 }
 
-// quant::fixed_multiply without branches on the element:
+// Lane-wise a + b modulo 2^32: a row's last vector also computes lanes past
+// the row, whose sums are nobody's, so no lane may overflow a signed add.
+inline vi add(vi a, vi b) {
+  return reinterpret_cast<vi>(reinterpret_cast<vu>(a) + reinterpret_cast<vu>(b));
+}
+
+// The low 32 bits of each 64-bit lane, sign-extended.
+inline vl low_words_extended(vl a) {
+  return reinterpret_cast<vl>(reinterpret_cast<vul>(a) << 32) >> 32;
+}
+
+// One fixed-point multiplier's constants, lane-wise: a vector of rows (the
+// one-element-row path) or one row broadcast.
+struct LaneFixed {
+  vu left;         // the left shift, 0..31
+  vu kept;         // all ones, or 0 for a left shift past 31 (x * 2^left = 0 mod 2^32)
+  vl mult_even;    // mult of the even lanes, sign-extended to 64 bits
+  vl mult_odd;     // mult of the odd lanes, sign-extended to 64 bits
+  vi right;        // the right shift, 0..31
+  vi mask;         // 2^right - 1
+  vi half;         // mask >> 1
+  // Some lane shifts left or has mult INT32_MIN (so its high multiply may
+  // saturate); without either, both steps are skipped.
+  bool general;
+};
+
+void check_exponent(FixedMultiplier m) {
+  util::require(m.shift >= -31, "rounding_divide_by_pot: bad exponent");
+}
+
+// One lane's constants (right shift already checked to be <= 31).
+struct FixedScalars {
+  std::uint32_t left, kept;
+  std::int32_t mult, right, mask;
+};
+
+FixedScalars fixed_scalars(FixedMultiplier m) {
+  const int right = m.shift > 0 ? 0 : -m.shift;
+  return {static_cast<std::uint32_t>(m.shift > 0 ? std::min(m.shift, 31) : 0),
+          m.shift > 31 ? 0u : ~0u, m.mult, right,
+          static_cast<std::int32_t>((std::int64_t{1} << right) - 1)};
+}
+
+// Every lane from one multiplier (a row's).
+LaneFixed splat_fixed(FixedMultiplier m) {
+  const FixedScalars c = fixed_scalars(m);
+  const vi mask = splat_word(c.mask);
+  return {vu{} + c.left, vu{} + c.kept, vl{} + c.mult, vl{} + c.mult, splat_word(c.right), mask,
+          mask >> 1, c.left != 0 || c.mult == std::numeric_limits<std::int32_t>::min()};
+}
+
+// Lane l from m[l] (a vector of one-element rows).
+LaneFixed lane_fixed(const FixedMultiplier* m) {
+  LaneFixed f = splat_fixed(FixedMultiplier{});
+  vi mult{};
+  for (int l = 0; l < IVL; ++l) {
+    const FixedScalars c = fixed_scalars(m[l]);
+    f.left[l] = c.left;
+    f.kept[l] = c.kept;
+    mult[l] = c.mult;
+    f.right[l] = c.right;
+    f.mask[l] = c.mask;
+    f.general = f.general || c.left != 0 || c.mult == std::numeric_limits<std::int32_t>::min();
+  }
+  f.mult_even = low_words_extended(reinterpret_cast<vl>(mult));
+  f.mult_odd = reinterpret_cast<vl>(mult) >> 32;
+  f.half = f.mask >> 1;
+  return f;
+}
+
+inline vi max_lanes(vi a, vi b) { return a > b ? a : b; }
+inline vi min_lanes(vi a, vi b) { return a < b ? a : b; }
+
+// quant::fixed_multiply, lane-wise and without branches:
 //  - the left shift wraps modulo 2^32, as the int64 product truncated to
 //    int32 does;
 //  - the doubling high multiply's (ab + nudge) / 2^31, truncated toward
 //    zero, equals floor((ab + 2^30) / 2^31) for either sign of ab; its low
-//    32 bits are bits 31..62 of ab + 2^30, so a logical shift serves;
+//    32 bits are bits 31..62 of ab + 2^30. The 64-bit products come from
+//    the even and the odd 32-bit lanes, sign-extended in place (a product
+//    of two such values plus 2^30 cannot overflow int64, and the shifts
+//    that could are done in unsigned lanes); shifting the odd lanes' sums
+//    left by one moves their bits 31..62 into the upper half of their
+//    64-bit lane, where the odd result belongs;
 //  - that quotient lies in [-2^31 + 1, 2^31] and reaches 2^31 (wrapping to
 //    INT32_MIN) only for INT32_MIN * INT32_MIN, which saturates;
+//  - kGeneral = false (no lane shifts left or has mult INT32_MIN, the
+//    common case) skips the left shift and the saturation check;
 //  - the rounding right shift is rounding_divide_by_pot, which returns x
 //    unchanged at exponent 0 (mask 0 never exceeds the threshold).
-inline std::int32_t fixed_lane_multiply(std::int32_t x, FixedLane l) {
-  const auto shifted = static_cast<std::int32_t>(static_cast<std::uint32_t>(x) * l.left_scale);
-  const std::int64_t ab = static_cast<std::int64_t>(shifted) * l.mult;
-  auto high = static_cast<std::int32_t>(
-      static_cast<std::uint64_t>(ab + (std::int64_t{1} << 30)) >> 31);
-  high = high == std::numeric_limits<std::int32_t>::min()
-             ? std::numeric_limits<std::int32_t>::max()
-             : high;
-  const std::int32_t remainder = high & l.mask;
-  const std::int32_t threshold = l.half + (high < 0 ? 1 : 0);
-  return (high >> l.right_shift) + (remainder > threshold ? 1 : 0);
+template <bool kGeneral>
+inline vi fixed_multiply_lanes(vi x, const LaneFixed& f) {
+  const vl a = reinterpret_cast<vl>(kGeneral ? (reinterpret_cast<vu>(x) << f.left) & f.kept
+                                             : reinterpret_cast<vu>(x));
+  const vl nudge = vl{} + (std::int64_t{1} << 30);
+  const vul even = reinterpret_cast<vul>(low_words_extended(a) * f.mult_even + nudge) >> 31;
+  const vul odd = reinterpret_cast<vul>((a >> 32) * f.mult_odd + nudge) << 1;
+  const vul low_words = vul{} + 0xFFFFFFFFu;
+  vi high = reinterpret_cast<vi>((even & low_words) | (odd & ~low_words));
+  // INT32_MIN - 1 wraps to INT32_MAX: the comparison is -1 where it holds.
+  if constexpr (kGeneral) high = add(high, high == std::numeric_limits<std::int32_t>::min());
+  const vi threshold = f.half - (high < 0);
+  return (high >> f.right) - ((high & f.mask) > threshold);
 }
 
-template <bool kShortcut, typename T>
-void requant_loop(const T* x, int n, const RequantRow& row, std::int8_t* dst) {
-  // Every constant in a local: the int8 stores may alias any object.
-  const FixedLane m = fixed_lane(row.mult, row.shift);
-  const FixedLane s = kShortcut ? fixed_lane(row.sc_mult, row.sc_shift) : m;
-  const std::int32_t bias = row.bias, offset = row.offset, floor = row.floor;
-  const std::int32_t sc_zero_point = row.sc_zero_point;
-  const std::int8_t* sc = row.sc;
-  for (int p = 0; p < n; ++p) {
-    std::int32_t q = fixed_lane_multiply(static_cast<std::int32_t>(x[p]) + bias, m) + offset;
-    if constexpr (kShortcut)
-      q += fixed_lane_multiply(static_cast<std::int32_t>(sc[p]) - sc_zero_point, s);
-    dst[p] = static_cast<std::int8_t>(std::clamp(std::max(q, floor), -128, 127));
+// saturate_int8(max(q, floor)), narrowed.
+inline vb saturate_lanes(vi q, vi floor) {
+  q = min_lanes(max_lanes(max_lanes(q, floor), splat_word(-128)), splat_word(127));
+  return __builtin_convertvector(q, vb);
+}
+
+// A row's FU constants: its multiplier and the two additions around it.
+struct LaneRow {
+  LaneFixed m;
+  vi bias;
+  vi offset;
+};
+
+// The FU's plane-wide constants.
+struct PlaneLanes {
+  vi floor;
+  vi sc_zero_point;
+  LaneFixed sc_rescale;
+};
+
+// A plane's shortcut operand: none, or one whose rescale is plain or
+// general in fixed_multiply_lanes' sense.
+enum class Shortcut { none, plain, general };
+
+// The FU chain on one vector of elements; `sc` is the shortcut operand's
+// lanes (ignored without a shortcut). kGeneral is the row multiplier's
+// form.
+template <Shortcut kSc, bool kGeneral>
+inline vb fu_lanes(vi x, vi sc, const LaneRow& row, const PlaneLanes& plane) {
+  vi q = add(fixed_multiply_lanes<kGeneral>(add(x, row.bias), row.m), row.offset);
+  if constexpr (kSc != Shortcut::none)
+    q = add(q, fixed_multiply_lanes<kSc == Shortcut::general>(sc - plane.sc_zero_point,
+                                                               plane.sc_rescale));
+  return saturate_lanes(q, plane.floor);
+}
+
+// Elements [at, at + count) of the plane through fu_lanes, count <= IVL.
+// A short count is read and written through stack copies, so nothing past
+// the plane is touched.
+template <Shortcut kSc, bool kGeneral>
+inline void fu_vector(const std::int32_t* x, const std::int8_t* sc, std::size_t at, int count,
+                      const LaneRow& row, const PlaneLanes& plane, std::int8_t* dst) {
+  constexpr bool kShortcut = kSc != Shortcut::none;
+  if (count == IVL) {
+    const vi s = kShortcut ? load_i8_lanes(sc + at) : vi{};
+    const vb out = fu_lanes<kSc, kGeneral>(load_vi(x + at), s, row, plane);
+    __builtin_memcpy(dst + at, &out, sizeof(vb));
+    return;
   }
+  std::int32_t xs[IVL] = {};
+  std::int8_t ss[IVL] = {};
+  std::copy(x + at, x + at + count, xs);
+  if (kShortcut) std::copy(sc + at, sc + at + count, ss);
+  const vi s = kShortcut ? load_i8_lanes(ss) : vi{};
+  const vb out = fu_lanes<kSc, kGeneral>(load_vi(xs), s, row, plane);
+  __builtin_memcpy(dst + at, &out, static_cast<std::size_t>(count));
 }
 
-template <typename T>
-void requant_row_any(const T* x, int n, const RequantRow& row, std::int8_t* dst) {
-  if (row.sc != nullptr)
-    requant_loop<true>(x, n, row, dst);
-  else
-    requant_loop<false>(x, n, row, dst);
+// Row r's elements [begin, end) of the plane: whole vectors, then the
+// row's last partial vector, run whole while it stays inside the plane
+// (the lanes past the row land in later rows, which are retired after this
+// one and overwrite them).
+template <Shortcut kSc, bool kGeneral>
+void fu_row(const std::int32_t* x, const std::int8_t* sc, std::size_t begin, std::size_t end,
+            std::size_t total, const LaneRow& row_in, const PlaneLanes& plane_in,
+            std::int8_t* dst) {
+  // Local copies: the int8 stores may alias any object, so constants read
+  // through the references would be reloaded after every store.
+  const LaneRow row = row_in;
+  const PlaneLanes plane = plane_in;
+  std::size_t at = begin;
+  for (; at + IVL <= end; at += IVL)
+    fu_vector<kSc, kGeneral>(x, sc, at, IVL, row, plane, dst);
+  if (at < end)
+    fu_vector<kSc, kGeneral>(
+        x, sc, at, static_cast<int>(std::min<std::size_t>(IVL, total - at)), row, plane, dst);
+}
+
+template <Shortcut kSc>
+void requant_plane_impl(const std::int32_t* x, int rows, int n, const RequantPlane& fu,
+                        std::int8_t* dst) {
+  const std::size_t total = static_cast<std::size_t>(rows) * n;
+  const PlaneLanes plane{
+      splat_word(fu.relu ? fu.zero_point : std::numeric_limits<std::int32_t>::min()),
+      splat_word(fu.sc_zero_point), splat_fixed(fu.sc_rescale)};
+  if (n == 1) {
+    // One element per row: lane l is row r0 + l.
+    for (int r0 = 0; r0 < rows; r0 += IVL) {
+      const int count = std::min(IVL, rows - r0);
+      FixedMultiplier m[IVL] = {};
+      std::int32_t bias[IVL] = {}, offset[IVL] = {};
+      for (int l = 0; l < count; ++l) {
+        const auto r = static_cast<std::size_t>(r0 + l);
+        m[l] = fu.requant[r];
+        bias[l] = fu.bias[r];
+        offset[l] = fu.post_add[r] + fu.zero_point;
+      }
+      LaneRow row{lane_fixed(m), load_vi(bias), load_vi(offset)};
+      const auto at = static_cast<std::size_t>(r0);
+      if (row.m.general)
+        fu_vector<kSc, true>(x, fu.sc, at, count, row, plane, dst);
+      else
+        fu_vector<kSc, false>(x, fu.sc, at, count, row, plane, dst);
+    }
+    return;
+  }
+  for (int r = 0; r < rows; ++r) {
+    const auto ri = static_cast<std::size_t>(r);
+    const LaneRow row{splat_fixed(fu.requant[ri]), splat_word(fu.bias[ri]),
+                      splat_word(fu.post_add[ri] + fu.zero_point)};
+    const std::size_t begin = ri * n;
+    if (row.m.general)
+      fu_row<kSc, true>(x, fu.sc, begin, begin + n, total, row, plane, dst);
+    else
+      fu_row<kSc, false>(x, fu.sc, begin, begin + n, total, row, plane, dst);
+  }
 }
 
 }  // namespace
 
-void requant_row(const std::int32_t* x, int n, const RequantRow& row, std::int8_t* dst) {
-  requant_row_any(x, n, row, dst);
+void requant_plane(const std::int32_t* x, int rows, int n, const RequantPlane& fu,
+                   std::int8_t* dst) {
+  for (int r = 0; r < rows; ++r) check_exponent(fu.requant[static_cast<std::size_t>(r)]);
+  if (fu.sc == nullptr) {
+    requant_plane_impl<Shortcut::none>(x, rows, n, fu, dst);
+    return;
+  }
+  check_exponent(fu.sc_rescale);
+  if (splat_fixed(fu.sc_rescale).general)
+    requant_plane_impl<Shortcut::general>(x, rows, n, fu, dst);
+  else
+    requant_plane_impl<Shortcut::plain>(x, rows, n, fu, dst);
 }
 
-void requant_row(const std::int8_t* x, int n, const RequantRow& row, std::int8_t* dst) {
-  requant_row_any(x, n, row, dst);
+void dropout_plane(std::int8_t* x, int rows, int n, const std::uint64_t* drop,
+                   std::int32_t zero_point, FixedMultiplier keep) {
+  check_exponent(keep);
+  // Every row shares the rescale, so the plane is one flat run of
+  // rows * n elements; dropped rows are overwritten afterwards.
+  const LaneFixed m = splat_fixed(keep);
+  const vi bias = splat_word(-zero_point), offset = splat_word(zero_point);
+  const vi floor = splat_word(std::numeric_limits<std::int32_t>::min());
+  const std::size_t total = static_cast<std::size_t>(rows) * n;
+  const auto rescale = [&](std::int8_t* at) {
+    const vi q = add(m.general
+                         ? fixed_multiply_lanes<true>(add(load_i8_lanes(at), bias), m)
+                         : fixed_multiply_lanes<false>(add(load_i8_lanes(at), bias), m),
+                     offset);
+    const vb out = saturate_lanes(q, floor);
+    __builtin_memcpy(at, &out, sizeof(vb));
+  };
+  std::size_t at = 0;
+  for (; at + IVL <= total; at += IVL) rescale(x + at);
+  if (at < total) {
+    std::int8_t tail[IVL] = {};
+    std::copy(x + at, x + total, tail);
+    rescale(tail);
+    std::copy(tail, tail + (total - at), x + at);
+  }
+  const std::int8_t dropped =
+      static_cast<std::int8_t>(std::clamp(zero_point, std::int32_t{-128}, std::int32_t{127}));
+  for (int w = 0; w * 64 < rows; ++w) {
+    std::uint64_t bits = drop[w];
+    while (bits != 0) {
+      const int lead = __builtin_clzll(bits);
+      const int r = w * 64 + lead;
+      if (r >= rows) break;
+      std::fill(x + static_cast<std::size_t>(r) * n, x + static_cast<std::size_t>(r + 1) * n,
+                dropped);
+      bits &= ~(std::uint64_t{1} << (63 - lead));
+    }
+  }
 }
 
 }  // namespace bnn::nn::kernels

@@ -1,12 +1,13 @@
 // Micro-kernel layer under the float GEMM front end and the int8 NNE: the
 // register-blocked, cache-tiled float GEMMs, the four-terms-per-step int8
-// GEMM the NNE's int8 tier runs every conv layer through (position-vectorized,
-// or filter-vectorized over a grouped K-major weight copy for maps under 16
-// positions) with the interleave that fills its panel, the int8 dot product
-// of its linear layers, and the requant row kernel that retires the NNE's
-// Functional Unit and Dropout Unit rows — compiler-vectorized kernels with
-// no external dependencies; the GEMM's four-term step is the u8 x s8
-// dot-product instruction where the TU targets AVX512-VNNI.
+// GEMM the NNE's int8 tier runs every conv and linear layer through
+// (position-vectorized, or filter-vectorized over a grouped K-major weight
+// copy for maps under 16 positions and for linear layers) with the
+// interleave that fills its panel, and the requant plane kernels that retire
+// the NNE's Functional Unit and Dropout Unit planes in one call each —
+// compiler-vectorized kernels with no external dependencies; the GEMM's
+// four-term step is the u8 x s8 dot-product instruction where the TU targets
+// AVX512-VNNI.
 //
 // Bit-identity contract (enforced by tests/test_gemm.cpp and the
 // bench/gemm_microbench smoke run): every blocked float kernel produces the
@@ -19,13 +20,12 @@
 //
 // The int8 kernels accumulate in int32, which is associative, so they may
 // reorder freely and are exact by arithmetic rather than by ordering. The
-// requant row kernel is integer-only and element-wise, so it equals the
-// scalar quant::fixed_multiply chain whatever width it vectorizes at.
+// requant plane kernels are integer-only and element-wise, so they equal
+// the scalar quant::fixed_multiply chain whatever width they vectorize at.
 #ifndef BNN_NN_GEMM_KERNELS_H
 #define BNN_NN_GEMM_KERNELS_H
 
 #include <cstdint>
-#include <limits>
 
 namespace bnn::nn::kernels {
 
@@ -38,7 +38,7 @@ namespace bnn::nn::kernels {
 // so outputs are bit-identical across tiers unconditionally. The plain-loop
 // specification both must match is quant/qops.h, which uses no tier.
 enum class Tier {
-  int8,     // gemm_u8i8 (conv) / dot_i8_zp (linear) kernels
+  int8,     // gemm_u8i8 (conv) / gemm_u8i8_kmajor (small-map conv, linear) kernels
   bitpack,  // bit-packed XNOR/popcount (+ ternary pass/negate/zero) tier
 };
 
@@ -82,17 +82,6 @@ void gemm_at_blocked(int m, int n, int k, const float* a, const float* b, float*
 
 void gemm_bt_blocked(int m, int n, int k, const float* a, const float* b, float* c,
                      bool accumulate);
-
-// --- int8 -> int32 kernels --------------------------------------------------
-// Products (x - zero_point) * w with int8 x, w and zero_point are at most
-// 255 * 128 in magnitude and are accumulated exactly in int32, so any
-// summation order equals the per-term loop of the src/quant/qops.cpp
-// specification.
-
-// One full-length inner product: sum_t (x[t] - zero_point) * w[t] (the NNE's
-// linear layers, one call per filter).
-std::int32_t dot_i8_zp(const std::int8_t* x, const std::int8_t* w, int len,
-                       std::int32_t zero_point);
 
 // --- the NNE's conv GEMM, four terms per step --------------------------------
 // The conv GEMM reduces terms in groups of four, as the PE's multiply-add
@@ -143,7 +132,7 @@ void gemm_i8_corrections(int m, int k, const std::int8_t* w, std::int32_t zero_p
 void gemm_u8i8(int m, int n, int k, const std::int8_t* w, const std::uint8_t* x, int ldx,
                const std::int32_t* correction, std::int32_t* c, int ldc);
 
-// --- filter-vectorized GEMM (maps under 16 positions) -------------------------
+// --- filter-vectorized GEMM (maps under 16 positions, linear layers) ---------
 // gemm_u8i8 vectorizes along positions in blocks of 16, so a map with fewer
 // positions would leave lanes idle. Below that size the conv GEMM vectorizes
 // along filters instead: per group, one broadcast four-term activation word
@@ -151,7 +140,8 @@ void gemm_u8i8(int m, int n, int k, const std::int8_t* w, const std::uint8_t* x,
 // weights are read from a grouped K-major copy built once per layer
 // (quant::build_layer_exec_plan), so a small-map call does no packing. The
 // plan build and the NNE both ask gemm_i8_filter_vectorized, so they agree
-// on which layers carry the copy.
+// on which layers carry the copy. A linear layer is a one-position map: the
+// NNE calls this tile with n = 1 and ldx = 1 on its flipped input row.
 bool gemm_i8_filter_vectorized(int n);
 
 // Filter stride of the grouped K-major copy for m filters: m rounded up to
@@ -177,38 +167,55 @@ void gemm_u8i8_kmajor(int m, int n, int k, const std::int8_t* wk, int ldw,
 // Benches record it beside their timings.
 const char* gemm_i8_body();
 
-// --- requantization row kernel ------------------------------------------------
-// The NNE's Functional Unit (BN requant -> SC -> ReLU -> saturate) and its
-// Dropout Unit rescale retire one output row at a time through this kernel:
-//   dst[p] = saturate_int8(max(fixed_multiply(x[p] + bias, (mult, shift))
-//                              + offset [+ sc_term(p)], floor))
-//   sc_term(p) = fixed_multiply(sc[p] - sc_zero_point, (sc_mult, sc_shift))
+// --- requantization plane kernels --------------------------------------------
+// A fixed-point multiplier, the real value mult * 2^(shift - 31) with mult a
+// Q31 value. This is quant::FixedMultiplier (quant/fixed_point.h names it
+// with a using-declaration): nn cannot include quant, and the FU kernel reads
+// a layer's per-filter multipliers where they are stored.
+struct FixedMultiplier {
+  std::int32_t mult = 0;
+  int shift = 0;
+};
+
+// The NNE's Functional Unit (bias -> BN requant -> SC -> ReLU -> saturate)
+// retires a layer's whole [rows][n] int32 sum plane in one call:
+//   dst[r][p] = saturate_int8(max(fixed_multiply(x[r][p] + bias[r], requant[r])
+//                                 + post_add[r] + zero_point [+ sc_term(r, p)], floor))
+//   sc_term(r, p) = fixed_multiply(sc[r][p] - sc_zero_point, sc_rescale)
+//   floor = relu ? zero_point : INT32_MIN
 // with fixed_multiply exactly quant::fixed_multiply (gemmlowp semantics: a
 // wrapping left shift for shift > 0, the saturating rounding doubling high
 // multiply including its INT32_MIN * INT32_MIN case, and a round-to-nearest
-// right shift for shift <= 0). nn cannot include quant, so a multiplier is
-// the raw (mult, shift) pair of quant::FixedMultiplier. The row constants
-// are hoisted out of the element loop, so the loop vectorizes; like
-// quant::rounding_divide_by_pot, a right shift past 31 (shift < -31)
-// throws std::invalid_argument, checked once per row.
-struct RequantRow {
-  std::int32_t bias = 0;
-  std::int32_t mult = 0;
-  int shift = 0;
-  std::int32_t offset = 0;
-  // The ReLU floor (the output zero point), or INT32_MIN for none.
-  std::int32_t floor = std::numeric_limits<std::int32_t>::min();
-  // Optional shortcut operand (null: no sc_term).
+// right shift for shift <= 0). Each row's constants are set up once, outside
+// its element loop, and a row's last partial vector needs no scalar
+// epilogue; a plane of one-element rows (linear layers, global pools)
+// vectorizes across rows instead. Like quant::rounding_divide_by_pot, a
+// right shift past 31 (shift < -31, in any row's multiplier or in
+// sc_rescale) throws std::invalid_argument, before anything is written.
+// `dst` must not overlap `x` or `sc`.
+struct RequantPlane {
+  const std::int32_t* bias = nullptr;        // [rows]
+  const FixedMultiplier* requant = nullptr;  // [rows]
+  const std::int32_t* post_add = nullptr;    // [rows]
+  std::int32_t zero_point = 0;               // the output zero point
+  bool relu = false;                         // floor at zero_point
+  // Optional shortcut operand, [rows][n] (null: no sc_term).
   const std::int8_t* sc = nullptr;
   std::int32_t sc_zero_point = 0;
-  std::int32_t sc_mult = 0;
-  int sc_shift = 0;
+  FixedMultiplier sc_rescale;
 };
+void requant_plane(const std::int32_t* x, int rows, int n, const RequantPlane& fu,
+                   std::int8_t* dst);
 
-// The FU form over an int32 term-sum row.
-void requant_row(const std::int32_t* x, int n, const RequantRow& row, std::int8_t* dst);
-// The DU form over an int8 row; dst may equal x (in-place rescale).
-void requant_row(const std::int8_t* x, int n, const RequantRow& row, std::int8_t* dst);
+// The plane kernel's int8 form, the Dropout Unit, in place over [rows][n]:
+// a row whose drop bit is set becomes saturate_int8(zero_point), and every
+// other element is rescaled about the zero point,
+//   x[r][p] = saturate_int8(fixed_multiply(x[r][p] - zero_point, keep) + zero_point).
+// Drop bit r is bit 63 - r % 64 of drop[r / 64], the order of
+// nn::MaskSource::draw_drops; bits past `rows` are ignored. keep.shift < -31
+// throws std::invalid_argument.
+void dropout_plane(std::int8_t* x, int rows, int n, const std::uint64_t* drop,
+                   std::int32_t zero_point, FixedMultiplier keep);
 
 }  // namespace bnn::nn::kernels
 

@@ -6,25 +6,26 @@
 // output == reference output" tests bit-exact.
 //
 // The per-element requantization chain (fixed_multiply and what it calls,
-// saturate_int8) is defined inline here: the NNE's Functional Unit pass and
-// the Dropout Unit run it once per output element, where an out-of-line
-// call per step would cost more than the arithmetic.
+// saturate_int8) is defined inline here: the plain-loop specification
+// (quant/qops) runs it once per output element, where an out-of-line call
+// per step would cost more than the arithmetic. The NNE runs the same chain
+// through the kernel layer's plane kernels (nn/gemm_kernels.h).
 #ifndef BNN_QUANT_FIXED_POINT_H
 #define BNN_QUANT_FIXED_POINT_H
 
 #include <cstdint>
 #include <limits>
 
+#include "nn/gemm_kernels.h"
 #include "util/check.h"
 
 namespace bnn::quant {
 
 // Real multiplier m encoded as mult * 2^(shift - 31) with mult a Q31 value
-// whose magnitude lies in [2^30, 2^31) (or 0 for m == 0).
-struct FixedMultiplier {
-  std::int32_t mult = 0;
-  int shift = 0;
-};
+// whose magnitude lies in [2^30, 2^31) (or 0 for m == 0). The type lives in
+// the kernel layer, whose FU plane kernel reads a layer's multipliers in
+// place (nn cannot include quant).
+using FixedMultiplier = nn::kernels::FixedMultiplier;
 
 // Encodes an arbitrary finite real multiplier (sign allowed).
 FixedMultiplier quantize_multiplier(double value);

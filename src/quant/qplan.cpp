@@ -83,29 +83,34 @@ LayerExecPlan build_layer_exec_plan(const QLayer& layer) {
       plan.term_dw[static_cast<std::size_t>(t)] = dw;
       plan.term_off[static_cast<std::size_t>(t)] = (ch * g.in_h + dh) * g.in_w + dw;
     }
-    // The conv GEMM's partial sums are bounded by 255 * 128 * terms.
-    util::require(std::int64_t{32640} * plan.terms < (std::int64_t{1} << 31),
-                  "qplan: conv term sums could overflow int32");
-    std::vector<std::int8_t> materialized;
-    const std::int8_t* rows = layer.weights.data();
-    if (layer.weights_packed) {
-      materialized.resize(static_cast<std::size_t>(g.out_c) * plan.terms);
-      for (int f = 0; f < g.out_c; ++f)
-        layer.materialize_weight_row(
-            f, materialized.data() + static_cast<std::size_t>(f) * plan.terms);
-      rows = materialized.data();
-    }
-    plan.correction.resize(static_cast<std::size_t>(g.out_c));
-    nn::kernels::gemm_i8_corrections(g.out_c, plan.terms, rows, layer.in.zero_point,
-                                     plan.correction.data());
-    plan.weight_bytes += plan.correction.size() * sizeof(std::int32_t);
-    if (nn::kernels::gemm_i8_filter_vectorized(g.conv_out_h * g.conv_out_w)) {
-      plan.ldw = nn::kernels::gemm_i8_ldw(g.out_c);
-      plan.weights_kmajor.resize(static_cast<std::size_t>(nn::kernels::gemm_i8_groups(plan.terms)) *
-                                 plan.ldw * 4);
-      nn::kernels::pack_i8_kmajor(g.out_c, plan.terms, rows, plan.weights_kmajor.data());
-      plan.weight_bytes += plan.weights_kmajor.size();
-    }
+  }
+
+  // Both int8 GEMM forms subtract the zero-point correction; the filter
+  // tile (maps under 16 positions, and linear layers as one-position maps)
+  // also reads the grouped K-major copy. Partial sums are bounded by
+  // 255 * 128 * terms.
+  util::require(std::int64_t{32640} * plan.terms < (std::int64_t{1} << 31),
+                "qplan: int8 term sums could overflow int32");
+  std::vector<std::int8_t> materialized;
+  const std::int8_t* rows = layer.weights.data();
+  if (layer.weights_packed) {
+    materialized.resize(static_cast<std::size_t>(g.out_c) * plan.terms);
+    for (int f = 0; f < g.out_c; ++f)
+      layer.materialize_weight_row(
+          f, materialized.data() + static_cast<std::size_t>(f) * plan.terms);
+    rows = materialized.data();
+  }
+  plan.correction.resize(static_cast<std::size_t>(g.out_c));
+  nn::kernels::gemm_i8_corrections(g.out_c, plan.terms, rows, layer.in.zero_point,
+                                   plan.correction.data());
+  plan.weight_bytes += plan.correction.size() * sizeof(std::int32_t);
+  if (g.op == nn::HwLayer::Op::linear ||
+      nn::kernels::gemm_i8_filter_vectorized(g.conv_out_h * g.conv_out_w)) {
+    plan.ldw = nn::kernels::gemm_i8_ldw(g.out_c);
+    plan.weights_kmajor.resize(static_cast<std::size_t>(nn::kernels::gemm_i8_groups(plan.terms)) *
+                               plan.ldw * 4);
+    nn::kernels::pack_i8_kmajor(g.out_c, plan.terms, rows, plan.weights_kmajor.data());
+    plan.weight_bytes += plan.weights_kmajor.size();
   }
 
   plan.weights_binarizable = layer_weights_binarizable(layer);

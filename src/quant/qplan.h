@@ -23,7 +23,7 @@
 // both operands, so no masking is needed.
 //
 // Everything here is integer arithmetic — the packed path produces the SAME
-// int32 accumulator value as kernels::dot_i8_zp, hence the same bits through
+// int32 accumulator value as the int8 GEMM, hence the same bits through
 // requantization. Tiers are caps, not demands: callers fall back to the int8
 // tier whenever either condition fails.
 #ifndef BNN_QUANT_QPLAN_H
@@ -46,22 +46,22 @@ struct LayerExecPlan {
   int terms = 0;  // in_c * kernel * kernel
   int words = 0;  // bit_words(terms); 0 for non-binarizable layers
 
-  // Resident weight bytes: the QLayer's own weight storage plus, for a
-  // conv layer, the zero-point correction and any grouped K-major copy
-  // below — the residency currency a segment-granular registry budget is
-  // charged in.
+  // Resident weight bytes: the QLayer's own weight storage plus the
+  // zero-point correction and any grouped K-major copy below — the
+  // residency currency a segment-granular registry budget is charged in.
   std::uint64_t weight_bytes = 0;
 
-  // The conv GEMM's per-filter zero-point correction,
+  // The int8 GEMM's per-filter zero-point correction,
   // (in.zero_point + 128) * sum_t w[f][t] (kernels::gemm_i8_corrections):
   // the GEMM sums unsigned activations u = x + 128 and subtracts it, which
-  // leaves exactly sum_t (x_t - zp) * w[f][t]. out_c entries for conv
-  // layers (4 bytes each in weight_bytes), empty for linear layers.
+  // leaves exactly sum_t (x_t - zp) * w[f][t]. out_c entries (4 bytes each
+  // in weight_bytes).
   std::vector<std::int32_t> correction;
 
   // Grouped K-major int8 weight copy [gemm_i8_groups(terms)][ldw][4]
   // (kernels::pack_i8_kmajor) that the filter-vectorized GEMM reads. Built
-  // only for conv layers whose map has fewer than 16 positions
+  // for linear layers (the NNE runs them as one-position maps) and for conv
+  // layers whose map has fewer than 16 positions
   // (kernels::gemm_i8_filter_vectorized, the same predicate the NNE
   // dispatches on); empty, with ldw 0, otherwise.
   int ldw = 0;
@@ -142,7 +142,7 @@ bool two_valued_activations(const QTensor& x, std::int8_t* lo, std::int8_t* hi);
 
 // The packed inner product over the FULL term range of row f. `xbits` packs
 // (x[t] == hi) with zero tail bits; `x_pop` is its popcount; base/delta as
-// above. Exactly equal to kernels::dot_i8_zp(x, weight_row(f), terms, zp).
+// above. Exactly equal to sum_t (x[t] - zp) * weight_row(f)[t].
 std::int32_t packed_row_dot(const LayerExecPlan& plan, int f, const std::uint64_t* xbits,
                             std::int32_t x_pop, std::int32_t base, std::int32_t delta);
 

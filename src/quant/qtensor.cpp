@@ -1,6 +1,7 @@
 #include "quant/qtensor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "quant/fixed_point.h"
@@ -64,14 +65,31 @@ QTensor quantize_image(const nn::Tensor& image, int n, QuantParams params) {
   const int w = image.size(offset + 2);
   if (image.dim() == 3) util::require(n == 0, "quantize_image: n must be 0 for CHW input");
 
+  const std::int32_t zp = params.zero_point;
+  util::require(zp >= -(1 << 22) && zp <= (1 << 22), "quantize_image: zero point out of range");
   QTensor q({c, h, w}, params);
   const std::int64_t plane = static_cast<std::int64_t>(c) * h * w;
   const float* src = image.data() + (image.dim() == 4 ? static_cast<std::int64_t>(n) * plane : 0);
+  std::int8_t* dst = q.data.data();
   const float inv_scale = 1.0f / params.scale;
+  // saturate_int8(lround(x * inv_scale) + zp) without libm and without int32
+  // wrap: the scaled value is clamped to [lo, hi], past which the result
+  // saturates either way, and then rounded half away from zero as lround
+  // does — truncate, then step away from zero when the fraction is at least
+  // one half. Both steps are exact for |v| < 2^23. NaN is cleared to 0 by
+  // its bits: a float comparison there would keep the loop from
+  // vectorizing.
+  const auto lo = static_cast<float>(-129 - zp), hi = static_cast<float>(128 - zp);
   for (std::int64_t i = 0; i < plane; ++i) {
-    const auto rounded = static_cast<std::int32_t>(std::lround(src[i] * inv_scale)) +
-                         params.zero_point;
-    q.data[static_cast<std::size_t>(i)] = saturate_int8(rounded);
+    const float v = src[i] * inv_scale;
+    const bool nan = (std::bit_cast<std::uint32_t>(v) & 0x7FFFFFFFu) > 0x7F800000u;
+    const float clamped = std::bit_cast<float>(
+        std::bit_cast<std::uint32_t>(std::min(std::max(v, lo), hi)) & (nan ? 0u : ~0u));
+    const auto whole = static_cast<std::int32_t>(clamped);
+    const float frac = clamped - static_cast<float>(whole);
+    const std::int32_t rounded =
+        whole + (frac >= 0.5f ? 1 : 0) - (frac <= -0.5f ? 1 : 0) + zp;
+    dst[i] = static_cast<std::int8_t>(std::clamp(rounded, -128, 127));
   }
   return q;
 }

@@ -63,7 +63,10 @@ struct QTensor {
 };
 
 // Quantizes one image (C, H, W) of a float tensor (3-D, or 4-D with n
-// selecting the sample) under the given parameters.
+// selecting the sample) under the given parameters: each element becomes
+// saturate_int8(lround(x * (1 / scale)) + zero_point). Values past the int8
+// range, however far (+-inf included), saturate by sign; NaN maps to the
+// zero point. The zero point must lie within +-2^22.
 QTensor quantize_image(const nn::Tensor& image, int n, QuantParams params);
 
 // Dequantizes to a float tensor of the same {C, H, W} shape.

@@ -58,6 +58,17 @@ class Rng {
   std::uint64_t seed_;
 };
 
+// The first `count` raw draws (next_u64) of Rng(seed), count in
+// [1, kMt19937_64PrefixMax], computed without building the engine.
+// std::mt19937_64's first draw twists all 312 state words; the standard
+// fixes the seeding recurrence
+//   x[0] = seed, x[i] = 6364136223846793005 * (x[i-1] ^ (x[i-1] >> 62)) + i
+// and the twist, under which output j < 156 reads only x[j], x[j + 1] and
+// x[j + 156]. So a prefix costs about 156 + count multiply steps, and it is
+// exact for every seed: a longer prefix extends a shorter one.
+inline constexpr int kMt19937_64PrefixMax = 156;
+void mt19937_64_prefix(std::uint64_t seed, int count, std::uint64_t* out);
+
 }  // namespace bnn::util
 
 #endif  // BNN_UTIL_RNG_H

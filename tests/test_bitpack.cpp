@@ -1,10 +1,9 @@
 // The bit-packed XNOR/popcount kernel tier must be bit-identical to the
 // int8 tier at every level: the word primitives against naive bit loops,
-// packed_row_dot against dot_i8_zp, and the NNE at both tier caps against
-// the plain-loop spec (quant/qops) across edge-case geometries. Also pins
-// the tier-dependent cycle model, the sampler reseed contract the
-// accelerator's lane arena relies on, and that warm NNE layer calls touch
-// no heap (counted by this binary's replacement operator new).
+// packed_row_dot against the plain int8 dot, and the NNE at both tier caps
+// against the plain-loop spec (quant/qops) across edge-case geometries.
+// Also pins the tier-dependent cycle model and that warm NNE layer calls
+// touch no heap (counted by this binary's replacement operator new).
 #include "nn/bitpack_kernels.h"
 
 #include <gtest/gtest.h>
@@ -187,6 +186,14 @@ quant::QLayer make_binarizable_linear(util::Rng& rng, int rows, int len, bool pu
   return layer;
 }
 
+// sum_t (x[t] - zp) * w[t], the specification's per-term loop.
+std::int32_t plain_dot(const std::int8_t* x, const std::int8_t* w, int len, std::int32_t zp) {
+  std::int32_t sum = 0;
+  for (int t = 0; t < len; ++t)
+    sum += (static_cast<std::int32_t>(x[t]) - zp) * static_cast<std::int32_t>(w[t]);
+  return sum;
+}
+
 TEST(PackedRowDot, EqualsInt8DotOverRandomBinarizableRows) {
   util::Rng rng(304);
   for (const int len : {1, 64, 130, 1152}) {
@@ -211,7 +218,7 @@ TEST(PackedRowDot, EqualsInt8DotOverRandomBinarizableRows) {
         const std::int32_t delta = static_cast<std::int32_t>(c.hi) - c.lo;
         for (int f = 0; f < rows; ++f) {
           EXPECT_EQ(quant::packed_row_dot(plan, f, xbits.data(), x_pop, base, delta),
-                    kernels::dot_i8_zp(x.data(), layer.weight_row(f), len, c.zp))
+                    plain_dot(x.data(), layer.weight_row(f), len, c.zp))
               << "len " << len << " pure_binary " << pure_binary << " row " << f << " lo "
               << static_cast<int>(c.lo) << " hi " << static_cast<int>(c.hi) << " zp "
               << c.zp;
@@ -573,41 +580,6 @@ TEST(BinaryCycleModel, CostModelChargesBinarizableLayersLess) {
   desc.layers[0].weights_binarizable = true;
   cost.bind_model(1, desc, 0);
   EXPECT_LT(cost.modelled_ms(1, 1, 4), cost.modelled_ms(0, 1, 4));
-}
-
-// --- sampler reseed (the lane arena's reuse contract) -----------------------
-
-TEST(SamplerReseed, MatchesFreshlyConstructedSampler) {
-  core::BernoulliSamplerConfig config;
-  config.p = 0.25;
-  config.pf = 16;
-  config.fifo_depth = 4;
-  config.seed = 5;
-  core::BernoulliSampler reused(config);
-  for (int i = 0; i < 100; ++i) (void)reused.next_drop();
-  for (int i = 0; i < 40; ++i) reused.step_cycle();
-
-  reused.reseed(99);
-  config.seed = 99;
-  core::BernoulliSampler fresh(config);
-  for (int i = 0; i < 200; ++i)
-    EXPECT_EQ(reused.next_drop(), fresh.next_drop()) << "drop bit " << i;
-
-  // Cycle-level state was cleared too: both produce the same mask words.
-  reused.reseed(7);
-  config.seed = 7;
-  core::BernoulliSampler fresh7(config);
-  for (int i = 0; i < 64; ++i) {
-    reused.step_cycle();
-    fresh7.step_cycle();
-  }
-  EXPECT_EQ(reused.fifo_occupancy(), fresh7.fifo_occupancy());
-  std::vector<std::uint8_t> word_a, word_b;
-  while (reused.pop_word(word_a)) {
-    ASSERT_TRUE(fresh7.pop_word(word_b));
-    EXPECT_EQ(word_a, word_b);
-  }
-  EXPECT_FALSE(fresh7.pop_word(word_b));
 }
 
 }  // namespace

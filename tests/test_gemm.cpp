@@ -196,25 +196,6 @@ TEST(Gemm, PublicEntryPointsRouteToKernels) {
             0);
 }
 
-// --- int8 dot kernels ------------------------------------------------------
-
-TEST(DotI8, MatchesPlainLoopForAnyLengthAndZeroPoint) {
-  util::Rng rng(7);
-  for (const int len : {1, 2, 3, 7, 64, 300, 1152}) {
-    std::vector<std::int8_t> x(static_cast<std::size_t>(len)), w(static_cast<std::size_t>(len));
-    for (auto& v : x) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-    for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-    for (const std::int32_t zp : {-7, 0, 11}) {
-      std::int32_t expected = 0;
-      for (int t = 0; t < len; ++t)
-        expected += (static_cast<std::int32_t>(x[static_cast<std::size_t>(t)]) - zp) *
-                    static_cast<std::int32_t>(w[static_cast<std::size_t>(t)]);
-      EXPECT_EQ(nn::kernels::dot_i8_zp(x.data(), w.data(), len, zp), expected)
-          << "len=" << len << " zp=" << zp;
-    }
-  }
-}
-
 // --- int8 GEMM ----------------------------------------------------------------
 
 // A conv GEMM operand pair in the kernels' contract: a logical K-major
@@ -375,6 +356,43 @@ TEST(GemmI8, FilterVectorizedTileMatchesPlainLoop) {
 // its 16-position vectors and at steps 1 (stride-1 conv rows), 2 and 3;
 // bytes between runs and between a run's positions are never read, and a
 // row's last read is its last byte.
+// A linear layer is a one-position map: its input row, flipped to
+// u = x + 128 and zero-padded to whole groups, is a panel with ldx = 1, and
+// the filter tile over the K-major copy computes every filter's dot.
+TEST(GemmI8, OnePositionFilterTileMatchesPlainDot) {
+  util::Rng rng(7);
+  for (const int len : {1, 2, 3, 7, 64, 300, 1152}) {
+    for (const int m : {1, 10, 17, 120}) {
+      std::vector<std::int8_t> x(static_cast<std::size_t>(len));
+      std::vector<std::int8_t> w(static_cast<std::size_t>(m) * len);
+      for (auto& v : x) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+      for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+      const int groups = kernels::gemm_i8_groups(len), ldw = kernels::gemm_i8_ldw(m);
+      std::vector<std::int8_t> wk(static_cast<std::size_t>(groups) * ldw * 4);
+      kernels::pack_i8_kmajor(m, len, w.data(), wk.data());
+      std::vector<std::uint8_t> u(static_cast<std::size_t>(groups) * 4, 0);
+      for (int t = 0; t < len; ++t)
+        u[static_cast<std::size_t>(t)] =
+            static_cast<std::uint8_t>(x[static_cast<std::size_t>(t)]) ^ 0x80u;
+      for (const std::int32_t zp : {-128, -7, 0, 11, 127}) {
+        std::vector<std::int32_t> correction(static_cast<std::size_t>(m));
+        kernels::gemm_i8_corrections(m, len, w.data(), zp, correction.data());
+        std::vector<std::int32_t> c(static_cast<std::size_t>(m));
+        kernels::gemm_u8i8_kmajor(m, 1, len, wk.data(), ldw, u.data(), 1, correction.data(),
+                                  c.data(), 1);
+        for (int f = 0; f < m; ++f) {
+          std::int32_t expected = 0;
+          for (int t = 0; t < len; ++t)
+            expected += (static_cast<std::int32_t>(x[static_cast<std::size_t>(t)]) - zp) *
+                        static_cast<std::int32_t>(w[static_cast<std::size_t>(f) * len + t]);
+          ASSERT_EQ(c[static_cast<std::size_t>(f)], expected)
+              << "len=" << len << " m=" << m << " zp=" << zp << " f=" << f;
+        }
+      }
+    }
+  }
+}
+
 TEST(GemmI8, InterleaveGroupFlipsAndInterleavesFourRows) {
   util::Rng rng(11);
   for (const int step : {1, 2, 3})
@@ -410,15 +428,16 @@ TEST(GemmI8, InterleaveGroupFlipsAndInterleavesFourRows) {
   EXPECT_EQ(kernels::gemm_i8_groups(576), 144);
 }
 
-// --- requantization row kernel -------------------------------------------------
+// --- requantization plane kernels ---------------------------------------------
 
-// requant_row, element by element, as the scalar quant chain.
-std::int8_t requant_reference(std::int32_t x, const kernels::RequantRow& row, std::int8_t sc) {
-  std::int32_t q = quant::fixed_multiply(x + row.bias, {row.mult, row.shift}) + row.offset;
-  if (row.sc != nullptr)
-    q += quant::fixed_multiply(static_cast<std::int32_t>(sc) - row.sc_zero_point,
-                               {row.sc_mult, row.sc_shift});
-  return quant::saturate_int8(std::max(q, row.floor));
+// One FU element as the scalar quant chain.
+std::int8_t fu_reference(std::int32_t x, std::int32_t bias, quant::FixedMultiplier m,
+                         std::int32_t offset, std::int32_t floor, const std::int8_t* sc,
+                         std::int32_t sc_zero_point, quant::FixedMultiplier sc_rescale) {
+  std::int32_t q = quant::fixed_multiply(x + bias, m) + offset;
+  if (sc != nullptr)
+    q += quant::fixed_multiply(static_cast<std::int32_t>(*sc) - sc_zero_point, sc_rescale);
+  return quant::saturate_int8(std::max(q, floor));
 }
 
 // A sum drawn log-uniformly in magnitude up to 2^30, either sign.
@@ -431,74 +450,108 @@ std::int32_t log_uniform_sum(util::Rng& rng) {
 // True when the chain's int32 additions (x + bias, + offset, + sc_term) stay
 // in range for this element — both the kernel and the scalar chain add in
 // int32, where overflow is undefined.
-bool chain_in_range(std::int32_t x, const kernels::RequantRow& row, std::int8_t sc) {
+bool chain_in_range(std::int32_t x, std::int32_t bias, quant::FixedMultiplier m,
+                    std::int32_t offset, const std::int8_t* sc, std::int32_t sc_zero_point,
+                    quant::FixedMultiplier sc_rescale) {
   const auto fits = [](std::int64_t v) { return v == static_cast<std::int32_t>(v); };
-  const std::int64_t biased = std::int64_t{x} + row.bias;
+  const std::int64_t biased = std::int64_t{x} + bias;
   if (!fits(biased)) return false;
-  const std::int32_t multiplied =
-      quant::fixed_multiply(static_cast<std::int32_t>(biased), {row.mult, row.shift});
-  std::int64_t q = std::int64_t{multiplied} + row.offset;
+  std::int64_t q =
+      std::int64_t{quant::fixed_multiply(static_cast<std::int32_t>(biased), m)} + offset;
   if (!fits(q)) return false;
-  if (row.sc != nullptr)
-    q += quant::fixed_multiply(static_cast<std::int32_t>(sc) - row.sc_zero_point,
-                               {row.sc_mult, row.sc_shift});
+  if (sc != nullptr)
+    q += quant::fixed_multiply(static_cast<std::int32_t>(*sc) - sc_zero_point, sc_rescale);
   return fits(q);
+}
+
+// Multipliers whose shifts run from -31 (a right shift of 31) to +30, both
+// signs, plus the raw extremes INT32_MIN and INT32_MAX.
+std::vector<quant::FixedMultiplier> plane_multipliers(util::Rng& rng) {
+  std::vector<quant::FixedMultiplier> multipliers;
+  for (int e = -32; e <= 29; ++e)
+    for (const double sign : {1.0, -1.0})
+      multipliers.push_back(
+          quant::quantize_multiplier(sign * std::ldexp(1.0 + rng.uniform(), e)));
+  for (const int shift : {-31, -3, 0, 5, 30}) {
+    multipliers.push_back({std::numeric_limits<std::int32_t>::min(), shift});
+    multipliers.push_back({std::numeric_limits<std::int32_t>::max(), shift});
+  }
+  return multipliers;
 }
 
 TEST(RequantRow, MatchesScalarFixedMultiplyChainBitForBit) {
   util::Rng rng(10);
-  // Multipliers across 2^-32 .. 2^8 in both signs: quantize_multiplier
-  // shifts from -31 (a right shift of 31) up to +9 (a left shift of 9).
-  std::vector<quant::FixedMultiplier> multipliers;
-  for (int e = -32; e <= 8; ++e)
-    for (const double sign : {1.0, -1.0})
-      multipliers.push_back(
-          quant::quantize_multiplier(sign * std::ldexp(1.0 + rng.uniform(), e)));
+  const std::vector<quant::FixedMultiplier> multipliers = plane_multipliers(rng);
   std::vector<int> shifts;
   for (const auto& m : multipliers) shifts.push_back(m.shift);
   EXPECT_EQ(*std::min_element(shifts.begin(), shifts.end()), -31);
-  EXPECT_EQ(*std::max_element(shifts.begin(), shifts.end()), 9);
+  EXPECT_EQ(*std::max_element(shifts.begin(), shifts.end()), 30);
+  const auto pick = [&] {
+    return multipliers[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(multipliers.size()) - 1))];
+  };
 
-  for (const int n : {1, 15, 16, 17, 1027}) {
-    std::vector<std::int32_t> sums(static_cast<std::size_t>(n));
-    std::vector<std::int8_t> sc(static_cast<std::size_t>(n)), got(static_cast<std::size_t>(n));
-    for (const auto& m : multipliers) {
-      kernels::RequantRow row;
-      row.bias = rng.uniform_int(-(1 << 20), 1 << 20);
-      row.mult = m.mult;
-      row.shift = m.shift;
-      row.offset = rng.uniform_int(-100, 100);
+  // Rows of every length the kernel treats differently (one element, shorter
+  // than a vector, whole vectors, a partial last vector), 1 to 130 rows.
+  for (const int n : {1, 2, 3, 4, 15, 16, 17, 64, 1024}) {
+    for (const int rows : {1, 2, 7, 17, 64, 130}) {
+      if (static_cast<std::int64_t>(n) * rows > 20000 && rows > 2) continue;
+      const std::size_t total = static_cast<std::size_t>(n) * rows;
       for (const bool relu : {false, true}) {
-        row.floor = relu ? rng.uniform_int(-128, 127) : std::numeric_limits<std::int32_t>::min();
-        for (const std::int32_t sc_zp : {0, -128, 127}) {
-          const quant::FixedMultiplier sc_m =
-              multipliers[static_cast<std::size_t>(rng.uniform_int(
-                  0, static_cast<int>(multipliers.size()) - 1))];
-          // sc_zp 0 runs without the shortcut operand.
-          row.sc = sc_zp == 0 ? nullptr : sc.data();
-          row.sc_zero_point = sc_zp;
-          row.sc_mult = sc_m.mult;
-          row.sc_shift = sc_m.shift;
-          for (int p = 0; p < n; ++p) {
-            std::int32_t& x = sums[static_cast<std::size_t>(p)];
-            std::int8_t& s = sc[static_cast<std::size_t>(p)];
-            do {
-              x = log_uniform_sum(rng);
-              // The shortcut operand at the int8 extremes and in between.
-              const int pick = rng.uniform_int(0, 2);
-              s = static_cast<std::int8_t>(pick == 0   ? -128
-                                           : pick == 1 ? 127
-                                                       : rng.uniform_int(-128, 127));
-            } while (!chain_in_range(x, row, s));
+        for (const bool shortcut : {false, true}) {
+          std::vector<std::int32_t> bias(static_cast<std::size_t>(rows));
+          std::vector<quant::FixedMultiplier> requant(static_cast<std::size_t>(rows));
+          std::vector<std::int32_t> post_add(static_cast<std::size_t>(rows));
+          for (int r = 0; r < rows; ++r) {
+            bias[static_cast<std::size_t>(r)] = rng.uniform_int(-(1 << 20), 1 << 20);
+            requant[static_cast<std::size_t>(r)] = pick();
+            post_add[static_cast<std::size_t>(r)] = rng.uniform_int(-100, 100);
           }
-          kernels::requant_row(sums.data(), n, row, got.data());
-          for (int p = 0; p < n; ++p)
-            ASSERT_EQ(got[static_cast<std::size_t>(p)],
-                      requant_reference(sums[static_cast<std::size_t>(p)], row,
-                                        sc[static_cast<std::size_t>(p)]))
-                << "n=" << n << " mult=" << m.mult << " shift=" << m.shift << " sum="
-                << sums[static_cast<std::size_t>(p)] << " bias=" << row.bias << " relu=" << relu
-                << " sc_zp=" << sc_zp;
+          kernels::RequantPlane fu;
+          fu.bias = bias.data();
+          fu.requant = requant.data();
+          fu.post_add = post_add.data();
+          fu.zero_point = rng.uniform_int(-128, 127);
+          fu.relu = relu;
+          std::vector<std::int8_t> sc(total);
+          if (shortcut) {
+            fu.sc = sc.data();
+            fu.sc_zero_point = rng.uniform_int(-128, 127);
+            fu.sc_rescale = pick();
+          }
+          const std::int32_t floor =
+              relu ? fu.zero_point : std::numeric_limits<std::int32_t>::min();
+          std::vector<std::int32_t> sums(total);
+          for (std::size_t i = 0; i < total; ++i) {
+            const std::size_t r = i / static_cast<std::size_t>(n);
+            do {
+              sums[i] = log_uniform_sum(rng);
+              // The shortcut operand at the int8 extremes and in between.
+              const int which = rng.uniform_int(0, 2);
+              sc[i] = static_cast<std::int8_t>(which == 0   ? -128
+                                               : which == 1 ? 127
+                                                            : rng.uniform_int(-128, 127));
+            } while (!chain_in_range(sums[i], bias[r], requant[r], post_add[r] + fu.zero_point,
+                                     fu.sc == nullptr ? nullptr : &sc[i], fu.sc_zero_point,
+                                     fu.sc_rescale));
+          }
+          // Guard bytes around the plane: the kernel writes exactly the plane.
+          std::vector<std::int8_t> got(total + 128, std::int8_t{0x5a});
+          kernels::requant_plane(sums.data(), rows, n, fu, got.data() + 64);
+          for (std::size_t i = 0; i < 64; ++i) {
+            ASSERT_EQ(got[i], 0x5a) << "wrote before the plane";
+            ASSERT_EQ(got[64 + total + i], 0x5a) << "wrote past the plane";
+          }
+          for (std::size_t i = 0; i < total; ++i) {
+            const std::size_t r = i / static_cast<std::size_t>(n);
+            ASSERT_EQ(got[64 + i],
+                      fu_reference(sums[i], bias[r], requant[r], post_add[r] + fu.zero_point,
+                                   floor, fu.sc == nullptr ? nullptr : &sc[i],
+                                   fu.sc_zero_point, fu.sc_rescale))
+                << "n=" << n << " rows=" << rows << " element " << i << " mult="
+                << requant[r].mult << " shift=" << requant[r].shift << " sum=" << sums[i]
+                << " relu=" << relu << " shortcut=" << shortcut;
+          }
         }
       }
     }
@@ -507,60 +560,96 @@ TEST(RequantRow, MatchesScalarFixedMultiplyChainBitForBit) {
 
 TEST(RequantRow, SaturationWrapAndDropoutForm) {
   // The doubling high multiply's INT32_MIN * INT32_MIN saturation and the
-  // wrapping left shift are reachable only through raw (mult, shift) pairs.
+  // wrapping left shift are reachable only through raw (mult, shift) pairs:
+  // one row per pair, every sum in every row.
   const std::int32_t int_min = std::numeric_limits<std::int32_t>::min();
   const std::vector<std::int32_t> sums{int_min, int_min + 1, -(1 << 30), (1 << 30) + 7,
                                        std::numeric_limits<std::int32_t>::max(), 0, -1, 1};
-  std::vector<std::int8_t> got(sums.size());
-  for (const std::int32_t mult : {int_min, int_min + 1, (1 << 30), -(1 << 30), 1, -1}) {
-    for (const int shift : {-31, -5, 0, 1, 3, 31}) {
-      kernels::RequantRow row;
-      row.mult = mult;
-      row.shift = shift;
-      kernels::requant_row(sums.data(), static_cast<int>(sums.size()), row, got.data());
-      for (std::size_t p = 0; p < sums.size(); ++p)
-        ASSERT_EQ(got[p], requant_reference(sums[p], row, 0))
-            << "mult=" << mult << " shift=" << shift << " sum=" << sums[p];
-    }
-  }
+  const int n = static_cast<int>(sums.size());
+  std::vector<quant::FixedMultiplier> requant;
+  for (const std::int32_t mult : {int_min, int_min + 1, (1 << 30), -(1 << 30), 1, -1})
+    for (const int shift : {-31, -5, 0, 1, 3, 30, 31})
+      requant.push_back({mult, shift});
+  const int rows = static_cast<int>(requant.size());
+  std::vector<std::int32_t> plane, zeros(static_cast<std::size_t>(rows), 0);
+  for (int r = 0; r < rows; ++r) plane.insert(plane.end(), sums.begin(), sums.end());
+  kernels::RequantPlane fu;
+  fu.bias = zeros.data();
+  fu.requant = requant.data();
+  fu.post_add = zeros.data();
+  std::vector<std::int8_t> got(plane.size());
+  kernels::requant_plane(plane.data(), rows, n, fu, got.data());
+  for (int r = 0; r < rows; ++r)
+    for (int p = 0; p < n; ++p)
+      ASSERT_EQ(got[static_cast<std::size_t>(r) * n + p],
+                fu_reference(sums[static_cast<std::size_t>(p)], 0,
+                             requant[static_cast<std::size_t>(r)], 0, int_min, nullptr, 0, {}))
+          << "mult=" << requant[static_cast<std::size_t>(r)].mult
+          << " shift=" << requant[static_cast<std::size_t>(r)].shift << " sum=" << sums[p];
 
-  // The Dropout Unit form rescales an int8 row about its zero point, in place.
+  // The Dropout Unit form, in place: dropped rows become the zero point,
+  // kept rows are rescaled about it. Drop bit r is bit 63 - r % 64 of word
+  // r / 64.
   util::Rng rng(11);
-  for (const std::int32_t zp : {-128, 0, 127}) {
-    std::vector<std::int8_t> plane(37);
-    for (auto& v : plane) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-    const quant::FixedMultiplier keep = quant::quantize_multiplier(1.0 / 0.75);
-    kernels::RequantRow row;
-    row.bias = -zp;
-    row.mult = keep.mult;
-    row.shift = keep.shift;
-    row.offset = zp;
-    std::vector<std::int8_t> expected(plane.size());
-    for (std::size_t i = 0; i < plane.size(); ++i)
-      expected[i] = quant::saturate_int8(
-          quant::fixed_multiply(static_cast<std::int32_t>(plane[i]) - zp, keep) + zp);
-    kernels::requant_row(plane.data(), static_cast<int>(plane.size()), row, plane.data());
-    EXPECT_EQ(plane, expected) << "zp " << zp;
+  for (const int plane_n : {1, 3, 4, 16, 17, 64}) {
+    for (const int du_rows : {1, 5, 64, 65, 130}) {
+      for (const std::int32_t zp : {-128, 0, 127}) {
+        for (const double keep_value : {1.0 / 0.75, 2.0, 256.0 / 255.0}) {
+          const quant::FixedMultiplier keep = quant::quantize_multiplier(keep_value);
+          std::vector<std::int8_t> x(static_cast<std::size_t>(du_rows) * plane_n);
+          for (auto& v : x) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+          std::vector<std::uint64_t> drop(static_cast<std::size_t>((du_rows + 63) / 64));
+          for (auto& word : drop) word = rng.next_u64();
+          std::vector<std::int8_t> expected(x.size());
+          for (int r = 0; r < du_rows; ++r) {
+            const bool dropped =
+                ((drop[static_cast<std::size_t>(r / 64)] >> (63 - r % 64)) & 1u) != 0;
+            for (int p = 0; p < plane_n; ++p) {
+              const std::size_t i = static_cast<std::size_t>(r) * plane_n + p;
+              expected[i] =
+                  dropped ? quant::saturate_int8(zp)
+                          : quant::saturate_int8(
+                                quant::fixed_multiply(static_cast<std::int32_t>(x[i]) - zp,
+                                                      keep) +
+                                zp);
+            }
+          }
+          kernels::dropout_plane(x.data(), du_rows, plane_n, drop.data(), zp, keep);
+          ASSERT_EQ(x, expected) << "n " << plane_n << " rows " << du_rows << " zp " << zp
+                                 << " keep " << keep_value;
+        }
+      }
+    }
   }
 }
 
 TEST(RequantRow, RightShiftPast31Throws) {
-  const std::vector<std::int32_t> sums{1, 2, 3};
-  std::vector<std::int8_t> out(sums.size());
-  kernels::RequantRow row;
-  row.mult = 1 << 30;
-  row.shift = -32;
-  EXPECT_THROW(kernels::requant_row(sums.data(), 3, row, out.data()), std::invalid_argument);
-  EXPECT_THROW(quant::fixed_multiply(1, {row.mult, row.shift}), std::invalid_argument);
+  const std::vector<std::int32_t> sums{1, 2, 3, 4, 5, 6};
+  std::vector<std::int8_t> out(sums.size(), 0);
+  const std::vector<std::int32_t> zeros{0, 0};
+  std::vector<quant::FixedMultiplier> requant{{1 << 30, -31}, {1 << 30, -32}};
+  kernels::RequantPlane fu;
+  fu.bias = zeros.data();
+  fu.requant = requant.data();
+  fu.post_add = zeros.data();
+  // Any row's multiplier is checked, before anything is written.
+  EXPECT_THROW(kernels::requant_plane(sums.data(), 2, 3, fu, out.data()), std::invalid_argument);
+  EXPECT_EQ(out, std::vector<std::int8_t>(sums.size(), 0));
+  EXPECT_THROW(quant::fixed_multiply(1, requant[1]), std::invalid_argument);
   // The shortcut multiplier is checked the same way.
+  requant[1].shift = -31;
   const std::vector<std::int8_t> sc(sums.size(), 5);
-  row.shift = -31;
-  row.sc = sc.data();
-  row.sc_mult = 1 << 30;
-  row.sc_shift = -32;
-  EXPECT_THROW(kernels::requant_row(sums.data(), 3, row, out.data()), std::invalid_argument);
-  row.sc_shift = -31;
-  EXPECT_NO_THROW(kernels::requant_row(sums.data(), 3, row, out.data()));
+  fu.sc = sc.data();
+  fu.sc_rescale = {1 << 30, -32};
+  EXPECT_THROW(kernels::requant_plane(sums.data(), 2, 3, fu, out.data()), std::invalid_argument);
+  fu.sc_rescale.shift = -31;
+  EXPECT_NO_THROW(kernels::requant_plane(sums.data(), 2, 3, fu, out.data()));
+  // And the Dropout Unit's keep multiplier.
+  std::vector<std::int8_t> plane(6, 3);
+  const std::uint64_t drop = 0;
+  EXPECT_THROW(kernels::dropout_plane(plane.data(), 2, 3, &drop, 0, {1 << 30, -32}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(kernels::dropout_plane(plane.data(), 2, 3, &drop, 0, {1 << 30, -31}));
 }
 
 TEST(ConvExtent, Formula) {

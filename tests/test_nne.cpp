@@ -345,24 +345,31 @@ TEST(QuantConvGather, SmallAndBoundaryMapsMatchPlainLoop) {
 }
 
 // The grouped K-major weight copy exists exactly where the NNE reads it,
-// every conv layer carries its zero-point correction, and the plan's
-// weight_bytes (the residency currency) counts both: for 17 filters, the
-// resident rows (17 x terms bytes), the copy (groups x 32 filters x 4
-// bytes) on a 3 x 3 map, and 4 bytes of correction per filter.
+// every conv and linear layer carries its zero-point correction, and the
+// plan's weight_bytes (the residency currency) counts both: for 17
+// filters, the resident rows (17 x terms bytes), the copy (groups x 32
+// filters x 4 bytes) on a 3 x 3 map or a linear layer, and 4 bytes of
+// correction per filter.
 TEST(QuantConvGather, PlanCarriesKMajorCopyOnlyForSmallMaps) {
   util::Rng rng(24);
   const std::int32_t zp_in = -3;
   const struct {
     SmallConv spec;
+    bool linear;
+    bool kmajor;
     std::uint64_t weight_bytes;
   } cases[] = {
-      {SmallConv{4, 3, 3, 3, 1, 1}, 17 * 36 + 9 * 32 * 4 + 17 * 4},  // 1832: 36 terms, 9 groups
-      {SmallConv{3, 3, 3, 3, 1, 1}, 17 * 27 + 7 * 32 * 4 + 17 * 4},  // 1423: a 3-term tail group
-      {SmallConv{4, 4, 4, 3, 1, 1}, 17 * 36 + 17 * 4},               // 680: 16 positions, no copy
+      {SmallConv{4, 3, 3, 3, 1, 1}, false, true, 17 * 36 + 9 * 32 * 4 + 17 * 4},  // 1832: 9 groups
+      {SmallConv{3, 3, 3, 3, 1, 1}, false, true, 17 * 27 + 7 * 32 * 4 + 17 * 4},  // 1423: tail 3
+      {SmallConv{4, 4, 4, 3, 1, 1}, false, false, 17 * 36 + 17 * 4},  // 680: 16 positions, no copy
+      // A linear layer of 130 inputs, the filter tile's one-position map:
+      // 6502 bytes, 33 groups (a 2-term tail).
+      {SmallConv{130, 1, 1, 1, 1, 0}, true, true, 17 * 130 + 33 * 32 * 4 + 17 * 4},
   };
   for (const auto& c : cases) {
     const SmallConv& spec = c.spec;
-    const quant::QLayer layer = make_conv(rng, spec, 17, zp_in);
+    quant::QLayer layer = make_conv(rng, spec, 17, zp_in);
+    if (c.linear) layer.geom.op = nn::HwLayer::Op::linear;
     const quant::LayerExecPlan plan = quant::build_layer_exec_plan(layer);
     const int terms = spec.in_c * spec.kernel * spec.kernel;
     EXPECT_EQ(plan.weight_bytes, c.weight_bytes) << "in_c " << spec.in_c << " map " << spec.in_h;
@@ -372,8 +379,9 @@ TEST(QuantConvGather, PlanCarriesKMajorCopyOnlyForSmallMaps) {
       for (int t = 0; t < terms; ++t) sum += layer.weight_row(f)[t];
       EXPECT_EQ(plan.correction[static_cast<std::size_t>(f)], (zp_in + 128) * sum);
     }
-    if (nn::kernels::gemm_i8_filter_vectorized(layer.geom.conv_out_h * layer.geom.conv_out_w)) {
-      EXPECT_EQ(spec.in_h, 3);
+    EXPECT_EQ(c.kmajor, c.linear || nn::kernels::gemm_i8_filter_vectorized(
+                                        layer.geom.conv_out_h * layer.geom.conv_out_w));
+    if (c.kmajor) {
       EXPECT_EQ(plan.ldw, 32);
       const int groups = (terms + 3) / 4;
       ASSERT_EQ(plan.weights_kmajor.size(), static_cast<std::size_t>(groups) * plan.ldw * 4);
@@ -383,7 +391,6 @@ TEST(QuantConvGather, PlanCarriesKMajorCopyOnlyForSmallMaps) {
                                         t % 4],
                     f < 17 && t < terms ? layer.weight_row(f)[t] : 0);
     } else {
-      EXPECT_EQ(spec.in_h, 4);
       EXPECT_EQ(plan.ldw, 0);
       EXPECT_TRUE(plan.weights_kmajor.empty());
     }

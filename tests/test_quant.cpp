@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "bayes/predictive.h"
 #include "data/synth.h"
@@ -91,6 +93,62 @@ TEST(QTensorTest, QuantizeDequantizeRoundTrip) {
   const nn::Tensor back = dequantize(q);
   for (std::int64_t i = 0; i < image.numel(); ++i)
     EXPECT_NEAR(back[i], image[i], p.scale * 0.51f);
+}
+
+// quantize_image's element map as it always stood, where the int32 cast
+// cannot wrap: saturate_int8(lround(x * (1 / scale)) + zero_point).
+std::int8_t quantize_by_lround(float x, QuantParams p) {
+  const float inv_scale = 1.0f / p.scale;
+  return saturate_int8(static_cast<std::int32_t>(std::lround(x * inv_scale)) + p.zero_point);
+}
+
+std::vector<std::int8_t> quantize_values(const std::vector<float>& values, QuantParams p) {
+  nn::Tensor image({1, 1, static_cast<int>(values.size())});
+  for (std::size_t i = 0; i < values.size(); ++i) image[static_cast<std::int64_t>(i)] = values[i];
+  return quantize_image(image, 0, p).data;
+}
+
+TEST(QTensorTest, QuantizeImageSaturatesOutOfRangeBySign) {
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const std::int32_t zp : {-128, -5, 0, 7, 127}) {
+    const QuantParams p{1.0f / 255.0f, zp};
+    const std::vector<std::int8_t> q =
+        quantize_values({inf, -inf, 4.29e9f, -4.29e9f, 3e38f, -3e38f, 600.0f, -600.0f,
+                         std::numeric_limits<float>::quiet_NaN()},
+                        p);
+    const std::vector<std::int8_t> expected{127, -128, 127, -128, 127, -128, 127, -128,
+                                            saturate_int8(zp)};
+    EXPECT_EQ(q, expected) << "zero point " << zp;
+  }
+}
+
+TEST(QTensorTest, QuantizeImageMatchesLroundInRange) {
+  // Every half-integer in [-300, 300] and its two float neighbours at scale
+  // 1 (ties round away from zero, as lround does)...
+  std::vector<float> ties;
+  for (int k = -601; k <= 601; k += 2) {
+    const float half = static_cast<float>(k) / 2.0f;
+    ties.push_back(half);
+    ties.push_back(std::nextafter(half, -1000.0f));
+    ties.push_back(std::nextafter(half, 1000.0f));
+  }
+  for (const std::int32_t zp : {-128, -5, 0, 7, 127}) {
+    const QuantParams p{1.0f, zp};
+    const std::vector<std::int8_t> q = quantize_values(ties, p);
+    for (std::size_t i = 0; i < ties.size(); ++i)
+      ASSERT_EQ(q[i], quantize_by_lround(ties[i], p)) << "x " << ties[i] << " zp " << zp;
+  }
+  // ...and 10^6 random values under random parameters.
+  util::Rng rng(12);
+  for (int block = 0; block < 100; ++block) {
+    const QuantParams p{static_cast<float>(rng.uniform(1e-3, 1.0)), rng.uniform_int(-128, 127)};
+    std::vector<float> values(10000);
+    for (float& v : values) v = static_cast<float>(rng.uniform(-400.0, 400.0)) * p.scale;
+    const std::vector<std::int8_t> q = quantize_values(values, p);
+    for (std::size_t i = 0; i < values.size(); ++i)
+      ASSERT_EQ(q[i], quantize_by_lround(values[i], p))
+          << "x " << values[i] << " scale " << p.scale << " zp " << p.zero_point;
+  }
 }
 
 TEST(QTensorTest, WeightScaleSymmetric) {

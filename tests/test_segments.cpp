@@ -54,21 +54,28 @@ core::AcceleratorConfig accel_config(int num_threads = 1) {
 TEST(PlanSegments, AccountingSumsToWholePlanFootprint) {
   const bench::ServeFixture& fixture = bench::shared_cnn12_fixture();
   const quant::NetworkExecPlan plan = quant::build_network_exec_plan(fixture.qnet);
-  const std::uint64_t expected[] = {8 * 9 + 8 * 4, 16 * 72 + 16 * 4, 144 * 32, 32 * 10};
+  // Every layer carries a 4-byte zero-point correction per filter; the two
+  // linear layers also carry the grouped K-major copy the filter tile reads,
+  // [ceil(terms / 4)][out_c rounded up to 16][4] bytes.
+  const std::uint64_t expected[] = {8 * 9 + 8 * 4, 16 * 72 + 16 * 4,
+                                    144 * 32 + 32 * 4 + 36 * 32 * 4,
+                                    32 * 10 + 10 * 4 + 8 * 16 * 4};
   ASSERT_EQ(plan.num_layers(), 4);
   ASSERT_EQ(static_cast<int>(fixture.qnet.layers.size()), 4);
   std::uint64_t summed = 0;
   for (int i = 0; i < plan.num_layers(); ++i) {
     const quant::QLayer& layer = fixture.qnet.layers[static_cast<std::size_t>(i)];
-    const std::uint64_t correction_bytes =
-        layer.geom.op == nn::HwLayer::Op::conv ? 4u * layer.geom.out_c : 0u;
+    const std::uint64_t kmajor_bytes = plan.layer(i).weights_kmajor.size();
+    EXPECT_EQ(kmajor_bytes == 0, layer.geom.op == nn::HwLayer::Op::conv) << "layer " << i;
     EXPECT_EQ(plan.layer(i).weight_bytes, expected[i]) << "layer " << i;
-    EXPECT_EQ(plan.layer(i).weight_bytes, layer.resident_weight_bytes() + correction_bytes)
+    EXPECT_EQ(plan.layer(i).weight_bytes,
+              layer.resident_weight_bytes() + 4u * layer.geom.out_c + kmajor_bytes)
         << "layer " << i;
     summed += plan.layer(i).weight_bytes;
   }
   EXPECT_EQ(summed, plan.weight_bytes());
-  EXPECT_EQ(summed, fixture.qnet.resident_weight_bytes() + (8 + 16) * 4);
+  EXPECT_EQ(summed,
+            fixture.qnet.resident_weight_bytes() + (8 + 16 + 32 + 10) * 4 + (36 * 32 + 8 * 16) * 4);
 
   // An independently rebuilt segment accounts identically — rebuilds are
   // pure functions of the layer constants.
