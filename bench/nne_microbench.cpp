@@ -1,10 +1,12 @@
 // Microbenchmark of the simulator itself: how fast the cycle-counted NNE
 // datapath and the untiled reference executor run on the host, down to the
-// per-stage breakdown of every paper-network conv layer. Useful for sizing
+// per-stage breakdown of every paper-network conv layer and the cost of a
+// block of Monte Carlo samples per suffix layer. Useful for sizing
 // experiments; not a claim about FPGA speed (that is what the cycle model
 // is for).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -301,13 +303,13 @@ bool run_staged(LayerRun& run, core::NneScratch& scratch, StageTotals& totals) {
   const nn::HwLayer& g = layer.geom;
   const bool has_pool = g.pool_is_global || g.pool_kernel > 0;
   const auto t0 = Clock::now();
-  core::nne_lower(layer, *run.input, scratch);
+  core::nne_lower(layer, 1, *run.input, scratch);
   const auto t1 = Clock::now();
-  core::nne_gemm(layer, *run.plan, layer.weights.data(), scratch);
+  core::nne_gemm(layer, *run.plan, 1, layer.weights.data(), scratch);
   const auto t2 = Clock::now();
-  core::nne_requant(layer, scratch.sums.data(), run.shortcut, run.pre);
+  core::nne_requant(layer, 1, scratch.sums.data(), run.shortcut, run.pre);
   const auto t3 = Clock::now();
-  core::nne_pool(g, run.pre, run.pooled);
+  core::nne_pool(g, 1, run.pre, run.pooled);
   const auto t4 = Clock::now();
   core::nne_run_layer_into(layer, *run.plan, *run.input, run.shortcut, false, nullptr,
                            quant::FixedMultiplier{}, core::NneConfig{},
@@ -393,6 +395,7 @@ void bm_nne_du(benchmark::State& state, int net_index, int layer_index) {
   config.pf = accel.nne.pf;
   config.fifo_depth = accel.sampler_fifo_depth;
   core::BernoulliSampler sampler(config), reference(config);
+  nn::MaskSource* const masks[1] = {&sampler};
   const quant::FixedMultiplier keep = net.qnet->dropout_keep;
 
   // The exactness check, on a few lanes' streams.
@@ -403,7 +406,7 @@ void bm_nne_du(benchmark::State& state, int net_index, int layer_index) {
     sampler.reseed(seed);
     reference.reseed(seed);
     quant::QTensor got = site_output, expected = site_output;
-    core::apply_dropout_unit(got, sampler, keep);
+    core::apply_dropout_unit(got, 1, masks, keep);
     plain_dropout(expected, reference, keep);
     same = same && got.data == expected.data;
   }
@@ -416,7 +419,7 @@ void bm_nne_du(benchmark::State& state, int net_index, int layer_index) {
     const auto t0 = Clock::now();
     sampler.reseed(core::Accelerator::sample_stream_seed(accel.sampler_seed, 0, sample++));
     const auto t1 = Clock::now();
-    core::apply_dropout_unit(work, sampler, keep);
+    core::apply_dropout_unit(work, 1, masks, keep);
     const auto t2 = Clock::now();
     benchmark::DoNotOptimize(work.data.data());
     benchmark::ClobberMemory();
@@ -429,6 +432,108 @@ void bm_nne_du(benchmark::State& state, int net_index, int layer_index) {
   }
   state.counters["reseed_us"] = benchmark::Counter(reseed_us, benchmark::Counter::kAvgIterations);
   state.SetItemsProcessed(state.iterations() * site_output.numel());
+}
+
+// --- blocks of Monte Carlo samples per suffix layer --------------------------------
+// `nne_samples/<net>/L<l>/<B>` times one core::nne_run_block_into call over a
+// block of B samples of layer l (every layer past the first Bayesian site,
+// so every layer a suffix can hold) against B one-sample
+// nne_run_layer_into calls on the same inputs. Sample b's input (and
+// shortcut operand) is the spec's deterministic one with every byte moved
+// by b, so the samples differ. The row's time is the block call; counters
+// give both means and `ratio`, the block's time over the single calls'. A
+// row fails, and the binary exits 1, when the block's sample b differs
+// from the single call's.
+
+// Sample b's copy of `t`, every byte moved by b (wrapping in int8).
+quant::QTensor moved_by(const quant::QTensor& t, int b) {
+  quant::QTensor out = t;
+  for (auto& v : out.data) v = static_cast<std::int8_t>(static_cast<std::uint8_t>(v) + b);
+  return out;
+}
+
+// The block tensor {C, B * H, W} of B one-sample tensors.
+quant::QTensor stacked(const std::vector<quant::QTensor>& samples) {
+  const int c = samples.front().channels(), h = samples.front().height();
+  const int w = samples.front().width(), count = static_cast<int>(samples.size());
+  quant::QTensor block({c, count * h, w}, samples.front().params);
+  const std::size_t map = static_cast<std::size_t>(h) * w;
+  for (int ch = 0; ch < c; ++ch)
+    for (int b = 0; b < count; ++b)
+      std::copy_n(samples[static_cast<std::size_t>(b)].data.data() + ch * map, map,
+                  block.data.data() + (static_cast<std::size_t>(ch) * count + b) * map);
+  return block;
+}
+
+void bm_nne_samples(benchmark::State& state, int net_index, int layer_index, int count) {
+  PaperNet& net = paper_nets()[static_cast<std::size_t>(net_index)];
+  const quant::QLayer& layer = net.qnet->layers[static_cast<std::size_t>(layer_index)];
+  const quant::LayerExecPlan& plan = net.plan.layer(layer_index);
+  const quant::QTensor& input = layer.input_source < 0
+                                    ? net.image
+                                    : net.outputs[static_cast<std::size_t>(layer.input_source)];
+  std::vector<quant::QTensor> inputs, shortcuts;
+  for (int b = 0; b < count; ++b) {
+    inputs.push_back(moved_by(input, b));
+    if (layer.geom.has_shortcut)
+      shortcuts.push_back(
+          moved_by(net.outputs[static_cast<std::size_t>(layer.shortcut_source)], b));
+  }
+  const quant::QTensor block_in = stacked(inputs);
+  const quant::QTensor block_sc = layer.geom.has_shortcut ? stacked(shortcuts) : quant::QTensor{};
+  const core::NneConfig config;
+  const auto tier = nn::kernels::Tier::int8;
+  core::NneScratch scratch;
+  std::vector<quant::QTensor> singles(static_cast<std::size_t>(count));
+  quant::QTensor block_out;
+  const auto run_singles = [&] {
+    for (int b = 0; b < count; ++b)
+      core::nne_run_layer_into(layer, plan, inputs[static_cast<std::size_t>(b)],
+                               layer.geom.has_shortcut ? &shortcuts[static_cast<std::size_t>(b)]
+                                                       : nullptr,
+                               false, nullptr, net.qnet->dropout_keep, config, tier, scratch,
+                               singles[static_cast<std::size_t>(b)]);
+  };
+  const auto run_block = [&] {
+    core::nne_run_block_into(layer, plan, count, block_in,
+                             layer.geom.has_shortcut ? &block_sc : nullptr, false, nullptr,
+                             net.qnet->dropout_keep, config, tier, scratch, block_out);
+  };
+  run_singles();
+  run_block();
+  bool same = true;
+  const std::size_t map = static_cast<std::size_t>(layer.geom.out_h) * layer.geom.out_w;
+  for (int b = 0; b < count; ++b)
+    for (int c = 0; c < layer.geom.out_c; ++c)
+      same = same && std::equal(singles[static_cast<std::size_t>(b)].data.begin() +
+                                    static_cast<std::ptrdiff_t>(c * map),
+                                singles[static_cast<std::size_t>(b)].data.begin() +
+                                    static_cast<std::ptrdiff_t>((c + 1) * map),
+                                block_out.data.begin() +
+                                    static_cast<std::ptrdiff_t>((c * count + b) * map));
+
+  double singles_us = 0.0, block_us = 0.0;
+  for (auto _ : state) {
+    const auto t0 = Clock::now();
+    run_singles();
+    const auto t1 = Clock::now();
+    run_block();
+    const auto t2 = Clock::now();
+    benchmark::DoNotOptimize(block_out.data.data());
+    benchmark::ClobberMemory();
+    singles_us += std::chrono::duration<double, std::micro>(t1 - t0).count();
+    block_us += std::chrono::duration<double, std::micro>(t2 - t1).count();
+    state.SetIterationTime(std::chrono::duration<double>(t2 - t1).count());
+  }
+  if (!same) {
+    g_stages_diverged = true;
+    state.SkipWithError("the block call differs from the one-sample calls");
+  }
+  using benchmark::Counter;
+  state.counters["singles_us"] = Counter(singles_us, Counter::kAvgIterations);
+  state.counters["block_us"] = Counter(block_us, Counter::kAvgIterations);
+  state.counters["ratio"] = singles_us > 0.0 ? block_us / singles_us : 0.0;
+  state.SetItemsProcessed(state.iterations() * count * layer.geom.macs());
 }
 
 void register_breakdowns() {
@@ -451,6 +556,13 @@ void register_breakdowns() {
           bm_nne_du, n, l)
           ->UseManualTime();
     }
+    for (int l = qnet.cut_layer_for(qnet.num_sites) + 1; l < qnet.num_layers(); ++l)
+      for (const int count : {1, 2, 4, 8})
+        benchmark::RegisterBenchmark(("nne_samples/" + nets[static_cast<std::size_t>(n)].name +
+                                      "/L" + std::to_string(l) + "/" + std::to_string(count))
+                                         .c_str(),
+                                     bm_nne_samples, n, l, count)
+            ->UseManualTime();
   }
 }
 

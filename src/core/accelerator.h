@@ -32,13 +32,13 @@ struct AcceleratorConfig {
   std::uint64_t sampler_seed = 1;
   bool use_intermediate_caching = true;
   double board_power_watts = 45.0;  // paper's total board power
-  /// Worker-lane cap for the flattened (image, sample) loop of predict()
+  /// Worker-lane cap for the (image, sample block) loop of predict()
   /// (0 = hardware concurrency). Output is bit-identical for every thread
   /// count: each (image, sample) pair consumes its own sampler stream
   /// seeded with sample_stream_seed(sampler_seed, stream_id, sample), and
   /// per-sample softmax outputs are reduced in ascending sample order.
   int num_threads = 1;
-  /// Executor for the flattened loop (non-owning; must outlive the
+  /// Executor for the block loop (non-owning; must outlive the
   /// accelerator's predict calls). nullptr selects the process-wide
   /// runtime::shared_pool(); num_threads still caps how many of its lanes
   /// this accelerator uses. Supplying a pool lets a serving layer share one
@@ -123,14 +123,18 @@ class Accelerator {
   /// index.
   Prediction predict(const nn::Tensor& images, int bayes_layers, int num_samples);
 
-  /// Flattened batched prediction: the (image, sample) pair space of the
-  /// whole batch runs as ONE parallel_for over N×S lanes, so small-S /
-  /// large-N serving workloads still fill every pool lane. Per-image
-  /// deterministic prefixes (the IC cache) are computed lazily by whichever
-  /// lane needs them first and shared read-only. `requests` carries one
-  /// entry per image. Output row n is a pure function of (weights, image n,
-  /// sampler_seed, requests[n]) — independent of batch composition, order,
-  /// and thread count.
+  /// Batched prediction by blocks of samples: ONE parallel_for runs every
+  /// (image, sample block) unit of the batch, a block holding up to
+  /// kMaxBlockSamples (core/nne.h) samples of one image, which every layer
+  /// past the IC prefix executes with one NNE call (nne_run_block_into) —
+  /// one GEMM over B x positions, each weight row streamed once per block.
+  /// An image's samples split into more blocks only while the pool has more
+  /// lanes than blocks, so small-S / large-N serving workloads still fill
+  /// every pool lane. Per-image deterministic prefixes (the IC cache) run
+  /// one sample, computed lazily by whichever unit needs them first and
+  /// shared read-only. `requests` carries one entry per image. Output row n
+  /// is a pure function of (weights, image n, sampler_seed, requests[n]) —
+  /// independent of batch composition, order, blocking and thread count.
   BatchPrediction predict_batch(const nn::Tensor& images,
                                 const std::vector<ImageRequest>& requests);
 
@@ -166,8 +170,9 @@ class Accelerator {
   std::int64_t last_functional_compute_cycles() const { return functional_cycles_; }
 
   /// Cumulative allocation (capacity-growth) count of THIS THREAD's lane
-  /// arena — the reusable per-worker storage (layer outputs, NNE scratch,
-  /// packed-activation buffers, sampler) that predict lanes run out of.
+  /// arena — the reusable per-worker storage (block layer outputs, NNE
+  /// scratch, packed-activation buffers, samplers) that predict lanes run
+  /// out of.
   /// After a warmup predict over a network's largest shapes, further
   /// predicts on the same thread leave it unchanged: steady-state lanes are
   /// allocation-free (pinned by tests). Thread-local by design — call it

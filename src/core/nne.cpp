@@ -87,65 +87,96 @@ RowCopy row_copy_for(int width) {
                                                 : &copy_rows_any;
 }
 
-// Copies a conv input [in_c][in_h][in_w] into `padded`, [in_c][in_h + 2 pad]
-// [in_w + 2 pad], with a `zp` border of `pad` on every side. Every window
-// of the layer then lies inside the plane.
-void pad_conv_input(const nn::HwLayer& g, const std::int8_t* in, std::int8_t zp,
+// Copies a block's conv input, [in_c][samples][in_h][in_w], into `padded`,
+// [in_c][samples][in_h + 2 pad][in_w + 2 pad], with a `zp` border of `pad`
+// on every side of every sample's map. Every window of the layer then lies
+// inside its own sample's map.
+void pad_conv_input(const nn::HwLayer& g, int samples, const std::int8_t* in, std::int8_t zp,
                     std::int8_t* padded) {
   const int in_h = g.in_h, in_w = g.in_w, pad = g.pad;
-  const int ph = in_h + 2 * pad, pw = in_w + 2 * pad;
+  const int ph = in_h + 2 * pad, pw = in_w + 2 * pad, maps = g.in_c * samples;
   const RowCopy copy = row_copy_for(in_w);
-  std::fill(padded, padded + static_cast<std::size_t>(g.in_c) * ph * pw, zp);
-  for (int c = 0; c < g.in_c; ++c)
-    copy(in + static_cast<std::size_t>(c) * in_h * in_w, in_w,
-         padded + (static_cast<std::size_t>(c) * ph + pad) * pw + pad, pw, in_h, in_w);
+  std::fill(padded, padded + static_cast<std::size_t>(maps) * ph * pw, zp);
+  for (int m = 0; m < maps; ++m)
+    copy(in + static_cast<std::size_t>(m) * in_h * in_w, in_w,
+         padded + (static_cast<std::size_t>(m) * ph + pad) * pw + pad, pw, in_h, in_w);
 }
 
-// Gathers a strided term row: out_h rows of out_w bytes, every `stride`-th
-// byte of every `stride`-th plane row.
-void gather_rows(const std::int8_t* src, int pw, std::int8_t* dst, int out_h, int out_w,
-                 int stride) {
-  for (int oh = 0; oh < out_h; ++oh) {
-    std::int8_t* out_row = dst + static_cast<std::size_t>(oh) * out_w;
-    const std::int8_t* in_row = src + static_cast<std::size_t>(oh) * stride * pw;
-    for (int ow = 0; ow < out_w; ++ow) out_row[ow] = in_row[ow * stride];
-  }
+// Whether a layer's conv input is staged before it is interleaved:
+// stride-1 rows that do not fill whole 16-position vectors (and are not
+// the whole plane).
+bool stages_input(const nn::HwLayer& g) {
+  const int pw = g.in_w + 2 * g.pad;
+  return g.stride == 1 && g.conv_out_w != pw && g.conv_out_w % 16 != 0;
 }
 
-// Lowers a conv input into the GEMM's grouped panel, [groups][ldx][4]
-// (kernels::interleave_group flips each byte to u = x + 128): group g holds
-// terms 4g..4g+3, term t = (c, kh, kw) taking its input value at every
-// output position. `plane` is the input padded by pad_conv_input (the input
-// itself for pad 0), so a window reaching into the padding reads the zero
-// point there, and a padding term contributes (zp - zp) * w = 0 to its sum —
-// exactly the specification's skipped term. A term row is out_h runs of
-// out_w bytes `stride` apart, the runs stride * pw apart in the plane (a
-// 1x1 stride-1 conv's row is its whole channel plane, one run), and a full
-// group is interleaved straight from the plane. Stride-1 runs that do not
-// fill whole 16-position vectors are first copied into `stage`'s four
-// ldx-long rows instead: a scalar interleave of the short runs measured
-// twice as slow. The tail group is staged too, its rows past the last term
-// filled with -128, so they hold u = 0. Columns past the positions are left
-// as they were: the GEMM reads them but never stores what they produce.
-void lower_conv_input(const nn::HwLayer& g, const std::int8_t* plane, int ldx,
+// Lowers a block's conv input into the GEMM's grouped panel, [groups][ldx]
+// [4] (kernels::interleave_group flips each byte to u = x + 128): group g
+// holds terms 4g..4g+3, term t = (c, kh, kw) taking its input value at every
+// output position of every sample, sample b's positions in columns
+// [b * P, (b + 1) * P). `plane` is the input padded by pad_conv_input (the
+// input itself for pad 0), so a window reaching into the padding reads its
+// own sample's zero point there, and a padding term contributes
+// (zp - zp) * w = 0 to its sum — exactly the specification's skipped term.
+// A term row of one sample is out_h runs of out_w bytes `stride` apart, the
+// runs stride * pw apart in the map (a 1x1 stride-1 conv's row is its whole
+// channel plane, and the block's maps of one channel are adjacent, so the
+// whole block is one run), and a group is interleaved straight from the
+// plane, one call per sample. Stride-1 runs that do not fill whole
+// 16-position vectors are staged instead (stages_input): each (channel, kw,
+// sample) map is copied once, all ph rows of it from column kw, into
+// `stage`, [in_c][kernel][samples][ph][out_w], where term (c, kh, kw) of a
+// sample is the contiguous run of out_h * out_w bytes from row kh, and one
+// call per group interleaves the block's runs, ph * out_w bytes apart (a
+// scalar interleave of the short runs measured twice as slow, and a copy
+// per term row and output row four times as many copies). The tail group's
+// rows past the last term repeat its first (their weights are 0). Columns
+// past the positions are left as they were: the GEMM reads them but never
+// stores what they produce.
+void lower_conv_input(const nn::HwLayer& g, int samples, const std::int8_t* plane, int ldx,
                       std::int8_t* stage, std::uint8_t* panel) {
   // Geometry in locals: the int8 stores below may alias any object, so
   // fields read through `g` would be reloaded after every one.
   const int kernel = g.kernel, stride = g.stride;
   const int ph = g.in_h + 2 * g.pad, pw = g.in_w + 2 * g.pad;
-  const int out_h = g.conv_out_h, out_w = g.conv_out_w;
+  const int out_h = g.conv_out_h, out_w = g.conv_out_w, positions = out_h * out_w;
+  const std::size_t map = static_cast<std::size_t>(ph) * pw;  // one sample's padded map
   const int terms = g.in_c * kernel * kernel, groups = nn::kernels::gemm_i8_groups(terms);
-  const bool whole_plane = stride == 1 && out_w == pw;
-  const bool direct = stride > 1 || whole_plane || out_w % 16 == 0;
-  const int runs = whole_plane ? 1 : out_h, run = whole_plane ? out_h * out_w : out_w;
-  const RowCopy copy = row_copy_for(out_w);
+  const bool whole_plane = stride == 1 && out_w == pw, staged = stages_input(g);
+  const std::size_t band = static_cast<std::size_t>(ph) * out_w;  // one staged map
+  if (staged) {
+    const RowCopy copy = row_copy_for(out_w);
+    std::int8_t* to = stage;
+    for (int c = 0; c < g.in_c; ++c)
+      for (int kw = 0; kw < kernel; ++kw)
+        for (int b = 0; b < samples; ++b, to += band)
+          copy(plane + (static_cast<std::size_t>(c) * samples + b) * map + kw, pw, to, out_w,
+               ph, out_w);
+  }
+  // Sample 0's term row t, and how the block's rows are laid out: in the
+  // stage, `samples` runs of a sample's positions, band bytes apart; in the
+  // plane, per sample (calls), out_h runs or one.
+  const auto term_row = [&](int c, int kh, int kw) -> const std::int8_t* {
+    if (staged)
+      return stage + (static_cast<std::size_t>(c) * kernel + kw) * samples * band +
+             static_cast<std::size_t>(kh) * out_w;
+    return plane + (static_cast<std::size_t>(c) * samples * ph + kh) * pw + kw;
+  };
+  const int calls = staged || whole_plane ? 1 : samples;
+  const int runs = staged ? samples : whole_plane ? 1 : out_h;
+  const int run = staged ? positions : whole_plane ? samples * positions : out_w;
+  const int pitch = staged ? static_cast<int>(band) : stride * pw;
   int c = 0, kh = 0, kw = 0;  // the next term's (c, kh, kw)
   for (int grp = 0; grp < groups; ++grp) {
     std::uint8_t* dst = panel + static_cast<std::size_t>(grp) * ldx * 4;
-    const std::int8_t* rows[4];
+    const std::int8_t* rows[4] = {};
     const int count = std::min(4, terms - 4 * grp);
-    for (int j = 0; j < count; ++j) {
-      rows[j] = plane + (static_cast<std::size_t>(c) * ph + kh) * pw + kw;
+    for (int j = 0; j < 4; ++j) {
+      if (j >= count) {
+        rows[j] = rows[0];
+        continue;
+      }
+      rows[j] = term_row(c, kh, kw);
       if (++kw == kernel) {
         kw = 0;
         if (++kh == kernel) {
@@ -154,21 +185,61 @@ void lower_conv_input(const nn::HwLayer& g, const std::int8_t* plane, int ldx,
         }
       }
     }
-    if (direct && count == 4) {
-      nn::kernels::interleave_group(rows, runs, run, stride * pw, stride, dst);
-      continue;
+    for (int b = 0; b < calls; ++b) {
+      const std::size_t at = static_cast<std::size_t>(b) * map;
+      const std::int8_t* const sample_rows[4] = {rows[0] + at, rows[1] + at, rows[2] + at,
+                                                 rows[3] + at};
+      nn::kernels::interleave_group(sample_rows, runs, run, pitch, stride,
+                                    dst + static_cast<std::size_t>(b) * positions * 4);
     }
+  }
+}
+
+// Lowers a block's linear input into the one-position-per-sample panel of
+// the filter tile, [groups][samples][4] as u = x + 128. The input is the
+// flattened [C][samples][hw] of the layer before (hw = 1 after a linear
+// layer or a global pool), so term t = (c, i) of sample b sits at
+// (c * samples + b) * hw + i: a group's four term rows are read `hw` bytes
+// per sample apart, and each sample's four terms are stored as one word (a
+// word assembled from four byte stores would stall the GEMM's word loads).
+// A tail group's rows past the last term read the first term's (their
+// weights are 0). One sample's row is flipped in one pass instead, its tail
+// terms 0.
+void lower_linear_input(int terms, int samples, int hw, const std::int8_t* in,
+                        std::uint8_t* panel) {
+  const int groups = nn::kernels::gemm_i8_groups(terms);
+  if (samples == 1) {
+    for (int t = 0; t < terms; ++t) panel[t] = static_cast<std::uint8_t>(in[t]) ^ 0x80u;
+    std::fill(panel + terms, panel + 4 * groups, std::uint8_t{0});
+    return;
+  }
+  const std::size_t pitch = static_cast<std::size_t>(samples) * hw;
+  int c = 0, i = 0;  // the next term's channel and map offset
+  for (int grp = 0; grp < groups; ++grp) {
+    const std::int8_t* rows[4];
+    const int count = std::min(4, terms - 4 * grp);
     for (int j = 0; j < 4; ++j) {
-      std::int8_t* staged = stage + static_cast<std::size_t>(j) * ldx;
-      if (j >= count)
-        std::fill(staged, staged + ldx, std::numeric_limits<std::int8_t>::min());
-      else if (stride == 1)
-        copy(rows[j], pw, staged, out_w, out_h, out_w);
-      else
-        gather_rows(rows[j], pw, staged, out_h, out_w, stride);
-      rows[j] = staged;
+      if (j >= count) {
+        rows[j] = in;
+        continue;
+      }
+      rows[j] = in + static_cast<std::size_t>(c) * pitch + i;
+      if (++i == hw) {
+        i = 0;
+        ++c;
+      }
     }
-    nn::kernels::interleave_group(rows, 1, ldx, 0, 1, dst);
+    std::uint8_t* dst = panel + static_cast<std::size_t>(grp) * samples * 4;
+    for (int b = 0; b < samples; ++b) {
+      const std::size_t at = static_cast<std::size_t>(b) * hw;
+      const auto byte = [at](const std::int8_t* r) {
+        return static_cast<std::uint32_t>(static_cast<std::uint8_t>(r[at]));
+      };
+      const std::uint32_t word =
+          (byte(rows[0]) | byte(rows[1]) << 8 | byte(rows[2]) << 16 | byte(rows[3]) << 24) ^
+          0x80808080u;
+      std::memcpy(dst + static_cast<std::size_t>(b) * 4, &word, 4);
+    }
   }
 }
 
@@ -186,48 +257,55 @@ std::int64_t estimate_layer_cycles(const nn::HwLayer& layer, const NneConfig& co
   return filter_tiles * term_tiles * position_tiles;
 }
 
-void nne_lower(const quant::QLayer& layer, const quant::QTensor& input, NneScratch& scratch) {
+void nne_lower(const quant::QLayer& layer, int samples, const quant::QTensor& input,
+               NneScratch& scratch) {
   const nn::HwLayer& g = layer.geom;
   const std::int32_t zp_in = layer.in.zero_point;
   const std::int8_t* plane = input.data.data();
   if (g.pad > 0) {
     grow_to(scratch.padded,
-            static_cast<std::size_t>(g.in_c) * (g.in_h + 2 * g.pad) * (g.in_w + 2 * g.pad),
+            static_cast<std::size_t>(g.in_c) * samples * (g.in_h + 2 * g.pad) *
+                (g.in_w + 2 * g.pad),
             scratch.grow_events);
-    pad_conv_input(g, plane, static_cast<std::int8_t>(zp_in), scratch.padded.data());
+    pad_conv_input(g, samples, plane, static_cast<std::int8_t>(zp_in), scratch.padded.data());
     plane = scratch.padded.data();
   }
-  const int ldx = nn::kernels::gemm_i8_ldx(g.conv_out_h * g.conv_out_w);
+  const int ldx = nn::kernels::gemm_i8_ldx(samples * g.conv_out_h * g.conv_out_w);
   const int groups = nn::kernels::gemm_i8_groups(g.in_c * g.kernel * g.kernel);
   grow_to(scratch.panel, static_cast<std::size_t>(groups) * ldx * 4, scratch.grow_events);
-  grow_to(scratch.stage, static_cast<std::size_t>(4) * ldx, scratch.grow_events);
-  lower_conv_input(g, plane, ldx, scratch.stage.data(), scratch.panel.data());
+  if (stages_input(g))
+    grow_to(scratch.stage,
+            static_cast<std::size_t>(g.in_c) * g.kernel * samples * (g.in_h + 2 * g.pad) *
+                g.conv_out_w,
+            scratch.grow_events);
+  lower_conv_input(g, samples, plane, ldx, scratch.stage.data(), scratch.panel.data());
 }
 
-void nne_gemm(const quant::QLayer& layer, const quant::LayerExecPlan& plan,
+void nne_gemm(const quant::QLayer& layer, const quant::LayerExecPlan& plan, int samples,
               const std::int8_t* weights, NneScratch& scratch) {
   const nn::HwLayer& g = layer.geom;
-  const int positions = g.conv_out_h * g.conv_out_w;
-  const int ldx = nn::kernels::gemm_i8_ldx(positions);
+  const int n = samples * g.conv_out_h * g.conv_out_w;
+  const int ldx = nn::kernels::gemm_i8_ldx(n);
   util::require(plan.correction.size() == static_cast<std::size_t>(g.out_c),
                 "nne: plan lacks the zero-point correction of a conv layer");
-  grow_to(scratch.sums, static_cast<std::size_t>(g.out_c) * positions, scratch.grow_events);
-  if (nn::kernels::gemm_i8_filter_vectorized(positions)) {
+  grow_to(scratch.sums, static_cast<std::size_t>(g.out_c) * n, scratch.grow_events);
+  if (nn::kernels::gemm_i8_filter_vectorized(n)) {
+    // n < 16 implies positions < 16, so the plan carries the copy.
     util::require(plan.ldw == nn::kernels::gemm_i8_ldw(g.out_c) &&
                       plan.weights_kmajor.size() ==
                           static_cast<std::size_t>(nn::kernels::gemm_i8_groups(plan.terms)) *
                               plan.ldw * 4,
                   "nne: plan lacks the K-major weight copy of a small-map layer");
-    nn::kernels::gemm_u8i8_kmajor(g.out_c, positions, plan.terms, plan.weights_kmajor.data(),
-                                  plan.ldw, scratch.panel.data(), ldx, plan.correction.data(),
-                                  scratch.sums.data(), positions);
+    nn::kernels::gemm_u8i8_kmajor(g.out_c, n, plan.terms, plan.weights_kmajor.data(), plan.ldw,
+                                  scratch.panel.data(), ldx, plan.correction.data(),
+                                  scratch.sums.data(), n);
   } else {
-    nn::kernels::gemm_u8i8(g.out_c, positions, plan.terms, weights, scratch.panel.data(), ldx,
-                           plan.correction.data(), scratch.sums.data(), positions);
+    nn::kernels::gemm_u8i8(g.out_c, n, plan.terms, weights, scratch.panel.data(), ldx,
+                           plan.correction.data(), scratch.sums.data(), n);
   }
 }
 
-void nne_requant(const quant::QLayer& layer, const std::int32_t* sums,
+void nne_requant(const quant::QLayer& layer, int samples, const std::int32_t* sums,
                  const quant::QTensor* shortcut, quant::QTensor& pre) {
   const nn::HwLayer& g = layer.geom;
   util::require(layer.bias.size() == static_cast<std::size_t>(g.out_c) &&
@@ -245,14 +323,19 @@ void nne_requant(const quant::QLayer& layer, const std::int32_t* sums,
     fu.sc_zero_point = shortcut->params.zero_point;
     fu.sc_rescale = layer.shortcut_rescale;
   }
-  nn::kernels::requant_plane(sums, g.out_c, g.conv_out_h * g.conv_out_w, fu, pre.data.data());
+  // A row of the plane is one filter's [samples][positions]: the block's
+  // layout, so the plane is the pre-pool map.
+  nn::kernels::requant_plane(sums, g.out_c, samples * g.conv_out_h * g.conv_out_w, fu,
+                             pre.data.data());
 }
 
-void nne_pool(const nn::HwLayer& g, const quant::QTensor& pre, quant::QTensor& out) {
+void nne_pool(const nn::HwLayer& g, int samples, const quant::QTensor& pre, quant::QTensor& out) {
+  // The block's [out_c][samples] maps are out_c * samples consecutive planes.
+  const int planes = g.out_c * samples;
   const int pre_h = g.conv_out_h, pre_w = g.conv_out_w;
   if (g.pool_is_global) {
     const std::int64_t area = static_cast<std::int64_t>(pre_h) * pre_w;
-    for (int f = 0; f < g.out_c; ++f) {
+    for (int f = 0; f < planes; ++f) {
       const std::int8_t* plane = pre.data.data() + static_cast<std::size_t>(f) * area;
       std::int64_t sum = 0;
       for (std::int64_t i = 0; i < area; ++i) sum += plane[i];
@@ -266,20 +349,21 @@ void nne_pool(const nn::HwLayer& g, const quant::QTensor& pre, quant::QTensor& o
   const bool is_max = g.pool_is_max;
   if (is_max && pk == 2 && ps == 2) {
     // The paper nets' 2 x 2 max pool: two pre-pool rows per output row.
-    for (int row = 0; row < g.out_c * out_h; ++row) {
-      const int f = row / out_h, oh = row % out_h;
-      const std::int8_t* r0 =
-          pre.data.data() + (static_cast<std::size_t>(f) * pre_h + 2 * oh) * pre_w;
-      const std::int8_t* r1 = r0 + pre_w;
-      std::int8_t* dst = out.data.data() + static_cast<std::size_t>(row) * out_w;
-      for (int ow = 0; ow < out_w; ++ow)
-        dst[ow] = std::max(std::max(r0[2 * ow], r0[2 * ow + 1]),
-                           std::max(r1[2 * ow], r1[2 * ow + 1]));
+    const std::int8_t* plane = pre.data.data();
+    std::int8_t* dst = out.data.data();
+    for (int f = 0; f < planes; ++f, plane += static_cast<std::size_t>(pre_h) * pre_w) {
+      for (int oh = 0; oh < out_h; ++oh, dst += out_w) {
+        const std::int8_t* r0 = plane + static_cast<std::size_t>(2 * oh) * pre_w;
+        const std::int8_t* r1 = r0 + pre_w;
+        for (int ow = 0; ow < out_w; ++ow)
+          dst[ow] = std::max(std::max(r0[2 * ow], r0[2 * ow + 1]),
+                             std::max(r1[2 * ow], r1[2 * ow + 1]));
+      }
     }
     return;
   }
   const std::int64_t window = static_cast<std::int64_t>(pk) * pk;
-  for (int f = 0; f < g.out_c; ++f) {
+  for (int f = 0; f < planes; ++f) {
     const std::int8_t* plane = pre.data.data() + static_cast<std::size_t>(f) * pre_h * pre_w;
     std::int8_t* dst = out.data.data() + static_cast<std::size_t>(f) * out_h * out_w;
     for (int oh = 0; oh < out_h; ++oh) {
@@ -304,14 +388,17 @@ void nne_pool(const nn::HwLayer& g, const quant::QTensor& pre, quant::QTensor& o
   }
 }
 
-NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerExecPlan& plan,
-                                 const quant::QTensor& input, const quant::QTensor* shortcut,
-                                 bool site_active, nn::MaskSource* masks,
+NneLayerStats nne_run_block_into(const quant::QLayer& layer, const quant::LayerExecPlan& plan,
+                                 int samples, const quant::QTensor& input,
+                                 const quant::QTensor* shortcut, bool site_active,
+                                 nn::MaskSource* const* masks,
                                  quant::FixedMultiplier dropout_keep, const NneConfig& config,
                                  nn::kernels::Tier tier, NneScratch& scratch,
                                  quant::QTensor& out) {
   const nn::HwLayer& g = layer.geom;
   const std::int32_t zp_in = layer.in.zero_point;
+  util::require(samples >= 1 && samples <= kMaxBlockSamples,
+                "nne: a block holds 1 to kMaxBlockSamples samples");
   util::require(!g.has_shortcut || shortcut != nullptr, "nne: missing shortcut operand");
   util::require(!site_active || masks != nullptr, "nne: active site requires a mask source");
   util::require(config.binary_term_parallelism >= 1,
@@ -320,30 +407,39 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
   util::require(zp_in >= -128 && zp_in <= 127, "nne: input zero point must fit int8");
 
   NneLayerStats stats;
-  stats.macs_retired = g.macs();
-  // The PE's PF x PC x PV tiling survives in the cycle charge alone: the
-  // closed form, independent of which tier or kernel computed the sums.
-  stats.compute_cycles = estimate_layer_cycles(g, config);
+  // The modelled machine runs the block's samples one after another: each
+  // is charged the closed form, independent of which tier or kernel
+  // computed the sums (the PE's PF x PC x PV tiling survives in the charge
+  // alone).
+  stats.macs_retired = samples * g.macs();
+  stats.compute_cycles = samples * estimate_layer_cycles(g, config);
 
   const int positions = g.conv_out_h * g.conv_out_w;
+  const int n = samples * positions;  // the block's sum-plane row
   const int terms = plan.terms;
 
   const bool is_linear = g.op == nn::HwLayer::Op::linear;
   if (is_linear)
-    util::require(input.numel() == g.in_c, "nne: linear input size mismatch");
+    util::require(input.numel() == static_cast<std::int64_t>(samples) * g.in_c &&
+                      input.height() % samples == 0,
+                  "nne: linear input size mismatch");
   else
-    util::require(input.channels() == g.in_c && input.height() == g.in_h &&
+    util::require(input.channels() == g.in_c && input.height() == samples * g.in_h &&
                       input.width() == g.in_w,
                   "nne: conv input shape mismatch");
   if (g.has_shortcut)
-    util::require(shortcut->channels() == g.out_c && shortcut->height() == g.conv_out_h &&
+    util::require(shortcut->channels() == g.out_c &&
+                      shortcut->height() == samples * g.conv_out_h &&
                       shortcut->width() == g.conv_out_w,
                   "nne: shortcut shape mismatch");
 
-  // Resolve the tier cap against this (layer, input) pair.
+  // Resolve the tier cap against this (layer, input) pair. A block of
+  // several samples takes the int8 GEMM, which the tier contract makes
+  // bit-identical.
   std::int8_t lo = 0, hi = 0;
   if (tier == Tier::bitpack &&
-      !(plan.weights_binarizable && quant::two_valued_activations(input, &lo, &hi)))
+      !(samples == 1 && plan.weights_binarizable &&
+        quant::two_valued_activations(input, &lo, &hi)))
     tier = Tier::int8;
   const std::int32_t base = static_cast<std::int32_t>(lo) - zp_in;
   const std::int32_t delta = static_cast<std::int32_t>(hi) - lo;
@@ -352,31 +448,31 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
   // map IS the stored output, so write it there directly and keep
   // scratch.pre untouched (no buffer churn in the arena).
   const bool has_pool = g.pool_is_global || g.pool_kernel > 0;
-  if (out.reset({g.out_c, g.out_h, g.out_w}, layer.out)) ++scratch.grow_events;
+  if (out.reset({g.out_c, samples * g.out_h, g.out_w}, layer.out)) ++scratch.grow_events;
   quant::QTensor& pre = has_pool ? scratch.pre : out;
   if (has_pool &&
-      scratch.pre.reset({g.out_c, g.conv_out_h, g.conv_out_w}, layer.out))
+      scratch.pre.reset({g.out_c, samples * g.conv_out_h, g.conv_out_w}, layer.out))
     ++scratch.grow_events;
 
-  // The PE's retiring accumulators for the whole layer: one int32 term sum
-  // per (filter, position), [out_c][positions]. Both tiers fill it; one FU
-  // pass below retires it.
-  grow_to(scratch.sums, static_cast<std::size_t>(g.out_c) * positions, scratch.grow_events);
+  // The PE's retiring accumulators for the whole block: one int32 term sum
+  // per (filter, sample, position), [out_c][samples][positions]. Both tiers
+  // fill it; one FU pass below retires it.
+  grow_to(scratch.sums, static_cast<std::size_t>(g.out_c) * n, scratch.grow_events);
   std::int32_t* sums = scratch.sums.data();
 
   const std::int8_t* in_data = input.data.data();
 
   // Packed-weight layers dropped their byte rows. The bitpack interior path
-  // reads only the masks, and a small-map int8 conv reads the plan's K-major
-  // copy, but the other int8 paths and conv border windows still need byte
-  // rows — materialize them into the arena once per layer call (exact
-  // reconstruction, so bits are unchanged).
+  // reads only the masks, and a small-block int8 conv reads the plan's
+  // K-major copy, but the other int8 paths and conv border windows still
+  // need byte rows — materialize them into the arena once per layer call
+  // (exact reconstruction, so bits are unchanged).
   const bool has_border =
       !is_linear &&
       (g.pad > 0 || (g.conv_out_h - 1) * g.stride + g.kernel > g.in_h ||
        (g.conv_out_w - 1) * g.stride + g.kernel > g.in_w);
   const bool kmajor =
-      tier == Tier::int8 && (is_linear || nn::kernels::gemm_i8_filter_vectorized(positions));
+      tier == Tier::int8 && (is_linear || nn::kernels::gemm_i8_filter_vectorized(n));
   const std::int8_t* wmatrix = layer.weights.data();
   if (layer.weights_packed && !kmajor && (tier != Tier::bitpack || has_border)) {
     grow_to(scratch.wrows, static_cast<std::size_t>(g.out_c) * terms, scratch.grow_events);
@@ -390,9 +486,9 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
   };
 
   if (tier == Tier::int8 && is_linear) {
-    // The specification's 1x1 conv over a 1x1 map: the input row, flipped
-    // once to u = x + 128 and padded with zeros to whole four-term groups
-    // (their weights are 0), is the one-position panel of the filter tile
+    // The specification's 1x1 conv over a 1x1 map: each sample's input row,
+    // flipped to u = x + 128 and padded with zeros to whole four-term groups
+    // (their weights are 0), is one position of the filter tile's panel
     // over the plan's grouped K-major copy.
     const int padded_terms = 4 * nn::kernels::gemm_i8_groups(terms);
     util::require(plan.correction.size() == static_cast<std::size_t>(g.out_c) &&
@@ -400,18 +496,20 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
                       plan.weights_kmajor.size() ==
                           static_cast<std::size_t>(padded_terms) * plan.ldw,
                   "nne: plan lacks the K-major weight copy of a linear layer");
-    grow_to(scratch.panel, static_cast<std::size_t>(padded_terms), scratch.grow_events);
-    std::uint8_t* u = scratch.panel.data();
-    for (int t = 0; t < terms; ++t) u[t] = static_cast<std::uint8_t>(in_data[t]) ^ 0x80u;
-    std::fill(u + terms, u + padded_terms, std::uint8_t{0});
-    nn::kernels::gemm_u8i8_kmajor(g.out_c, 1, terms, plan.weights_kmajor.data(), plan.ldw, u, 1,
-                                  plan.correction.data(), sums, 1);
+    grow_to(scratch.panel, static_cast<std::size_t>(padded_terms) * samples,
+            scratch.grow_events);
+    const int hw = input.height() / samples * input.width();
+    lower_linear_input(terms, samples, hw, in_data, scratch.panel.data());
+    nn::kernels::gemm_u8i8_kmajor(g.out_c, samples, terms, plan.weights_kmajor.data(), plan.ldw,
+                                  scratch.panel.data(), samples, plan.correction.data(), sums,
+                                  samples);
   } else if (tier == Tier::int8) {
-    // Lower every window once, then one GEMM computes every (filter,
-    // position) sum: each lowered term feeds all filters and positions of a
-    // register tile, the PE array's PF x PV reuse.
-    nne_lower(layer, input, scratch);
-    nne_gemm(layer, plan, wmatrix, scratch);
+    // Lower every window of every sample once, then one GEMM computes every
+    // (filter, sample, position) sum: each lowered term feeds all filters
+    // and positions of a register tile, the PE array's PF x PV reuse, and
+    // each weight row streams once per block.
+    nne_lower(layer, samples, input, scratch);
+    nne_gemm(layer, plan, samples, wmatrix, scratch);
   } else if (is_linear) {
     // Packed reduction over the whole term range, one closed form per
     // filter (quant/qplan.h).
@@ -463,33 +561,64 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
 
   // FU chain, one pass over the sum plane, then the pool stage (pipelined;
   // adds no throughput cycles).
-  nne_requant(layer, sums, shortcut, pre);
-  nne_pool(g, pre, out);
+  nne_requant(layer, samples, sums, shortcut, pre);
+  nne_pool(g, samples, pre, out);
   // No pool: the FU chain already wrote `out` (pre aliases it).
 
   if (site_active) {
-    apply_dropout_unit(out, *masks, dropout_keep);
-    stats.mask_bits_consumed = g.out_c;
+    apply_dropout_unit(out, samples, masks, dropout_keep);
+    stats.mask_bits_consumed = samples * g.out_c;
   }
 
   return stats;
 }
 
-void apply_dropout_unit(quant::QTensor& out, nn::MaskSource& masks,
+NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerExecPlan& plan,
+                                 const quant::QTensor& input, const quant::QTensor* shortcut,
+                                 bool site_active, nn::MaskSource* masks,
+                                 quant::FixedMultiplier dropout_keep, const NneConfig& config,
+                                 nn::kernels::Tier tier, NneScratch& scratch,
+                                 quant::QTensor& out) {
+  nn::MaskSource* const sample_masks[1] = {masks};
+  return nne_run_block_into(layer, plan, 1, input, shortcut, site_active,
+                            masks != nullptr ? sample_masks : nullptr, dropout_keep, config,
+                            tier, scratch, out);
+}
+
+void apply_dropout_unit(quant::QTensor& out, int samples, nn::MaskSource* const* masks,
                         quant::FixedMultiplier dropout_keep) {
-  // The site's decisions in ascending filter order, drawn as whole words
-  // into a stack block (one block covers every layer up to kBlockRows
-  // filters), then one plane call per block: dropped planes become the
-  // zero point, kept ones are rescaled about it,
+  // Each sample's decisions in ascending filter order, drawn from its own
+  // source as whole words into a stack block (one block covers every layer
+  // up to kBlockRows filters), then one plane call per block: dropped
+  // planes become the zero point, kept ones are rescaled about it,
   // saturate(fixed_multiply(x - zp, keep) + zp).
-  constexpr int kBlockRows = 4096;
-  std::uint64_t drop[kBlockRows / 64] = {};
-  const int plane = out.height() * out.width();
+  constexpr int kBlockRows = 4096, kWords = kBlockRows / 64;
+  std::uint64_t drop[kMaxBlockSamples * kWords] = {};
+  util::require(samples >= 1 && samples <= kMaxBlockSamples &&
+                    out.height() % samples == 0,
+                "nne: dropout block does not match the tensor");
+  const int plane = out.height() / samples * out.width();
   for (int f0 = 0; f0 < out.channels(); f0 += kBlockRows) {
     const int rows = std::min(kBlockRows, out.channels() - f0);
-    masks.draw_drops(rows, drop);
-    nn::kernels::dropout_plane(out.data.data() + static_cast<std::size_t>(f0) * plane, rows,
-                               plane, drop, out.params.zero_point, dropout_keep);
+    const int words = (rows + 63) / 64;
+    for (int b = 0; b < samples; ++b)
+      masks[b]->draw_drops(rows, drop + static_cast<std::size_t>(b) * words);
+    nn::kernels::dropout_plane(
+        out.data.data() + static_cast<std::size_t>(f0) * samples * plane, rows, samples, plane,
+        drop, out.params.zero_point, dropout_keep);
+  }
+}
+
+void broadcast_samples(const quant::QTensor& src, int samples, quant::QTensor& dst,
+                       std::uint64_t& grow_events) {
+  const int c = src.channels(), h = src.height(), w = src.width();
+  if (dst.reset({c, samples * h, w}, src.params)) ++grow_events;
+  const std::size_t map = static_cast<std::size_t>(h) * w;
+  for (int ch = 0; ch < c; ++ch) {
+    const std::int8_t* from = src.data.data() + static_cast<std::size_t>(ch) * map;
+    std::int8_t* to = dst.data.data() + static_cast<std::size_t>(ch) * samples * map;
+    for (int b = 0; b < samples; ++b)
+      std::copy(from, from + map, to + static_cast<std::size_t>(b) * map);
   }
 }
 

@@ -584,12 +584,18 @@ bool gemm_i8_filter_vectorized(int n) { return n < I8_NR; }
 int gemm_i8_ldw(int m) { return (m + KF_NR - 1) / KF_NR * KF_NR; }
 
 void pack_i8_kmajor(int m, int k, const std::int8_t* w, std::int8_t* wk) {
-  const int ldw = gemm_i8_ldw(m);
+  const int ldw = gemm_i8_ldw(m), full = k / 4, tail = k % 4;
   std::fill(wk, wk + static_cast<std::size_t>(gemm_i8_groups(k)) * ldw * 4, std::int8_t{0});
-  for (int f = 0; f < m; ++f)
-    for (int t = 0; t < k; ++t)
-      wk[(static_cast<std::size_t>(t / 4) * ldw + f) * 4 + t % 4] =
-          w[static_cast<std::size_t>(f) * k + t];
+  // One word per (filter, full group); the tail group's bytes end at the
+  // row's last term.
+  for (int f = 0; f < m; ++f) {
+    const std::int8_t* row = w + static_cast<std::size_t>(f) * k;
+    std::int8_t* dst = wk + static_cast<std::size_t>(f) * 4;
+    for (int g = 0; g < full; ++g)
+      __builtin_memcpy(dst + static_cast<std::size_t>(g) * ldw * 4, row + 4 * g, 4);
+    std::copy(row + 4 * full, row + 4 * full + tail,
+              dst + static_cast<std::size_t>(full) * ldw * 4);
+  }
 }
 
 void gemm_u8i8_kmajor(int m, int n, int k, const std::int8_t* wk, int ldw,
@@ -794,7 +800,9 @@ inline void fu_vector(const std::int32_t* x, const std::int8_t* sc, std::size_t 
 // Row r's elements [begin, end) of the plane: whole vectors, then the
 // row's last partial vector, run whole while it stays inside the plane
 // (the lanes past the row land in later rows, which are retired after this
-// one and overwrite them).
+// one and overwrite them). Near the plane's end the partial vector is the
+// plane's last whole vector instead, and only the row's own lanes are
+// stored.
 template <Shortcut kSc, bool kGeneral>
 void fu_row(const std::int32_t* x, const std::int8_t* sc, std::size_t begin, std::size_t end,
             std::size_t total, const LaneRow& row_in, const PlaneLanes& plane_in,
@@ -806,9 +814,19 @@ void fu_row(const std::int32_t* x, const std::int8_t* sc, std::size_t begin, std
   std::size_t at = begin;
   for (; at + IVL <= end; at += IVL)
     fu_vector<kSc, kGeneral>(x, sc, at, IVL, row, plane, dst);
-  if (at < end)
-    fu_vector<kSc, kGeneral>(
-        x, sc, at, static_cast<int>(std::min<std::size_t>(IVL, total - at)), row, plane, dst);
+  if (at == end) return;
+  if (at + IVL <= total) {
+    fu_vector<kSc, kGeneral>(x, sc, at, IVL, row, plane, dst);
+  } else if (total >= static_cast<std::size_t>(IVL)) {
+    const std::size_t last = total - IVL;
+    const vi s = kSc != Shortcut::none ? load_i8_lanes(sc + last) : vi{};
+    const vb out = fu_lanes<kSc, kGeneral>(load_vi(x + last), s, row, plane);
+    std::int8_t lanes[IVL];
+    __builtin_memcpy(lanes, &out, sizeof(vb));
+    std::copy(lanes + (at - last), lanes + (end - last), dst + at);
+  } else {
+    fu_vector<kSc, kGeneral>(x, sc, at, static_cast<int>(total - at), row, plane, dst);
+  }
 }
 
 template <Shortcut kSc>
@@ -867,15 +885,15 @@ void requant_plane(const std::int32_t* x, int rows, int n, const RequantPlane& f
     requant_plane_impl<Shortcut::plain>(x, rows, n, fu, dst);
 }
 
-void dropout_plane(std::int8_t* x, int rows, int n, const std::uint64_t* drop,
+void dropout_plane(std::int8_t* x, int rows, int samples, int n, const std::uint64_t* drop,
                    std::int32_t zero_point, FixedMultiplier keep) {
   check_exponent(keep);
-  // Every row shares the rescale, so the plane is one flat run of
-  // rows * n elements; dropped rows are overwritten afterwards.
+  // Every plane shares the rescale, so the whole block is one flat run of
+  // rows * samples * n elements; dropped planes are overwritten afterwards.
   const LaneFixed m = splat_fixed(keep);
   const vi bias = splat_word(-zero_point), offset = splat_word(zero_point);
   const vi floor = splat_word(std::numeric_limits<std::int32_t>::min());
-  const std::size_t total = static_cast<std::size_t>(rows) * n;
+  const std::size_t total = static_cast<std::size_t>(rows) * samples * n;
   const auto rescale = [&](std::int8_t* at) {
     const vi q = add(m.general
                          ? fixed_multiply_lanes<true>(add(load_i8_lanes(at), bias), m)
@@ -894,15 +912,18 @@ void dropout_plane(std::int8_t* x, int rows, int n, const std::uint64_t* drop,
   }
   const std::int8_t dropped =
       static_cast<std::int8_t>(std::clamp(zero_point, std::int32_t{-128}, std::int32_t{127}));
-  for (int w = 0; w * 64 < rows; ++w) {
-    std::uint64_t bits = drop[w];
-    while (bits != 0) {
-      const int lead = __builtin_clzll(bits);
-      const int r = w * 64 + lead;
-      if (r >= rows) break;
-      std::fill(x + static_cast<std::size_t>(r) * n, x + static_cast<std::size_t>(r + 1) * n,
-                dropped);
-      bits &= ~(std::uint64_t{1} << (63 - lead));
+  const int words = (rows + 63) / 64;
+  for (int b = 0; b < samples; ++b) {
+    for (int w = 0; w < words; ++w) {
+      std::uint64_t bits = drop[static_cast<std::size_t>(b) * words + w];
+      while (bits != 0) {
+        const int lead = __builtin_clzll(bits);
+        const int r = w * 64 + lead;
+        if (r >= rows) break;
+        std::int8_t* plane = x + (static_cast<std::size_t>(r) * samples + b) * n;
+        std::fill(plane, plane + n, dropped);
+        bits &= ~(std::uint64_t{1} << (63 - lead));
+      }
     }
   }
 }

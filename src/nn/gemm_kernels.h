@@ -111,7 +111,8 @@ int gemm_i8_ldx(int n);
 // `step` bytes apart (a conv term row at stride `step`):
 //   dst[(r * run + p) * 4 + j] = rows[j][r * pitch + p * step] ^ 0x80
 // for r < runs, p < run, j < 4, reading no other byte. The NNE's lowering
-// calls it once per group.
+// calls it once per group and sample, or once per group with one run per
+// sample of a block.
 void interleave_group(const std::int8_t* const rows[4], int runs, int run, int pitch, int step,
                       std::uint8_t* dst);
 
@@ -151,6 +152,8 @@ int gemm_i8_ldw(int m);
 // Packs row-major w[m][k] into the grouped K-major copy
 // wk[gemm_i8_groups(k)][ldw][4], ldw = gemm_i8_ldw(m): byte j of filter f in
 // group g is w[f][4g + j]. Filters m..ldw-1 and tail terms t >= k hold 0.
+// A full group moves as one word; the tail group's bytes are read up to the
+// row's last term and no further.
 void pack_i8_kmajor(int m, int k, const std::int8_t* w, std::int8_t* wk);
 
 // gemm_u8i8's contract with weights from wk = pack_i8_kmajor(w):
@@ -207,14 +210,16 @@ struct RequantPlane {
 void requant_plane(const std::int32_t* x, int rows, int n, const RequantPlane& fu,
                    std::int8_t* dst);
 
-// The plane kernel's int8 form, the Dropout Unit, in place over [rows][n]:
-// a row whose drop bit is set becomes saturate_int8(zero_point), and every
-// other element is rescaled about the zero point,
-//   x[r][p] = saturate_int8(fixed_multiply(x[r][p] - zero_point, keep) + zero_point).
-// Drop bit r is bit 63 - r % 64 of drop[r / 64], the order of
+// The plane kernel's int8 form, the Dropout Unit, in place over a block of
+// `samples` maps per row, x[rows][samples][n] (the NNE's B-sample layout):
+// plane (r, b) whose drop bit is set becomes saturate_int8(zero_point), and
+// every other element is rescaled about the zero point,
+//   x[r][b][p] = saturate_int8(fixed_multiply(x[r][b][p] - zero_point, keep) + zero_point).
+// Sample b's drop bits take ceil(rows / 64) words from drop + b * ceil(rows /
+// 64): its bit for row r is bit 63 - r % 64 of word r / 64, the order of
 // nn::MaskSource::draw_drops; bits past `rows` are ignored. keep.shift < -31
 // throws std::invalid_argument.
-void dropout_plane(std::int8_t* x, int rows, int n, const std::uint64_t* drop,
+void dropout_plane(std::int8_t* x, int rows, int samples, int n, const std::uint64_t* drop,
                    std::int32_t zero_point, FixedMultiplier keep);
 
 }  // namespace bnn::nn::kernels

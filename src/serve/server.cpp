@@ -195,9 +195,21 @@ double Server::queue_backlog_ms_locked() const {
   // Summed on demand (no incremental running total): exact, drift-free,
   // and O(queue) only on adaptive submissions while overloaded. Queued
   // admission costs are already calibrated wall milliseconds (per tenant),
-  // so the backlog is a plain sum.
+  // so the backlog is a plain sum — in ticket order, merged across the
+  // groups, so it is the same double whatever groups hold the requests.
+  std::vector<std::size_t> next(queue_groups_.size(), 0);
   double backlog = 0.0;
-  for (const Pending& pending : queue_) backlog += pending.admission_ms;
+  for (std::size_t left = queued_; left > 0; --left) {
+    std::size_t oldest = queue_groups_.size();
+    for (std::size_t g = 0; g < queue_groups_.size(); ++g) {
+      const std::deque<Pending>& members = queue_groups_[g].members;
+      if (next[g] < members.size() &&
+          (oldest == queue_groups_.size() ||
+           members[next[g]].ticket < queue_groups_[oldest].members[next[oldest]].ticket))
+        oldest = g;
+    }
+    backlog += queue_groups_[oldest].members[next[oldest]++].admission_ms;
+  }
   return backlog;
 }
 
@@ -347,6 +359,7 @@ std::future<Response> Server::submit(Request request) {
     recorder_->ensure_model(info);
   }
 
+  bool wake = false;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     if (stopping_) throw ShutdownError("serve: server is shut down");
@@ -391,7 +404,7 @@ std::future<Response> Server::submit(Request request) {
     }
     const bool queue_full =
         config_.max_queue_depth > 0 &&
-        queue_.size() >= static_cast<std::size_t>(config_.max_queue_depth);
+        queued_ >= static_cast<std::size_t>(config_.max_queue_depth);
     switch (config_.overload_policy) {
       case OverloadPolicy::fail_fast:
         if (queue_full) {
@@ -408,7 +421,7 @@ std::future<Response> Server::submit(Request request) {
           // the dispatcher stopped (checked before any push below).
           queue_space_.wait(lock, [this] {
             return stopping_ ||
-                   queue_.size() < static_cast<std::size_t>(config_.max_queue_depth);
+                   queued_ < static_cast<std::size_t>(config_.max_queue_depth);
           });
           if (stopping_) throw ShutdownError("serve: server shut down while blocked");
         }
@@ -474,15 +487,31 @@ std::future<Response> Server::submit(Request request) {
     if (queued_by_key_.size() <= key)
       queued_by_key_.resize(static_cast<std::size_t>(key) + 1, 0);
     ++queued_by_key_[key];
-    queue_.push_back(std::move(pending));
-    stats_.peak_queue_depth =
-        std::max<std::uint64_t>(stats_.peak_queue_depth, queue_.size());
+    const ModelVersion* version = pending.bound.version.get();
+    auto group = std::find_if(queue_groups_.begin(), queue_groups_.end(),
+                              [&](const QueueGroup& g) {
+                                return g.version == version && g.shape == pending.image.shape();
+                              });
+    if (group == queue_groups_.end()) {
+      queue_groups_.push_back({version, pending.image.shape(), {}});
+      group = queue_groups_.end() - 1;
+    }
+    group->members.push_back(std::move(pending));
+    ++queued_;
+    stats_.peak_queue_depth = std::max<std::uint64_t>(stats_.peak_queue_depth, queued_);
+    // Only two pushes can end a replica's wait: the first request (an idle
+    // replica waits for one) and the linger target's (a lingering one waits
+    // for a full batch). After any other push every waiter's predicate is
+    // still false, and a busy replica rechecks the queue before it waits,
+    // so skipping the notify loses no wakeup — and saves the submitter a
+    // wake syscall per request while replicas linger.
+    wake = queued_ == 1 || static_cast<int>(queued_) == linger_target();
   }
   // notify_all, not notify_one: with R replicas on one condition variable,
   // a single notify can be absorbed by a replica sitting in its
   // batch-linger wait (predicate still false) while a genuinely idle
   // replica sleeps on. R is small, so waking them all is cheap.
-  queue_ready_.notify_all();
+  if (wake) queue_ready_.notify_all();
   return future;
 }
 
@@ -510,104 +539,89 @@ ServerStats Server::stats() const {
   return stats;
 }
 
+int Server::linger_target() const {
+  // A bounded queue can never hold more than max_queue_depth requests, so
+  // the target is capped there, or a linger would always run out its
+  // timeout when max_queue_depth < max_batch.
+  return config_.max_queue_depth > 0 ? std::min(config_.max_batch, config_.max_queue_depth)
+                                     : config_.max_batch;
+}
+
 void Server::replica_loop(Replica& replica) {
   for (;;) {
     std::vector<Pending> batch;
     std::uint64_t dispatch_seq = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      queue_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping and drained
-      // Linger briefly for a fuller batch — the flattened pair loop works
-      // best when a batch carries many (image, sample) lanes. A bounded
-      // queue can never hold more than max_queue_depth requests, so cap
-      // the linger target there or the wait would always run out its
-      // timeout when max_queue_depth < max_batch.
-      const int linger_target =
-          config_.max_queue_depth > 0
-              ? std::min(config_.max_batch, config_.max_queue_depth)
-              : config_.max_batch;
-      if (static_cast<int>(queue_.size()) < linger_target && !stopping_) {
-        queue_ready_.wait_for(lock, config_.batch_linger, [this, linger_target] {
-          return stopping_ || static_cast<int>(queue_.size()) >= linger_target;
+      queue_ready_.wait(lock, [this] { return stopping_ || queued_ > 0; });
+      if (queued_ == 0) return;  // stopping and drained
+      // Linger briefly for a fuller batch — the blocked lane loop works
+      // best when a batch carries many (image, sample) lanes.
+      if (static_cast<int>(queued_) < linger_target() && !stopping_) {
+        queue_ready_.wait_for(lock, config_.batch_linger, [this] {
+          return stopping_ || static_cast<int>(queued_) >= linger_target();
         });
       }
       // The linger releases the lock, so a concurrently idle replica may
       // have drained the queue in the meantime.
-      if (queue_.empty()) continue;
+      if (queued_ == 0) continue;
       // Pick this pull's batch group — a (model version, image shape)
       // pair: an accelerator pass runs one model over one homogeneous
       // shape, and version-pointer identity keeps pre- and post-hot-swap
       // requests of the same tenant in separate groups. FIFO coalesces
-      // around the oldest request. Cost-aware ranks every queued group
-      // (the first max_batch queued requests of each distinct group) by
-      // its summed modelled first-pass cost — calibrated wall ms, cold
+      // around the oldest request: the group whose front ticket is oldest.
+      // Cost-aware ranks every queued group (its first max_batch members)
+      // by their summed modelled first-pass cost — calibrated wall ms, cold
       // reloads included, so costs compare across tenants — and takes the
       // costliest: idle replicas run longest-processing-time-first,
-      // balancing modelled load across replicas; ties keep the oldest
-      // group, and within a group requests always leave in queue order.
-      // Selection only decides WHERE and WHEN a request runs — responses
-      // are pure functions of (model version, request, stream id), so
-      // both modes serve bit-identical responses.
-      const ModelVersion* version = queue_.front().bound.version.get();
-      std::vector<int> shape = queue_.front().image.shape();
+      // balancing modelled load across replicas; ties keep the group with
+      // the older member, and within a group requests always leave in
+      // queue order. A pull reads O(groups * max_batch) requests, never the
+      // whole queue. Selection only decides WHERE and WHEN a request runs —
+      // responses are pure functions of (model version, request, stream
+      // id), so both modes serve bit-identical responses.
+      const auto front_ticket = [this](std::size_t g) {
+        return queue_groups_[g].members.front().ticket;
+      };
+      std::size_t pick = 0;
+      for (std::size_t g = 1; g < queue_groups_.size(); ++g)
+        if (front_ticket(g) < front_ticket(pick)) pick = g;
+      const std::size_t max_batch = static_cast<std::size_t>(config_.max_batch);
       if (config_.dispatch_mode == DispatchMode::cost_aware && cost_model_) {
-        std::vector<const ModelVersion*> group_version;  // first-occurrence order
-        std::vector<const std::vector<int>*> group_shape;
-        std::vector<double> group_cost;
-        std::vector<int> group_count;
-        std::vector<std::uint64_t> group_oldest;  // oldest member's ticket
-        for (const Pending& pending : queue_) {
-          const ModelVersion* v = pending.bound.version.get();
-          const std::vector<int>& s = pending.image.shape();
-          std::size_t g = 0;
-          while (g < group_version.size() &&
-                 !(group_version[g] == v && *group_shape[g] == s))
-            ++g;
-          if (g == group_version.size()) {
-            group_version.push_back(v);
-            group_shape.push_back(&pending.image.shape());
-            group_cost.push_back(0.0);
-            group_count.push_back(0);
-            // Queue order is admission order, so the group's first queued
-            // member carries its oldest ticket.
-            group_oldest.push_back(pending.ticket);
-          }
-          if (group_count[g] < config_.max_batch) {
-            group_cost[g] += pending.first_pass_ms;
-            ++group_count[g];
-          }
-        }
         // Anti-starvation aging: a group's score grows with every ticket
         // issued since its oldest member was admitted, so a cheap group
         // passed over by costlier traffic is eventually the maximum —
         // continuously, with no hard bypass cliff. Deterministic in the
         // (queue contents, next_ticket_) state; no wall clock involved.
         const auto score = [&](std::size_t g) {
-          return group_cost[g] +
-                 config_.aging_weight *
-                     static_cast<double>(next_ticket_ - group_oldest[g]);
+          const std::deque<Pending>& members = queue_groups_[g].members;
+          double cost = 0.0;
+          for (std::size_t i = 0; i < std::min(members.size(), max_batch); ++i)
+            cost += members[i].first_pass_ms;
+          return cost + config_.aging_weight * static_cast<double>(next_ticket_ - front_ticket(g));
         };
-        std::size_t best = 0;
-        for (std::size_t g = 1; g < group_version.size(); ++g)
-          if (score(g) > score(best)) best = g;  // ties keep oldest
-        version = group_version[best];
-        shape = *group_shape[best];
-      }
-      batch.reserve(static_cast<std::size_t>(
-          std::min<int>(config_.max_batch, static_cast<int>(queue_.size()))));
-      for (auto it = queue_.begin();
-           it != queue_.end() && static_cast<int>(batch.size()) < config_.max_batch;) {
-        if (it->bound.version.get() == version && it->image.shape() == shape) {
-          const ModelKey key = it->bound.version->key;
-          if (key < queued_by_key_.size() && queued_by_key_[key] > 0)
-            --queued_by_key_[key];
-          batch.push_back(std::move(*it));
-          it = queue_.erase(it);
-        } else {
-          ++it;
+        double best = score(pick);
+        for (std::size_t g = 0; g < queue_groups_.size(); ++g) {
+          if (g == pick) continue;
+          const double s = score(g);
+          if (s > best || (s == best && front_ticket(g) < front_ticket(pick))) {
+            best = s;
+            pick = g;
+          }
         }
       }
+      std::deque<Pending>& members = queue_groups_[pick].members;
+      const std::size_t take = std::min(members.size(), max_batch);
+      batch.reserve(take);
+      for (std::size_t i = 0; i < take; ++i) {
+        const ModelKey key = members.front().bound.version->key;
+        if (key < queued_by_key_.size() && queued_by_key_[key] > 0) --queued_by_key_[key];
+        batch.push_back(std::move(members.front()));
+        members.pop_front();
+      }
+      queued_ -= take;
+      if (members.empty())
+        queue_groups_.erase(queue_groups_.begin() + static_cast<std::ptrdiff_t>(pick));
       dispatch_seq = ++dispatched_batches_;
     }
     queue_space_.notify_all();  // backpressured submitters may proceed

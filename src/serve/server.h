@@ -515,7 +515,17 @@ class Server {
     std::thread thread;
   };
 
+  /// The queued requests of one batch group — a (model version, image
+  /// shape) pair — in admission (ticket) order.
+  struct QueueGroup {
+    const ModelVersion* version = nullptr;
+    std::vector<int> shape;
+    std::deque<Pending> members;
+  };
+
   void replica_loop(Replica& replica);
+  /// Queued requests a replica lingers for before it pulls a short batch.
+  int linger_target() const;
   /// The replica's accelerator for this model version, binding (and LRU
   /// evicting) as needed. Worker-thread only.
   core::Accelerator& bind_replica(Replica& replica, const ModelRegistry::Bound& bound);
@@ -541,7 +551,11 @@ class Server {
   mutable std::mutex mutex_;
   std::condition_variable queue_ready_;  // replicas wait for work
   std::condition_variable queue_space_;  // blocked submitters wait for room
-  std::deque<Pending> queue_;
+  /// The coalescing queue: one FIFO per batch group, in no particular
+  /// order (a group leaves when it empties), and the requests queued in
+  /// all of them.
+  std::deque<QueueGroup> queue_groups_;
+  std::size_t queued_ = 0;
   /// Queued requests per tenant key (quota accounting), indexed by
   /// ModelKey; grows as tenants appear.
   std::vector<std::uint64_t> queued_by_key_;

@@ -467,7 +467,8 @@ TEST(NneScratchArena, SecondRunOverSameShapesIsAllocationFree) {
   // map in the scratch), a padded small-map conv (3x3: the filter-vectorized
   // tile), a padded wide-map conv (16x16: the largest padded plane) and a
   // linear layer, each at both tier caps, with the site inactive and active
-  // (the Dropout Unit draws masks and rescales).
+  // (the Dropout Unit draws masks and rescales), one sample at a time and
+  // in blocks of 2 and 8 samples.
   struct Case {
     quant::QLayer layer;
     quant::LayerExecPlan plan;
@@ -495,15 +496,36 @@ TEST(NneScratchArena, SecondRunOverSameShapesIsAllocationFree) {
   core::BernoulliSampler sampler(sampler_config);
   const quant::FixedMultiplier keep = quant::quantize_multiplier(1.0 / 0.75);
 
+  // Blocks of 2 and 8 samples of each input (the 3 x 3 map's block of 2
+  // crosses into the position tile), each sample on its own sampler.
+  std::vector<std::vector<quant::QTensor>> blocks(cases.size());
+  std::uint64_t broadcast_grows = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i)
+    for (const int count : {2, 8}) {
+      blocks[i].emplace_back();
+      core::broadcast_samples(cases[i].input, count, blocks[i].back(), broadcast_grows);
+    }
+  std::vector<core::BernoulliSampler> block_samplers(8, core::BernoulliSampler(sampler_config));
+  nn::MaskSource* block_masks[8];
+  for (int b = 0; b < 8; ++b) block_masks[b] = &block_samplers[static_cast<std::size_t>(b)];
+
   core::NneConfig config;
   core::NneScratch scratch;
   quant::QTensor out;
   const auto run_all = [&] {
-    for (const Case& c : cases)
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const Case& c = cases[i];
       for (const Tier tier : {Tier::int8, Tier::bitpack})
-        for (const bool active : {false, true})
+        for (const bool active : {false, true}) {
           core::nne_run_layer_into(c.layer, c.plan, c.input, nullptr, active, &sampler, keep,
                                    config, tier, scratch, out);
+          for (const quant::QTensor& block : blocks[i])
+            core::nne_run_block_into(c.layer, c.plan,
+                                     block.height() / c.input.height(), block,
+                                     nullptr, active, block_masks, keep, config, tier, scratch,
+                                     out);
+        }
+    }
   };
   run_all();  // warm-up: every buffer reaches its high-water mark
   const std::uint64_t after_warmup = scratch.grow_events;

@@ -587,36 +587,42 @@ TEST(RequantRow, SaturationWrapAndDropoutForm) {
           << "mult=" << requant[static_cast<std::size_t>(r)].mult
           << " shift=" << requant[static_cast<std::size_t>(r)].shift << " sum=" << sums[p];
 
-  // The Dropout Unit form, in place: dropped rows become the zero point,
-  // kept rows are rescaled about it. Drop bit r is bit 63 - r % 64 of word
-  // r / 64.
+  // The Dropout Unit form, in place over [rows][samples][n]: dropped maps
+  // become the zero point, kept ones are rescaled about it. Sample b's drop
+  // bit for row r is bit 63 - r % 64 of word b * ceil(rows / 64) + r / 64.
   util::Rng rng(11);
-  for (const int plane_n : {1, 3, 4, 16, 17, 64}) {
-    for (const int du_rows : {1, 5, 64, 65, 130}) {
-      for (const std::int32_t zp : {-128, 0, 127}) {
-        for (const double keep_value : {1.0 / 0.75, 2.0, 256.0 / 255.0}) {
-          const quant::FixedMultiplier keep = quant::quantize_multiplier(keep_value);
-          std::vector<std::int8_t> x(static_cast<std::size_t>(du_rows) * plane_n);
-          for (auto& v : x) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-          std::vector<std::uint64_t> drop(static_cast<std::size_t>((du_rows + 63) / 64));
-          for (auto& word : drop) word = rng.next_u64();
-          std::vector<std::int8_t> expected(x.size());
-          for (int r = 0; r < du_rows; ++r) {
-            const bool dropped =
-                ((drop[static_cast<std::size_t>(r / 64)] >> (63 - r % 64)) & 1u) != 0;
-            for (int p = 0; p < plane_n; ++p) {
-              const std::size_t i = static_cast<std::size_t>(r) * plane_n + p;
-              expected[i] =
-                  dropped ? quant::saturate_int8(zp)
-                          : quant::saturate_int8(
-                                quant::fixed_multiply(static_cast<std::int32_t>(x[i]) - zp,
-                                                      keep) +
-                                zp);
+  for (const int samples : {1, 2, 5}) {
+    for (const int plane_n : {1, 3, 4, 16, 17, 64}) {
+      for (const int du_rows : {1, 5, 64, 65, 130}) {
+        for (const std::int32_t zp : {-128, 0, 127}) {
+          for (const double keep_value : {1.0 / 0.75, 2.0, 256.0 / 255.0}) {
+            const quant::FixedMultiplier keep = quant::quantize_multiplier(keep_value);
+            std::vector<std::int8_t> x(static_cast<std::size_t>(du_rows) * samples * plane_n);
+            for (auto& v : x) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+            const int words = (du_rows + 63) / 64;
+            std::vector<std::uint64_t> drop(static_cast<std::size_t>(samples) * words);
+            for (auto& word : drop) word = rng.next_u64();
+            std::vector<std::int8_t> expected(x.size());
+            for (int r = 0; r < du_rows; ++r) {
+              for (int b = 0; b < samples; ++b) {
+                const std::uint64_t word = drop[static_cast<std::size_t>(b) * words + r / 64];
+                const bool dropped = ((word >> (63 - r % 64)) & 1u) != 0;
+                for (int p = 0; p < plane_n; ++p) {
+                  const std::size_t i =
+                      (static_cast<std::size_t>(r) * samples + b) * plane_n + p;
+                  expected[i] =
+                      dropped ? quant::saturate_int8(zp)
+                              : quant::saturate_int8(
+                                    quant::fixed_multiply(static_cast<std::int32_t>(x[i]) - zp,
+                                                          keep) +
+                                    zp);
+                }
+              }
             }
+            kernels::dropout_plane(x.data(), du_rows, samples, plane_n, drop.data(), zp, keep);
+            ASSERT_EQ(x, expected) << "samples " << samples << " n " << plane_n << " rows "
+                                   << du_rows << " zp " << zp << " keep " << keep_value;
           }
-          kernels::dropout_plane(x.data(), du_rows, plane_n, drop.data(), zp, keep);
-          ASSERT_EQ(x, expected) << "n " << plane_n << " rows " << du_rows << " zp " << zp
-                                 << " keep " << keep_value;
         }
       }
     }
@@ -647,9 +653,9 @@ TEST(RequantRow, RightShiftPast31Throws) {
   // And the Dropout Unit's keep multiplier.
   std::vector<std::int8_t> plane(6, 3);
   const std::uint64_t drop = 0;
-  EXPECT_THROW(kernels::dropout_plane(plane.data(), 2, 3, &drop, 0, {1 << 30, -32}),
+  EXPECT_THROW(kernels::dropout_plane(plane.data(), 2, 1, 3, &drop, 0, {1 << 30, -32}),
                std::invalid_argument);
-  EXPECT_NO_THROW(kernels::dropout_plane(plane.data(), 2, 3, &drop, 0, {1 << 30, -31}));
+  EXPECT_NO_THROW(kernels::dropout_plane(plane.data(), 2, 1, 3, &drop, 0, {1 << 30, -31}));
 }
 
 TEST(ConvExtent, Formula) {

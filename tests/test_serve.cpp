@@ -73,30 +73,36 @@ TEST(PredictBatch, BatchedEqualsOneImageAtATimeAcrossThreadCounts) {
   auto& fx = fixture();
   const data::Batch batch = fx.dataset->batch(0, 4);
 
-  // Heterogeneous per-image knobs: different L, S and stream ids.
-  const std::vector<ImageRequest> requests{
-      {2, 9, 100}, {1, 3, 17}, {2, 1, 100}, {0, 5, 2}};
+  // Heterogeneous per-image knobs (different L, S and stream ids), then
+  // every image at one S: S = 9 splits into two sample blocks, S = 8 fills
+  // one, and with 8 lanes an image's samples split into more blocks.
+  std::vector<std::vector<ImageRequest>> cases{{{2, 9, 100}, {1, 3, 17}, {2, 1, 100}, {0, 5, 2}}};
+  for (const int samples : {1, 2, 3, 7, 8, 9})
+    cases.push_back({{2, samples, 100}, {1, samples, 17}, {2, samples, 5}, {0, samples, 2}});
 
-  // One-image-at-a-time reference, sequential.
-  core::Accelerator reference(*fx.qnet, accel_config(1));
-  std::vector<nn::Tensor> rows;
-  for (int n = 0; n < 4; ++n) {
-    rows.push_back(reference
-                       .predict_batch(batch.images.batch_row(n),
-                                      {requests[static_cast<std::size_t>(n)]})
-                       .probs);
-  }
-
-  for (int threads : {1, 2, 8}) {
-    core::Accelerator accelerator(*fx.qnet, accel_config(threads));
-    const auto prediction = accelerator.predict_batch(batch.images, requests);
-    ASSERT_EQ(prediction.probs.shape(), (std::vector<int>{4, 10}));
-    ASSERT_EQ(prediction.stats.size(), 4u);
+  for (const std::vector<ImageRequest>& requests : cases) {
+    // One-image-at-a-time reference, sequential.
+    core::Accelerator reference(*fx.qnet, accel_config(1));
+    std::vector<nn::Tensor> rows;
     for (int n = 0; n < 4; ++n) {
-      EXPECT_EQ(prediction.probs.batch_row(n).max_abs_diff(
-                    rows[static_cast<std::size_t>(n)]),
-                0.0f)
-          << "image " << n << ", threads=" << threads;
+      rows.push_back(reference
+                         .predict_batch(batch.images.batch_row(n),
+                                        {requests[static_cast<std::size_t>(n)]})
+                         .probs);
+    }
+
+    for (int threads : {1, 2, 8}) {
+      core::Accelerator accelerator(*fx.qnet, accel_config(threads));
+      const auto prediction = accelerator.predict_batch(batch.images, requests);
+      ASSERT_EQ(prediction.probs.shape(), (std::vector<int>{4, 10}));
+      ASSERT_EQ(prediction.stats.size(), 4u);
+      for (int n = 0; n < 4; ++n) {
+        EXPECT_EQ(prediction.probs.batch_row(n).max_abs_diff(
+                      rows[static_cast<std::size_t>(n)]),
+                  0.0f)
+            << "image " << n << ", S=" << requests[static_cast<std::size_t>(n)].num_samples
+            << ", threads=" << threads;
+      }
     }
   }
 }
@@ -711,6 +717,126 @@ TEST(Server, CostAwareDispatchHandlesMixedShapeGroups) {
           << "square image " << n;
     }
   }
+}
+
+// The queue holds one FIFO per batch group. Whatever groups hold it, the
+// pull order must be the one the full-queue scan it replaced picks: FIFO
+// takes the group of the oldest request; cost-aware takes the group whose
+// first max_batch members cost most plus aging, ties going to the group
+// with the older member. A blocker pins the one replica while five shape
+// groups queue up (two of them tie exactly), so every later pull sees the
+// same queue, and Response::dispatch_seq numbers the pulls.
+TEST(Server, GroupedQueuePullsInTheOrderOfAFullQueueScan) {
+  auto& fx = mlp_fixture();
+  const std::vector<std::vector<int>> views{
+      {1, 49, 1, 1}, {1, 1, 7, 7}, {1, 7, 7, 1}, {1, 1, 49, 1}, {1, 7, 1, 7}};
+  struct Queued {
+    int view, layers, samples;
+  };
+  // Views 1 and 2 hold the same options in the same counts: equal costs.
+  const std::vector<Queued> queued{{0, 1, 2}, {1, 2, 6}, {2, 2, 6}, {3, 1, 1}, {0, 1, 2},
+                                   {4, 2, 3}, {1, 2, 6}, {2, 2, 6}, {0, 1, 2}, {3, 1, 1},
+                                   {4, 2, 3}, {1, 2, 6}, {2, 2, 6}, {4, 2, 5}};
+  const int max_batch = 2;
+  const auto request = [&](int view, int layers, int samples, std::uint64_t stream) {
+    serve::Request r;
+    r.image = fx.dataset->images().batch_row(0).reshaped(views[static_cast<std::size_t>(view)]);
+    r.options.bayes_layers = layers;
+    r.options.num_samples = samples;
+    r.stream_id = stream;
+    return r;
+  };
+
+  std::vector<std::uint64_t> cost_aware_orders[2];
+  for (const serve::DispatchMode mode :
+       {serve::DispatchMode::fifo, serve::DispatchMode::cost_aware}) {
+    for (const double aging : {0.0, 1e6}) {
+      serve::ServerConfig config;
+      config.max_batch = max_batch;
+      config.num_replicas = 1;
+      config.num_threads = 1;
+      config.dispatch_mode = mode;
+      config.aging_weight = aging;
+      serve::Server server(bench::single_model_registry(*fx.qnet), accel_config(1), config);
+
+      // The blocker has a shape of its own and outranks every group in both
+      // modes (oldest, and costliest by far), so it is the first pull
+      // whenever the replica takes it.
+      serve::Request blocker_request = request(0, 2, 60000, 999);
+      blocker_request.image = blocker_request.image.reshaped({1, 1, 1, 49});
+      auto blocker = server.submit(std::move(blocker_request));
+      std::vector<std::future<serve::Response>> futures;
+      for (std::size_t i = 0; i < queued.size(); ++i)
+        futures.push_back(server.submit(
+            request(queued[i].view, queued[i].layers, queued[i].samples, i)));
+      const serve::Response blocked = blocker.get();
+      std::vector<serve::Response> responses;
+      for (auto& future : futures) responses.push_back(future.get());
+
+      // The reference: the full-queue scan over requests in ticket order
+      // (the blocker took ticket 0, so the queue's next ticket is n + 1).
+      const std::uint64_t next_ticket = queued.size() + 1;
+      std::vector<std::size_t> queue(queued.size());
+      for (std::size_t i = 0; i < queued.size(); ++i) queue[i] = i;
+      std::vector<std::uint64_t> expected(queued.size(), 0);
+      std::uint64_t seq = blocked.dispatch_seq;
+      while (!queue.empty()) {
+        int view = queued[queue.front()].view;
+        if (mode == serve::DispatchMode::cost_aware) {
+          const serve::CostModel& cost = *server.cost_model();
+          std::vector<int> group_view;
+          std::vector<double> group_cost;
+          std::vector<int> group_count;
+          std::vector<std::uint64_t> group_oldest;
+          for (const std::size_t i : queue) {
+            std::size_t g = 0;
+            while (g < group_view.size() && group_view[g] != queued[i].view) ++g;
+            if (g == group_view.size()) {
+              group_view.push_back(queued[i].view);
+              group_cost.push_back(0.0);
+              group_count.push_back(0);
+              group_oldest.push_back(i + 1);
+            }
+            if (group_count[g] < max_batch) {
+              serve::RequestOptions options;
+              options.bayes_layers = queued[i].layers;
+              options.num_samples = queued[i].samples;
+              group_cost[g] += cost.wall_ms(cost.first_pass_ms(blocked.model_key, options));
+              ++group_count[g];
+            }
+          }
+          const auto score = [&](std::size_t g) {
+            return group_cost[g] + aging * static_cast<double>(next_ticket - group_oldest[g]);
+          };
+          std::size_t best = 0;
+          for (std::size_t g = 1; g < group_view.size(); ++g)
+            if (score(g) > score(best)) best = g;
+          view = group_view[best];
+        }
+        int taken = 0;
+        ++seq;
+        for (auto it = queue.begin(); it != queue.end() && taken < max_batch;) {
+          if (queued[*it].view == view) {
+            expected[*it] = seq;
+            it = queue.erase(it);
+            ++taken;
+          } else {
+            ++it;
+          }
+        }
+      }
+      std::vector<std::uint64_t> order;
+      for (std::size_t i = 0; i < queued.size(); ++i) {
+        EXPECT_EQ(responses[i].dispatch_seq, expected[i])
+            << "request " << i << (mode == serve::DispatchMode::fifo ? " fifo" : " cost-aware")
+            << " aging " << aging;
+        order.push_back(responses[i].dispatch_seq);
+      }
+      if (mode == serve::DispatchMode::cost_aware) cost_aware_orders[aging > 0.0] = order;
+    }
+  }
+  // Aging changes which group leaves first, so both scores were exercised.
+  EXPECT_NE(cost_aware_orders[0], cost_aware_orders[1]);
 }
 
 TEST(Server, KeepsServingAfterARejectedSubmission) {
