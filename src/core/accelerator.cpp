@@ -199,8 +199,7 @@ Accelerator::BatchPrediction Accelerator::predict_batch(
   // never depend on which block, thread or order it ran in. The lane
   // arena's samplers are REUSED via reseed (bit-identical to fresh
   // samplers) whenever their structural knobs match; slot b serves the
-  // block's sample b, and the block's slots are reseeded in one
-  // interleaved pass.
+  // block's sample b.
   auto block_samplers = [this](LaneArena& arena, std::uint64_t stream_id, int first, int count,
                                nn::MaskSource** masks) {
     std::vector<BernoulliSampler>& samplers = arena.samplers;
@@ -212,9 +211,6 @@ Accelerator::BatchPrediction Accelerator::predict_batch(
       samplers.reserve(static_cast<std::size_t>(kMaxBlockSamples));
       ++arena.grow_events;
     }
-    std::uint64_t seeds[kMaxBlockSamples];
-    for (int b = 0; b < count; ++b)
-      seeds[b] = sample_stream_seed(config_.sampler_seed, stream_id, first + b);
     while (static_cast<int>(samplers.size()) < count) {
       BernoulliSamplerConfig sampler_config;
       sampler_config.p = network_->dropout_p;
@@ -223,8 +219,11 @@ Accelerator::BatchPrediction Accelerator::predict_batch(
       samplers.emplace_back(sampler_config);
       ++arena.grow_events;
     }
-    BernoulliSampler::reseed_block(samplers.data(), seeds, count);
-    for (int b = 0; b < count; ++b) masks[b] = &samplers[static_cast<std::size_t>(b)];
+    for (int b = 0; b < count; ++b) {
+      BernoulliSampler& sampler = samplers[static_cast<std::size_t>(b)];
+      sampler.reseed(sample_stream_seed(config_.sampler_seed, stream_id, first + b));
+      masks[b] = &sampler;
+    }
   };
 
   // `stored(i)` resolves layer i's retained output (i = -1: the image) in

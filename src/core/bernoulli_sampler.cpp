@@ -19,24 +19,21 @@ int lfsrs_for_probability(double p) {
 }
 
 template <typename Set>
-void BernoulliSampler::derive_register_seeds(std::uint64_t seed, int k,
-                                             const std::uint64_t* first, Set&& set) {
+void BernoulliSampler::derive_register_seeds(std::uint64_t seed, int k, Set&& set) {
   // Decorrelate the k register chains with independent non-zero seeds: one
   // shared util::Rng(seed) stream, in register order, skipping all-zero
-  // pairs. `first` holds its first 2k draws, from the engine-free prefix;
-  // the whole prefix is derived only in the (2^-128 per pair) case of an
-  // all-zero pair.
-  std::uint64_t more[util::kMt19937_64PrefixMax];
-  const std::uint64_t* draws = first;
+  // pairs. Its draws come from the engine-free prefix: 2k draws, and the
+  // whole prefix in the (2^-128 per pair) case of an all-zero pair.
+  std::uint64_t draws[util::kMt19937_64PrefixMax];
   int have = 2 * k;
+  util::mt19937_64_prefix(seed, have, draws);
   int next = 0;
   const auto draw = [&] {
     if (next == have) {
       util::ensure(have < util::kMt19937_64PrefixMax,
                    "bernoulli sampler: seed stream held no non-zero register seeds");
       have = util::kMt19937_64PrefixMax;
-      util::mt19937_64_prefix(seed, have, more);
-      draws = more;
+      util::mt19937_64_prefix(seed, have, draws);
     }
     return draws[next++];
   };
@@ -56,44 +53,19 @@ BernoulliSampler::BernoulliSampler(const BernoulliSamplerConfig& config) : confi
   util::require(config.fifo_depth >= 1, "bernoulli sampler: fifo_depth must be positive");
   const int k = lfsrs_for_probability(config.p);
   lfsrs_.reserve(static_cast<std::size_t>(k));
-  std::uint64_t first[2 * kMaxLfsrs];
-  util::mt19937_64_prefix(config.seed, 2 * k, first);
-  derive_register_seeds(config.seed, k, first, [this](int, std::uint64_t lo, std::uint64_t hi) {
+  derive_register_seeds(config.seed, k, [this](int, std::uint64_t lo, std::uint64_t hi) {
     lfsrs_.push_back(make_lfsr128(lo, hi));
   });
   sipo_.assign(static_cast<std::size_t>(config.pf), 0);
 }
 
 void BernoulliSampler::reseed(std::uint64_t seed) {
-  std::uint64_t first[2 * kMaxLfsrs];
-  util::mt19937_64_prefix(seed, 2 * num_lfsrs(), first);
-  restart(seed, first);
-}
-
-void BernoulliSampler::reseed_block(BernoulliSampler* samplers, const std::uint64_t* seeds,
-                                    int count) {
-  constexpr int kChunk = 8;
-  std::uint64_t first[kChunk * 2 * kMaxLfsrs];
-  for (int b0 = 0; b0 < count; b0 += kChunk) {
-    const int n = std::min(kChunk, count - b0);
-    const int per = 2 * samplers[b0].num_lfsrs();
-    for (int b = b0 + 1; b < b0 + n; ++b)
-      util::require(samplers[b].num_lfsrs() == samplers[b0].num_lfsrs(),
-                    "bernoulli sampler: a reseeded block must share its drop probability");
-    util::mt19937_64_prefixes(seeds + b0, n, per, first);
-    for (int b = 0; b < n; ++b)
-      samplers[b0 + b].restart(seeds[b0 + b], first + static_cast<std::size_t>(b) * per);
-  }
-}
-
-void BernoulliSampler::restart(std::uint64_t seed, const std::uint64_t* first) {
   config_.seed = seed;
   // Same derivation as the constructor, so the register contents match a
   // fresh sampler's.
-  derive_register_seeds(seed, num_lfsrs(), first,
-                        [this](int i, std::uint64_t lo, std::uint64_t hi) {
-                          lfsrs_[static_cast<std::size_t>(i)].reseed(lo, hi);
-                        });
+  derive_register_seeds(seed, num_lfsrs(), [this](int i, std::uint64_t lo, std::uint64_t hi) {
+    lfsrs_[static_cast<std::size_t>(i)].reseed(lo, hi);
+  });
   pending_ = 0;
   pending_bits_ = 0;
   std::fill(sipo_.begin(), sipo_.end(), static_cast<std::uint8_t>(0));

@@ -22,8 +22,7 @@
 // Seeding: register i's (lo, hi) are util::Rng(seed)'s draws 2i and 2i + 1
 // (pairs that are both zero skipped), taken from util::mt19937_64_prefix
 // rather than from an engine — the same values for ~160 multiply steps
-// instead of the engine's 312-word twist. reseed_block derives a block of
-// samplers' registers in one pass whose seeds' multiply chains interleave.
+// instead of the engine's 312-word twist.
 #ifndef BNN_CORE_BERNOULLI_SAMPLER_H
 #define BNN_CORE_BERNOULLI_SAMPLER_H
 
@@ -55,14 +54,6 @@ class BernoulliSampler final : public nn::MaskSource {
   // across Monte Carlo samples. p/pf/fifo_depth are unchanged.
   void reseed(std::uint64_t seed);
 
-  // Reseeds samplers[b] to seeds[b] for b < count, each exactly as
-  // reseed(seeds[b]) would. The samplers must share their drop probability
-  // (so their register count). Their register seeds come from one
-  // interleaved pass over the seeding recurrence
-  // (util::mt19937_64_prefixes), whose independent multiply chains overlap:
-  // the accelerator reseeds a block of Monte Carlo samples' samplers so.
-  static void reseed_block(BernoulliSampler* samplers, const std::uint64_t* seeds, int count);
-
   // --- functional interface -------------------------------------------
   // One raw drop decision (the stream's next bit).
   bool next_drop() override;
@@ -88,16 +79,10 @@ class BernoulliSampler final : public nn::MaskSource {
   std::uint64_t stall_cycles() const { return stall_cycles_; }
 
  private:
-  // The most registers a drop probability needs (p = 2^-8).
-  static constexpr int kMaxLfsrs = 8;
   // Derives the (lo, hi) seeds of k registers from `seed`, calling
-  // set(i, lo, hi) for each register i in order; `first` holds the seed
-  // stream's first 2k draws.
+  // set(i, lo, hi) for each register i in order.
   template <typename Set>
-  static void derive_register_seeds(std::uint64_t seed, int k, const std::uint64_t* first,
-                                    Set&& set);
-  // reseed(seed) given the seed stream's first 2 * num_lfsrs() draws.
-  void restart(std::uint64_t seed, const std::uint64_t* first);
+  static void derive_register_seeds(std::uint64_t seed, int k, Set&& set);
   // The AND of every register's next 64 outputs.
   std::uint64_t next_word();
   // The stream's next `count` decisions (1..64), the first in bit 63.

@@ -193,10 +193,12 @@ double Server::window_p99_locked() const {
 
 double Server::queue_backlog_ms_locked() const {
   // Summed on demand (no incremental running total): exact, drift-free,
-  // and O(queue) only on adaptive submissions while overloaded. Queued
+  // and run only on adaptive submissions while overloaded. Queued
   // admission costs are already calibrated wall milliseconds (per tenant),
   // so the backlog is a plain sum — in ticket order, merged across the
   // groups, so it is the same double whatever groups hold the requests.
+  // The merge scans every group's front per request: O(queued * groups),
+  // where groups counts the queued (model version, shape) pairs.
   std::vector<std::size_t> next(queue_groups_.size(), 0);
   double backlog = 0.0;
   for (std::size_t left = queued_; left > 0; --left) {
@@ -359,7 +361,6 @@ std::future<Response> Server::submit(Request request) {
     recorder_->ensure_model(info);
   }
 
-  bool wake = false;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     if (stopping_) throw ShutdownError("serve: server is shut down");
@@ -499,19 +500,12 @@ std::future<Response> Server::submit(Request request) {
     group->members.push_back(std::move(pending));
     ++queued_;
     stats_.peak_queue_depth = std::max<std::uint64_t>(stats_.peak_queue_depth, queued_);
-    // Only two pushes can end a replica's wait: the first request (an idle
-    // replica waits for one) and the linger target's (a lingering one waits
-    // for a full batch). After any other push every waiter's predicate is
-    // still false, and a busy replica rechecks the queue before it waits,
-    // so skipping the notify loses no wakeup — and saves the submitter a
-    // wake syscall per request while replicas linger.
-    wake = queued_ == 1 || static_cast<int>(queued_) == linger_target();
   }
   // notify_all, not notify_one: with R replicas on one condition variable,
   // a single notify can be absorbed by a replica sitting in its
   // batch-linger wait (predicate still false) while a genuinely idle
   // replica sleeps on. R is small, so waking them all is cheap.
-  if (wake) queue_ready_.notify_all();
+  queue_ready_.notify_all();
   return future;
 }
 
@@ -539,14 +533,6 @@ ServerStats Server::stats() const {
   return stats;
 }
 
-int Server::linger_target() const {
-  // A bounded queue can never hold more than max_queue_depth requests, so
-  // the target is capped there, or a linger would always run out its
-  // timeout when max_queue_depth < max_batch.
-  return config_.max_queue_depth > 0 ? std::min(config_.max_batch, config_.max_queue_depth)
-                                     : config_.max_batch;
-}
-
 void Server::replica_loop(Replica& replica) {
   for (;;) {
     std::vector<Pending> batch;
@@ -556,10 +542,17 @@ void Server::replica_loop(Replica& replica) {
       queue_ready_.wait(lock, [this] { return stopping_ || queued_ > 0; });
       if (queued_ == 0) return;  // stopping and drained
       // Linger briefly for a fuller batch — the blocked lane loop works
-      // best when a batch carries many (image, sample) lanes.
-      if (static_cast<int>(queued_) < linger_target() && !stopping_) {
-        queue_ready_.wait_for(lock, config_.batch_linger, [this] {
-          return stopping_ || static_cast<int>(queued_) >= linger_target();
+      // best when a batch carries many (image, sample) lanes. A bounded
+      // queue can never hold more than max_queue_depth requests, so cap
+      // the linger target there or the wait would always run out its
+      // timeout when max_queue_depth < max_batch.
+      const int linger_target =
+          config_.max_queue_depth > 0
+              ? std::min(config_.max_batch, config_.max_queue_depth)
+              : config_.max_batch;
+      if (static_cast<int>(queued_) < linger_target && !stopping_) {
+        queue_ready_.wait_for(lock, config_.batch_linger, [this, linger_target] {
+          return stopping_ || static_cast<int>(queued_) >= linger_target;
         });
       }
       // The linger releases the lock, so a concurrently idle replica may

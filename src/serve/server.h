@@ -524,8 +524,6 @@ class Server {
   };
 
   void replica_loop(Replica& replica);
-  /// Queued requests a replica lingers for before it pulls a short batch.
-  int linger_target() const;
   /// The replica's accelerator for this model version, binding (and LRU
   /// evicting) as needed. Worker-thread only.
   core::Accelerator& bind_replica(Replica& replica, const ModelRegistry::Bound& bound);

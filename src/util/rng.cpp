@@ -1,66 +1,33 @@
 #include "util/rng.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "util/check.h"
 
 namespace bnn::util {
 
-namespace {
-
-// mt19937_64_prefixes for N seeds at once: their recurrences step together,
-// so the core overlaps their independent multiply chains.
-template <int N>
-void prefixes(const std::uint64_t* seeds, int count, std::uint64_t* out) {
+void mt19937_64_prefix(std::uint64_t seed, int count, std::uint64_t* out) {
+  require(count >= 1 && count <= kMt19937_64PrefixMax,
+          "mt19937_64_prefix: count must be in [1, 156]");
   // std::mt19937_64's parameters: n = 312, m = 156, r = 31.
   constexpr int m = 156;
   constexpr std::uint64_t upper = ~std::uint64_t{0} << 31, lower = ~upper;
   constexpr std::uint64_t twist = 0xB5026F5AA96619E9ull;
-  std::uint64_t head[kMt19937_64PrefixMax + 1][N];  // x[0..count] per seed
-  std::uint64_t x[N];
-  for (int l = 0; l < N; ++l) head[0][l] = x[l] = seeds[l];
+  std::uint64_t head[kMt19937_64PrefixMax + 1];  // x[0..count]
+  std::uint64_t x = seed;
+  head[0] = x;
   for (int i = 1; i < m + count; ++i) {
-    for (int l = 0; l < N; ++l)
-      x[l] = 6364136223846793005ull * (x[l] ^ (x[l] >> 62)) + static_cast<std::uint64_t>(i);
-    if (i <= count)
-      for (int l = 0; l < N; ++l) head[i][l] = x[l];
+    x = 6364136223846793005ull * (x ^ (x >> 62)) + static_cast<std::uint64_t>(i);
+    if (i <= count) head[i] = x;
     if (i < m) continue;
     // x is x[j + m]: the twisted word j, then the tempering.
     const int j = i - m;
-    for (int l = 0; l < N; ++l) {
-      const std::uint64_t y = (head[j][l] & upper) | (head[j + 1][l] & lower);
-      std::uint64_t z = x[l] ^ (y >> 1) ^ ((y & 1) != 0 ? twist : 0);
-      z ^= (z >> 29) & 0x5555555555555555ull;
-      z ^= (z << 17) & 0x71D67FFFEDA60000ull;
-      z ^= (z << 37) & 0xFFF7EEE000000000ull;
-      z ^= z >> 43;
-      out[static_cast<std::size_t>(l) * count + j] = z;
-    }
+    const std::uint64_t y = (head[j] & upper) | (head[j + 1] & lower);
+    std::uint64_t z = x ^ (y >> 1) ^ ((y & 1) != 0 ? twist : 0);
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ull;
+    z ^= (z << 37) & 0xFFF7EEE000000000ull;
+    z ^= z >> 43;
+    out[j] = z;
   }
-}
-
-template <int... Ns>
-void prefixes_of(std::integer_sequence<int, Ns...>, int lanes, const std::uint64_t* seeds,
-                 int count, std::uint64_t* out) {
-  // Dispatch the runtime seed count to its fixed-trip instantiation.
-  (void)((lanes == Ns + 1 && (prefixes<Ns + 1>(seeds, count, out), true)) || ...);
-}
-
-}  // namespace
-
-void mt19937_64_prefixes(const std::uint64_t* seeds, int lanes, int count, std::uint64_t* out) {
-  require(count >= 1 && count <= kMt19937_64PrefixMax,
-          "mt19937_64_prefix: count must be in [1, 156]");
-  require(lanes >= 0, "mt19937_64_prefixes: lanes must be >= 0");
-  constexpr int kLanes = 8;  // seeds per pass
-  for (int l0 = 0; l0 < lanes; l0 += kLanes)
-    prefixes_of(std::make_integer_sequence<int, kLanes>{}, std::min(kLanes, lanes - l0),
-                seeds + l0, count, out + static_cast<std::size_t>(l0) * count);
-}
-
-void mt19937_64_prefix(std::uint64_t seed, int count, std::uint64_t* out) {
-  mt19937_64_prefixes(&seed, 1, count, out);
 }
 
 }  // namespace bnn::util

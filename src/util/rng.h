@@ -69,11 +69,6 @@ class Rng {
 inline constexpr int kMt19937_64PrefixMax = 156;
 void mt19937_64_prefix(std::uint64_t seed, int count, std::uint64_t* out);
 
-// The same prefix for `lanes` seeds at once: out[l * count + j] is draw j of
-// Rng(seeds[l]). The seeds' recurrences run interleaved, so their
-// dependent multiply chains overlap instead of running one after another.
-void mt19937_64_prefixes(const std::uint64_t* seeds, int lanes, int count, std::uint64_t* out);
-
 }  // namespace bnn::util
 
 #endif  // BNN_UTIL_RNG_H
