@@ -20,8 +20,11 @@
 #include "nn/bitpack_kernels.h"
 #include "nn/gemm_kernels.h"
 #include "nn/models.h"
+#include "quant/qnetwork.h"
 #include "quant/qops.h"
 #include "quant/qplan.h"
+#include "runtime/thread_pool.h"
+#include "serve/trace.h"
 #include "train/trainer.h"
 
 namespace {
@@ -226,18 +229,19 @@ BENCHMARK(bm_full_network_reference);
 
 struct PaperNet {
   std::string name;
+  nn::Model model;        // the float network and
+  data::Dataset images;   // its calibration images (the quantize rows)
   std::unique_ptr<quant::QuantNetwork> qnet;
   quant::NetworkExecPlan plan;
   std::vector<quant::QTensor> outputs;  // the spec's deterministic pass
   quant::QTensor image;
 };
 
-PaperNet make_paper_net(std::string name, nn::Model model, const data::Dataset& images) {
-  PaperNet net;
-  net.name = std::move(name);
-  net.qnet = std::make_unique<quant::QuantNetwork>(quant::quantize_model(model, images));
+PaperNet make_paper_net(std::string name, nn::Model model, data::Dataset images) {
+  PaperNet net{std::move(name), std::move(model), std::move(images), {}, {}, {}, {}};
+  net.qnet = std::make_unique<quant::QuantNetwork>(quant::quantize_model(net.model, net.images));
   net.plan = quant::build_network_exec_plan(*net.qnet);
-  net.image = quant::quantize_image(images.images(), 0, net.qnet->input);
+  net.image = quant::quantize_image(net.images.images(), 0, net.qnet->input);
   net.outputs = quant::ref_forward(*net.qnet, net.image, 0, nullptr);
   return net;
 }
@@ -326,7 +330,8 @@ bool run_staged(LayerRun& run, core::NneScratch& scratch, StageTotals& totals) {
   return (has_pool ? run.pooled.data : run.pre.data) == run.whole.data;
 }
 
-// Set when any row's composed stages diverge; main then exits non-zero.
+// Set when any row's output differs from its reference; main then exits
+// non-zero.
 bool g_stages_diverged = false;
 
 void bm_nne_breakdown(benchmark::State& state, int net_index, int only_layer) {
@@ -536,11 +541,46 @@ void bm_nne_samples(benchmark::State& state, int net_index, int layer_index, int
   state.SetItemsProcessed(state.iterations() * count * layer.geom.macs());
 }
 
+// --- calibration on a pool ------------------------------------------------------
+// `quantize/<net>/1` times quant::quantize_model over the network's 64
+// calibration images on a one-thread pool, `quantize/<net>/pool` on the
+// shared pool (counter `threads`). A row fails, and the binary exits 1,
+// when its QuantNetwork's serve::network_fingerprint differs from the
+// one-thread network's.
+
+void bm_quantize(benchmark::State& state, int net_index, bool on_shared_pool) {
+  PaperNet& net = paper_nets()[static_cast<std::size_t>(net_index)];
+  runtime::ThreadPool one_thread(1);
+  quant::CalibrationOptions sequential;
+  sequential.pool = &one_thread;
+  const quant::CalibrationOptions options =
+      on_shared_pool ? quant::CalibrationOptions{} : sequential;
+  const std::uint64_t reference =
+      serve::network_fingerprint(quant::quantize_model(net.model, net.images, sequential));
+  quant::QuantNetwork last;
+  for (auto _ : state) {
+    last = quant::quantize_model(net.model, net.images, options);
+    benchmark::DoNotOptimize(last.layers.data());
+    benchmark::ClobberMemory();
+  }
+  if (serve::network_fingerprint(last) != reference) {
+    g_stages_diverged = true;
+    state.SkipWithError("the pooled calibration differs from the one-thread one");
+  }
+  state.counters["threads"] = on_shared_pool ? runtime::shared_pool().size() : 1;
+}
+
 void register_breakdowns() {
   const std::vector<PaperNet>& nets = paper_nets();
   for (int n = 0; n < static_cast<int>(nets.size()); ++n) {
     const quant::QuantNetwork& qnet = *nets[static_cast<std::size_t>(n)].qnet;
-    const std::string prefix = "nne_breakdown/" + nets[static_cast<std::size_t>(n)].name;
+    const std::string& name = nets[static_cast<std::size_t>(n)].name;
+    for (const bool on_shared_pool : {false, true})
+      benchmark::RegisterBenchmark(
+          ("quantize/" + name + (on_shared_pool ? "/pool" : "/1")).c_str(), bm_quantize, n,
+          on_shared_pool)
+          ->Unit(benchmark::kMillisecond);
+    const std::string prefix = "nne_breakdown/" + name;
     benchmark::RegisterBenchmark((prefix + "/conv").c_str(), bm_nne_breakdown, n, -1)
         ->UseManualTime();
     for (int l = 0; l < qnet.num_layers(); ++l) {

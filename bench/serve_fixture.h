@@ -49,58 +49,69 @@ inline core::AcceleratorConfig serve_accel_config() {
   return config;
 }
 
-/// Tiny quantized CNN on 12x12 synthetic digits (the fast test workload).
-inline ServeFixture make_cnn12_fixture() {
-  util::Rng rng(21);
-  nn::Model tiny = nn::make_tiny_cnn(rng, 10, 1, 12);
-  util::Rng data_rng(22);
-  data::Dataset dataset = data::make_synth_digits_small(96, data_rng);
+/// A fixture's float half: the trained model and its stimulus images,
+/// before quantization.
+struct FloatFixture {
+  nn::Model model;
+  data::Dataset dataset;
+};
+
+/// The float half of a fixture workload, trained for one epoch from its
+/// pinned seeds:
+///  - cnn12: tiny CNN on 12x12 synthetic digits (the fast test workload);
+///  - mlp49: linear-first MLP on flattened 7x7 digits, whose equal-numel
+///    flat/square views are both valid inputs, so mixed_shapes scenarios
+///    carry two shape groups;
+///  - cnn12b: cnn12's topology from different seeds. The multi-tenant
+///    scenarios serve it as a third tenant, and hot-swap tests publish it as
+///    "version 2" of a cnn12-shaped tenant.
+inline FloatFixture make_float_fixture(std::uint32_t workload_id) {
+  FloatFixture fixture = [workload_id] {
+    switch (workload_id) {
+      case kWorkloadCnn12:
+      case kWorkloadCnn12b: {
+        const bool second = workload_id == kWorkloadCnn12b;
+        util::Rng rng(second ? 31 : 21);
+        util::Rng data_rng(second ? 32 : 22);
+        return FloatFixture{nn::make_tiny_cnn(rng, 10, 1, 12),
+                            data::make_synth_digits_small(96, data_rng)};
+      }
+      case kWorkloadMlp49: {
+        util::Rng rng(91);
+        util::Rng data_rng(92);
+        data::Dataset digits = data::make_synth_digits(96, data_rng);
+        nn::Tensor small({digits.size(), 49, 1, 1});
+        for (int n = 0; n < digits.size(); ++n)
+          for (int y = 0; y < 7; ++y)
+            for (int x = 0; x < 7; ++x)
+              small.v4(n, y * 7 + x, 0, 0) = digits.images().v4(n, 0, 4 * y + 2, 4 * x + 2);
+        return FloatFixture{nn::make_mlp3(rng, 49, 24, 10, nn::MlpActivation::relu,
+                                          /*with_mcd_sites=*/true),
+                            data::Dataset(std::move(small), digits.labels(), 10)};
+      }
+      default:
+        throw std::invalid_argument("serve_fixture: unknown workload id " +
+                                    std::to_string(workload_id) +
+                                    " (trace recorded against a caller-supplied network?)");
+    }
+  }();
   train::TrainConfig config;
   config.epochs = 1;
   config.batch_size = 16;
-  train::fit(tiny, dataset, config);
-  quant::QuantNetwork qnet = quant::quantize_model(tiny, dataset);
-  return ServeFixture{std::move(qnet), std::move(dataset), kWorkloadCnn12};
+  train::fit(fixture.model, fixture.dataset, config);
+  return fixture;
 }
 
-/// Linear-first MLP on flattened 7x7 digits: equal-numel flat/square views
-/// are both valid inputs, so mixed_shapes scenarios carry two shape groups.
-inline ServeFixture make_mlp49_fixture() {
-  util::Rng rng(91);
-  nn::Model mlp = nn::make_mlp3(rng, 49, 24, 10, nn::MlpActivation::relu,
-                                /*with_mcd_sites=*/true);
-  util::Rng data_rng(92);
-  data::Dataset digits = data::make_synth_digits(96, data_rng);
-  nn::Tensor small({digits.size(), 49, 1, 1});
-  for (int n = 0; n < digits.size(); ++n)
-    for (int y = 0; y < 7; ++y)
-      for (int x = 0; x < 7; ++x)
-        small.v4(n, y * 7 + x, 0, 0) = digits.images().v4(n, 0, 4 * y + 2, 4 * x + 2);
-  data::Dataset dataset(std::move(small), digits.labels(), 10);
-  train::TrainConfig config;
-  config.epochs = 1;
-  config.batch_size = 16;
-  train::fit(mlp, dataset, config);
-  quant::QuantNetwork qnet = quant::quantize_model(mlp, dataset);
-  return ServeFixture{std::move(qnet), std::move(dataset), kWorkloadMlp49};
+/// Fixture for a trace header's workload id (standalone replay tools).
+inline ServeFixture make_workload_fixture(std::uint32_t workload_id) {
+  FloatFixture fixture = make_float_fixture(workload_id);
+  quant::QuantNetwork qnet = quant::quantize_model(fixture.model, fixture.dataset);
+  return ServeFixture{std::move(qnet), std::move(fixture.dataset), workload_id};
 }
 
-/// Second tiny CNN on the cnn12 topology, trained from different pinned
-/// seeds: same geometry as cnn12, different weights. The multi-tenant
-/// scenarios serve it as a third tenant, and hot-swap tests publish it as
-/// "version 2" of a cnn12-shaped tenant.
-inline ServeFixture make_cnn12b_fixture() {
-  util::Rng rng(31);
-  nn::Model tiny = nn::make_tiny_cnn(rng, 10, 1, 12);
-  util::Rng data_rng(32);
-  data::Dataset dataset = data::make_synth_digits_small(96, data_rng);
-  train::TrainConfig config;
-  config.epochs = 1;
-  config.batch_size = 16;
-  train::fit(tiny, dataset, config);
-  quant::QuantNetwork qnet = quant::quantize_model(tiny, dataset);
-  return ServeFixture{std::move(qnet), std::move(dataset), kWorkloadCnn12b};
-}
+inline ServeFixture make_cnn12_fixture() { return make_workload_fixture(kWorkloadCnn12); }
+inline ServeFixture make_mlp49_fixture() { return make_workload_fixture(kWorkloadMlp49); }
+inline ServeFixture make_cnn12b_fixture() { return make_workload_fixture(kWorkloadCnn12b); }
 
 /// Process-wide shared instances (tests): train each fixture at most once
 /// per binary however many test suites touch it.
@@ -115,19 +126,6 @@ inline const ServeFixture& shared_mlp49_fixture() {
 inline const ServeFixture& shared_cnn12b_fixture() {
   static const ServeFixture fixture = make_cnn12b_fixture();
   return fixture;
-}
-
-/// Fixture for a trace header's workload id (standalone replay tools).
-inline ServeFixture make_workload_fixture(std::uint32_t workload_id) {
-  switch (workload_id) {
-    case kWorkloadCnn12: return make_cnn12_fixture();
-    case kWorkloadMlp49: return make_mlp49_fixture();
-    case kWorkloadCnn12b: return make_cnn12b_fixture();
-    default:
-      throw std::invalid_argument("serve_fixture: unknown workload id " +
-                                  std::to_string(workload_id) +
-                                  " (trace recorded against a caller-supplied network?)");
-  }
 }
 
 /// The canonical registry tenant name of a fixture workload — the name

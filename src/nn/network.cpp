@@ -85,6 +85,12 @@ Tensor Network::replay_suffix(NodeId first_node,
   return replay_suffix_row(first_node, site_masks, /*row=*/-1);
 }
 
+const Tensor& Network::ReplayArena::node(NodeId id) const {
+  util::require(id >= 0 && static_cast<std::size_t>(id) < nodes_.size(),
+                "network: replay arena holds no such node");
+  return nodes_[static_cast<std::size_t>(id)];
+}
+
 Network::ReplayRowCache::ReplayRowCache(int num_nodes)
     : rows_(static_cast<std::size_t>(num_nodes)),
       once_(new std::once_flag[static_cast<std::size_t>(num_nodes)]) {}

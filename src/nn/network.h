@@ -92,6 +92,11 @@ class Network {
    public:
     ReplayArena() = default;
 
+    // Node `id`'s output from this arena's last replay_suffix_row call,
+    // valid until its next one. Only suffix nodes hold one, and the output
+    // node's slot is empty: the call returned that tensor.
+    const Tensor& node(NodeId id) const;
+
    private:
     friend class Network;
     std::vector<Tensor> nodes_;  // suffix output slot per node

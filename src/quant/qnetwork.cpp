@@ -7,6 +7,7 @@
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
+#include "nn/network.h"
 #include "quant/qplan.h"
 #include "util/check.h"
 
@@ -172,6 +173,10 @@ struct Range {
     lo = std::min(lo, v);
     hi = std::max(hi, v);
   }
+  void merge(const Range& other) {
+    lo = std::min(lo, other.lo);
+    hi = std::max(hi, other.hi);
+  }
 };
 
 }  // namespace
@@ -188,25 +193,42 @@ QuantNetwork quantize_model(nn::Model& model, const data::Dataset& calibration,
                "quantize_model: traversal mismatch with describe_network");
 
   // --- Calibration: observe input and per-layer output ranges with the
-  // float network in deterministic evaluation mode.
-  const int saved_bayes = model.bayesian_layers();
+  // float network in deterministic evaluation mode, one image per pool
+  // index (see quantize_model's header comment for why this is exact).
+  struct DepthRestore {
+    nn::Model& model;
+    int depth;
+    ~DepthRestore() { model.set_bayesian_last(depth); }
+  } const restore{model, model.bayesian_layers()};
   model.set_bayesian_last(0);
   net.set_training(false);
 
-  Range input_range;
-  std::vector<Range> out_ranges(refs.size());
   const int images = std::min(options.max_images, calibration.size());
-  for (int start = 0; start < images; start += 8) {
-    const data::Batch batch = calibration.batch(start, std::min(8, images - start));
-    for (std::int64_t i = 0; i < batch.images.numel(); ++i) input_range.observe(batch.images[i]);
-    (void)net.forward(batch.images);
+  const data::Batch batch = calibration.batch(0, images);
+  Range input_range;
+  for (std::int64_t i = 0; i < batch.images.numel(); ++i) input_range.observe(batch.images[i]);
+
+  net.prepare_replay(batch.images, 1);
+  const std::vector<nn::MaskSource*> no_masks(static_cast<std::size_t>(net.num_nodes()),
+                                              nullptr);
+  std::vector<Range> image_ranges(static_cast<std::size_t>(images) * refs.size());
+  runtime::ThreadPool& pool = options.pool ? *options.pool : runtime::shared_pool();
+  pool.parallel_for(images, [&](std::int64_t n) {
+    // One arena per pool lane: bodies on one thread never overlap.
+    thread_local nn::Network::ReplayArena arena;
+    const nn::Tensor output =
+        net.replay_suffix_row(1, no_masks, static_cast<int>(n), nullptr, &arena);
+    Range* ranges = image_ranges.data() + static_cast<std::size_t>(n) * refs.size();
     for (std::size_t l = 0; l < refs.size(); ++l) {
-      const nn::Tensor& activation = net.activation(refs[l].anchor);
-      for (std::int64_t i = 0; i < activation.numel(); ++i)
-        out_ranges[l].observe(activation[i]);
+      // The output node's slot was moved into `output`.
+      const nn::Tensor& activation =
+          refs[l].anchor == net.output_node() ? output : arena.node(refs[l].anchor);
+      for (std::int64_t i = 0; i < activation.numel(); ++i) ranges[l].observe(activation[i]);
     }
-  }
-  model.set_bayesian_last(saved_bayes);
+  });
+  std::vector<Range> out_ranges(refs.size());
+  for (std::size_t slot = 0; slot < image_ranges.size(); ++slot)
+    out_ranges[slot % refs.size()].merge(image_ranges[slot]);
 
   // --- Assemble the integer network.
   QuantNetwork qnet;

@@ -27,6 +27,7 @@
 #include "nn/netdesc.h"
 #include "quant/fixed_point.h"
 #include "quant/qtensor.h"
+#include "runtime/thread_pool.h"
 
 namespace bnn::quant {
 
@@ -115,12 +116,26 @@ struct QuantNetwork {
 
 struct CalibrationOptions {
   int max_images = 64;  // images drawn from the front of the calibration set
+  // Pool the calibration forward runs on; nullptr = runtime::shared_pool().
+  runtime::ThreadPool* pool = nullptr;
 };
 
 // Builds the integer network from a trained float model: runs the
 // calibration images through the float network in deterministic mode to
 // observe activation ranges at every hardware-layer output, then quantizes
 // weights/biases and folds BN into the requantization constants.
+//
+// Calibration is one parallel_for over the images on options.pool (the
+// shared pool by default), so it must not be called from inside a running
+// body of that pool. Each index replays one image through
+// Network::replay_suffix_row into its own range slot, and the slots merge
+// by min and max after the join. The result is byte-identical for every
+// pool size and to a batched forward(): one image's float forward does not
+// depend on its batch (conv runs per image, linear's GEMM keeps each
+// element's accumulation chain at any batch size, the rest is per element),
+// and a min/max merge does not depend on order (a ±0 tie cannot change
+// choose_activation_params). The model's Bayesian depth is restored on
+// every exit, a throw included.
 QuantNetwork quantize_model(nn::Model& model, const data::Dataset& calibration,
                             const CalibrationOptions& options = {});
 

@@ -2,9 +2,55 @@
 
 #include <algorithm>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "util/check.h"
 
 namespace bnn::runtime {
+
+namespace {
+
+// The calling thread's allowed CPUs, ascending (empty off Linux).
+std::vector<int> allowed_cpus() {
+  std::vector<int> cpus;
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0)
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+      if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+#endif
+  return cpus;
+}
+
+int current_cpu() {
+#ifdef __linux__
+  return sched_getcpu();  // -1 on failure: counts from the lowest allowed CPU
+#else
+  return -1;
+#endif
+}
+
+// Moves the calling thread onto `cpu` (-1: stays put), then gives it back
+// the mask it had, so the kernel may still move it later.
+void start_on(int cpu) {
+#ifdef __linux__
+  if (cpu < 0) return;
+  cpu_set_t full;
+  CPU_ZERO(&full);
+  if (sched_getaffinity(0, sizeof(full), &full) != 0) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (sched_setaffinity(0, sizeof(one), &one) == 0) sched_setaffinity(0, sizeof(full), &full);
+#else
+  (void)cpu;
+#endif
+}
+
+}  // namespace
 
 int resolve_thread_count(int requested) {
   util::require(requested >= 0, "thread pool: thread count must be >= 0 (0 = auto)");
@@ -13,11 +59,24 @@ int resolve_thread_count(int requested) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+int worker_start_cpu(const std::vector<int>& allowed, int creator_cpu, int worker) {
+  util::require(worker >= 0, "thread pool: worker index must be >= 0");
+  if (allowed.size() < 2) return -1;
+  const auto after = static_cast<std::size_t>(
+      std::upper_bound(allowed.begin(), allowed.end(), creator_cpu) - allowed.begin());
+  return allowed[(after + static_cast<std::size_t>(worker)) % allowed.size()];
+}
+
 ThreadPool::ThreadPool(int num_threads) {
   const int resolved = resolve_thread_count(num_threads);
+  const std::vector<int> allowed = allowed_cpus();
+  const int creator = current_cpu();
   workers_.reserve(static_cast<std::size_t>(resolved - 1));
   for (int i = 0; i < resolved - 1; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, cpu = worker_start_cpu(allowed, creator, i)] {
+      start_on(cpu);
+      worker_loop();
+    });
 }
 
 ThreadPool::~ThreadPool() {

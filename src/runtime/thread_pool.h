@@ -20,6 +20,15 @@
 // per-index slots, reducing them in a fixed order afterwards. Both MC
 // predictive runners (bayes::mc_predict, core::Accelerator::predict) follow
 // this pattern.
+//
+// Start placement: on Linux, worker i starts on the (i+1)-th allowed CPU
+// after the CPU its creator runs on (worker_start_cpu), then gets its full
+// affinity mask back — a start position, not a pin. The reason is a host
+// property: a new thread starts on its creator's CPU, and where the
+// cpuset's sched_load_balance is 0 the kernel does not rebalance running
+// threads, so only wake-up placement can move a worker off that CPU. In
+// the serving benchmark's process, 4-lane calibration on unplaced workers
+// took one thread's time in 3 of 4 runs, and a third of it once placed.
 #ifndef BNN_RUNTIME_THREAD_POOL_H
 #define BNN_RUNTIME_THREAD_POOL_H
 
@@ -39,6 +48,13 @@ namespace bnn::runtime {
 /// any positive value is taken literally. Throws on negative values.
 int resolve_thread_count(int requested);
 
+/// The CPU pool worker `worker` (0-based) starts on: the (worker + 1)-th CPU
+/// after `creator_cpu` in `allowed` (ascending CPU ids), wrapping around,
+/// so the first allowed.size() workers start on distinct CPUs. A creator CPU
+/// outside the set counts from the first allowed CPU above it. -1 (stay
+/// where the thread starts) when fewer than two CPUs are allowed.
+int worker_start_cpu(const std::vector<int>& allowed, int creator_cpu, int worker);
+
 /// Blocking fork-join pool. A pool is reusable across any number of
 /// `parallel_for` jobs; constructing one is cheap but not free (it spawns
 /// OS threads), so serving loops should reuse one pool — their own, or the
@@ -53,6 +69,7 @@ int resolve_thread_count(int requested);
 class ThreadPool {
  public:
   /// `num_threads` follows the resolve_thread_count convention (0 = auto).
+  /// Workers start on the CPUs worker_start_cpu names (Linux only).
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 

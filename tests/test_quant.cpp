@@ -1,17 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "bayes/predictive.h"
+#include "bench/serve_fixture.h"
 #include "data/synth.h"
 #include "metrics/metrics.h"
 #include "quant/fixed_point.h"
 #include "quant/qnetwork.h"
 #include "quant/qops.h"
 #include "quant/qtensor.h"
+#include "runtime/thread_pool.h"
+#include "serve/trace.h"
 #include "train/trainer.h"
 
 namespace bnn::quant {
@@ -320,6 +329,210 @@ TEST(QuantResidual, ResNetQuantizesAndRuns) {
   nn::RngMaskSource masks(0.25, util::Rng(13));
   const auto stochastic = ref_forward(qnet, image, qnet.num_sites, &masks);
   EXPECT_EQ(stochastic.back().numel(), 10);
+}
+
+// --- calibration on a pool ------------------------------------------------------
+
+// A throw inside calibration must not leave the caller's model with every
+// Monte Carlo Dropout site switched off.
+TEST(QuantizeModel, RestoresTheBayesianDepthWhenCalibrationThrows) {
+  util::Rng rng(7);
+  nn::Model model = nn::make_tiny_cnn(rng, 10, 1, 12);  // one input channel
+  model.set_bayesian_last(2);
+  util::Rng data_rng(8);
+  const data::Dataset objects = data::make_synth_objects(4, data_rng);  // three channels
+  EXPECT_THROW(quantize_model(model, objects), std::invalid_argument);
+  EXPECT_EQ(model.bayesian_layers(), 2);
+  for (int i = 0; i < model.num_sites(); ++i)
+    EXPECT_EQ(model.site(i).active(), i >= model.num_sites() - 2) << "site " << i;
+}
+
+std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+// The activation parameters the sequential calibration loop chooses:
+// batches of 8 images through Network::forward, min and max over each
+// hardware layer's anchor (its last conv/linear, BN, FU or shortcut-add
+// node, as collect_layer_refs assigns them).
+struct ReferenceParams {
+  QuantParams input;
+  std::vector<QuantParams> out;  // per hardware layer
+};
+
+ReferenceParams sequential_calibration(nn::Model& model, const data::Dataset& calibration,
+                                       int max_images) {
+  nn::Network& net = model.net();
+  std::vector<nn::Network::NodeId> anchors;
+  for (nn::Network::NodeId id = 1; id < net.num_nodes(); ++id) {
+    switch (net.layer(id)->kind()) {
+      case nn::LayerKind::conv2d:
+      case nn::LayerKind::linear:
+        anchors.push_back(id);
+        break;
+      case nn::LayerKind::batch_norm:
+      case nn::LayerKind::relu:
+      case nn::LayerKind::max_pool:
+      case nn::LayerKind::avg_pool:
+      case nn::LayerKind::global_avg_pool:
+      case nn::LayerKind::add:
+        anchors.back() = id;
+        break;
+      default:
+        break;  // dropout, flatten and softmax are not range anchors
+    }
+  }
+  const int saved = model.bayesian_layers();
+  model.set_bayesian_last(0);
+  net.set_training(false);
+  constexpr float kMax = std::numeric_limits<float>::max();
+  constexpr float kLowest = std::numeric_limits<float>::lowest();
+  float in_lo = kMax, in_hi = kLowest;
+  std::vector<float> lo(anchors.size(), kMax), hi(anchors.size(), kLowest);
+  const int images = std::min(max_images, calibration.size());
+  for (int start = 0; start < images; start += 8) {
+    const data::Batch batch = calibration.batch(start, std::min(8, images - start));
+    for (std::int64_t i = 0; i < batch.images.numel(); ++i) {
+      in_lo = std::min(in_lo, batch.images[i]);
+      in_hi = std::max(in_hi, batch.images[i]);
+    }
+    (void)net.forward(batch.images);
+    for (std::size_t l = 0; l < anchors.size(); ++l) {
+      const nn::Tensor& activation = net.activation(anchors[l]);
+      for (std::int64_t i = 0; i < activation.numel(); ++i) {
+        lo[l] = std::min(lo[l], activation[i]);
+        hi[l] = std::max(hi[l], activation[i]);
+      }
+    }
+  }
+  model.set_bayesian_last(saved);
+  ReferenceParams reference{choose_activation_params(in_lo, in_hi), {}};
+  for (std::size_t l = 0; l < anchors.size(); ++l)
+    reference.out.push_back(choose_activation_params(lo[l], hi[l]));
+  return reference;
+}
+
+void expect_same_params(const QuantParams& got, const QuantParams& expected) {
+  EXPECT_EQ(bits(got.scale), bits(expected.scale));
+  EXPECT_EQ(got.zero_point, expected.zero_point);
+}
+
+void expect_same_multipliers(const std::vector<FixedMultiplier>& a,
+                             const std::vector<FixedMultiplier>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].mult, b[i].mult) << "channel " << i;
+    EXPECT_EQ(a[i].shift, b[i].shift) << "channel " << i;
+  }
+}
+
+auto geometry(const nn::HwLayer& g) {
+  return std::tie(g.label, g.op, g.in_c, g.in_h, g.in_w, g.conv_out_h, g.conv_out_w, g.out_c,
+                  g.out_h, g.out_w, g.kernel, g.stride, g.pad, g.has_bias, g.has_bn, g.has_relu,
+                  g.pool_kernel, g.pool_stride, g.pool_is_global, g.pool_is_max, g.has_shortcut,
+                  g.is_bayes_site, g.site_index, g.weights_binarizable);
+}
+
+// Every field of two quantized networks, floats by bit pattern.
+void expect_identical(const QuantNetwork& a, const QuantNetwork& b) {
+  EXPECT_EQ(a.name, b.name);
+  expect_same_params(a.input, b.input);
+  EXPECT_EQ(a.num_classes, b.num_classes);
+  EXPECT_EQ(a.num_sites, b.num_sites);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.dropout_p), std::bit_cast<std::uint64_t>(b.dropout_p));
+  expect_same_multipliers({a.dropout_keep}, {b.dropout_keep});
+  ASSERT_EQ(a.layers.size(), b.layers.size());
+  for (std::size_t l = 0; l < a.layers.size(); ++l) {
+    SCOPED_TRACE("layer " + std::to_string(l));
+    const QLayer& x = a.layers[l];
+    const QLayer& y = b.layers[l];
+    EXPECT_TRUE(geometry(x.geom) == geometry(y.geom));
+    EXPECT_EQ(x.input_source, y.input_source);
+    EXPECT_EQ(x.shortcut_source, y.shortcut_source);
+    expect_same_params(x.in, y.in);
+    expect_same_params(x.out, y.out);
+    EXPECT_EQ(x.weights, y.weights);
+    ASSERT_EQ(x.weight_scales.size(), y.weight_scales.size());
+    for (std::size_t f = 0; f < x.weight_scales.size(); ++f)
+      EXPECT_EQ(bits(x.weight_scales[f]), bits(y.weight_scales[f])) << "filter " << f;
+    EXPECT_EQ(x.weights_packed, y.weights_packed);
+    EXPECT_EQ(x.packed_words, y.packed_words);
+    EXPECT_EQ(x.packed_magnitude, y.packed_magnitude);
+    EXPECT_EQ(x.packed_plus, y.packed_plus);
+    EXPECT_EQ(x.packed_minus, y.packed_minus);
+    EXPECT_EQ(x.bias, y.bias);
+    expect_same_multipliers(x.requant, y.requant);
+    EXPECT_EQ(x.post_add, y.post_add);
+    expect_same_multipliers({x.shortcut_rescale}, {y.shortcut_rescale});
+  }
+}
+
+struct CalibrationCase {
+  std::string name;
+  nn::Model model;
+  data::Dataset images;
+};
+
+std::vector<CalibrationCase> calibration_cases() {
+  std::vector<CalibrationCase> cases;
+  // The paper networks at the serving benchmark's widths and seeds, untrained.
+  {
+    util::Rng rng(101), data_rng(102);
+    cases.push_back({"lenet5", nn::make_lenet5(rng), data::make_synth_digits(64, data_rng)});
+  }
+  {
+    util::Rng rng(201), data_rng(202);
+    cases.push_back({"vgg11", nn::make_vgg11(rng, 10, /*width_divisor=*/8),
+                     data::make_synth_svhn(64, data_rng)});
+  }
+  {
+    util::Rng rng(301), data_rng(302);
+    cases.push_back({"resnet18", nn::make_resnet18(rng, 10, /*base_width=*/8),
+                     data::make_synth_objects(64, data_rng)});
+  }
+  for (const std::uint32_t id : {bench::kWorkloadCnn12, bench::kWorkloadMlp49,
+                                 bench::kWorkloadCnn12b}) {
+    bench::FloatFixture fixture = bench::make_float_fixture(id);
+    cases.push_back({bench::workload_model_name(id), std::move(fixture.model),
+                     std::move(fixture.dataset)});
+  }
+  return cases;
+}
+
+// One image per pool index, merged after the join, gives the sequential
+// loop's activation parameters at every pool size. The rest of a QLayer is
+// the unchanged assembly of the weights and these parameters, so every
+// field and the fingerprint must also agree across the pool sizes. Every
+// network here ends at an anchor (its last Linear), whose arena slot
+// replay_suffix_row moves out: a lane that read that slot would fail here.
+TEST(QuantizeModel, CalibrationIsByteIdenticalAtEveryPoolSize) {
+  std::vector<std::unique_ptr<runtime::ThreadPool>> pools;
+  for (const int threads : {1, 2, 8}) pools.push_back(std::make_unique<runtime::ThreadPool>(threads));
+  for (CalibrationCase& c : calibration_cases()) {
+    for (const int max_images : {64, 13, c.images.size() + 1}) {
+      SCOPED_TRACE(c.name + " max_images " + std::to_string(max_images));
+      const ReferenceParams reference = sequential_calibration(c.model, c.images, max_images);
+      std::unique_ptr<QuantNetwork> first;
+      for (const auto& pool : pools) {
+        SCOPED_TRACE("pool of " + std::to_string(pool->size()));
+        QuantNetwork qnet = quantize_model(c.model, c.images, {max_images, pool.get()});
+        expect_same_params(qnet.input, reference.input);
+        ASSERT_EQ(qnet.layers.size(), reference.out.size());
+        for (std::size_t l = 0; l < qnet.layers.size(); ++l) {
+          SCOPED_TRACE("layer " + std::to_string(l));
+          expect_same_params(qnet.layers[l].out, reference.out[l]);
+          const int source = qnet.layers[l].input_source;
+          expect_same_params(qnet.layers[l].in,
+                             source < 0 ? reference.input
+                                        : reference.out[static_cast<std::size_t>(source)]);
+        }
+        if (!first) {
+          first = std::make_unique<QuantNetwork>(std::move(qnet));
+          continue;
+        }
+        expect_identical(qnet, *first);
+        EXPECT_EQ(serve::network_fingerprint(qnet), serve::network_fingerprint(*first));
+      }
+    }
+  }
 }
 
 }  // namespace

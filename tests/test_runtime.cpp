@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -117,6 +118,64 @@ TEST(ThreadPool, ConcurrentSubmittersShareWorkersSafely) {
   }
   for (std::thread& client : clients) client.join();
   EXPECT_EQ(total.load(), 4 * 5 * 20);
+}
+
+// --- where pool workers start ---------------------------------------------
+// worker_start_cpu is the whole placement decision; where the kernel then
+// runs a thread depends on the host, so no test asserts on it.
+
+TEST(WorkerStartCpu, DistinctCpusWhileWorkersFitTheSet) {
+  const std::vector<int> four{0, 1, 2, 3};
+  EXPECT_EQ(runtime::worker_start_cpu(four, 1, 0), 2);
+  EXPECT_EQ(runtime::worker_start_cpu(four, 1, 1), 3);
+  EXPECT_EQ(runtime::worker_start_cpu(four, 1, 2), 0);
+  EXPECT_EQ(runtime::worker_start_cpu(four, 1, 3), 1);
+  for (const int creator : four) {
+    std::vector<int> cpus;
+    for (int worker = 0; worker < 4; ++worker)
+      cpus.push_back(runtime::worker_start_cpu(four, creator, worker));
+    EXPECT_NE(cpus.front(), creator) << "the first worker starts beside its creator";
+    std::sort(cpus.begin(), cpus.end());
+    EXPECT_EQ(cpus, four) << "creator " << creator;
+  }
+}
+
+TEST(WorkerStartCpu, WrapsAroundPastTheSetSize) {
+  const std::vector<int> four{0, 1, 2, 3};
+  for (int worker = 0; worker < 4; ++worker) {
+    EXPECT_EQ(runtime::worker_start_cpu(four, 2, worker + 4),
+              runtime::worker_start_cpu(four, 2, worker));
+    EXPECT_EQ(runtime::worker_start_cpu(four, 2, worker + 8),
+              runtime::worker_start_cpu(four, 2, worker));
+  }
+}
+
+TEST(WorkerStartCpu, NoMoveOnAOneCpuSet) {
+  for (int worker = 0; worker < 3; ++worker) {
+    EXPECT_EQ(runtime::worker_start_cpu({5}, 5, worker), -1);
+    EXPECT_EQ(runtime::worker_start_cpu({5}, 2, worker), -1);
+    EXPECT_EQ(runtime::worker_start_cpu({}, 0, worker), -1);
+  }
+}
+
+TEST(WorkerStartCpu, FollowsANonContiguousSet) {
+  const std::vector<int> odd{1, 3, 5};
+  EXPECT_EQ(runtime::worker_start_cpu(odd, 3, 0), 5);
+  EXPECT_EQ(runtime::worker_start_cpu(odd, 3, 1), 1);
+  EXPECT_EQ(runtime::worker_start_cpu(odd, 3, 2), 3);
+  EXPECT_EQ(runtime::worker_start_cpu(odd, 5, 0), 1);
+  EXPECT_EQ(runtime::worker_start_cpu(odd, 1, 3), 3);
+}
+
+TEST(WorkerStartCpu, CountsFromAboveACreatorOutsideTheSet) {
+  const std::vector<int> odd{1, 3, 5};
+  EXPECT_EQ(runtime::worker_start_cpu(odd, 4, 0), 5);
+  EXPECT_EQ(runtime::worker_start_cpu(odd, 4, 1), 1);
+  EXPECT_EQ(runtime::worker_start_cpu(odd, 4, 2), 3);
+  EXPECT_EQ(runtime::worker_start_cpu(odd, 0, 0), 1);
+  EXPECT_EQ(runtime::worker_start_cpu(odd, 6, 0), 1);
+  EXPECT_EQ(runtime::worker_start_cpu(odd, -1, 0), 1);  // the creator's CPU is unknown
+  EXPECT_THROW(runtime::worker_start_cpu(odd, 3, -1), std::invalid_argument);
 }
 
 // --- Monte Carlo determinism across thread counts -------------------------
