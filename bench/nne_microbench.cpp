@@ -17,7 +17,6 @@
 #include "core/accelerator.h"
 #include "core/bernoulli_sampler.h"
 #include "core/nne.h"
-#include "nn/bitpack_kernels.h"
 #include "nn/gemm_kernels.h"
 #include "nn/models.h"
 #include "quant/qnetwork.h"
@@ -135,7 +134,7 @@ void bm_int8_linear_kernel(benchmark::State& state) {
 }
 BENCHMARK(bm_int8_linear_kernel)->Args({120, 400});
 
-// The int8 tier's conv GEMM on a VGG-class layer: 64 filters x 576 terms
+// The NNE's conv GEMM on a VGG-class layer: 64 filters x 576 terms
 // (64 channels, 3x3) over an 8x8 map, from an already-lowered grouped panel.
 void bm_int8_gemm(benchmark::State& state) {
   const int m = 64, k = 576, n = static_cast<int>(state.range(0));
@@ -156,55 +155,6 @@ void bm_int8_gemm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * m * k * n);
 }
 BENCHMARK(bm_int8_gemm)->Arg(64);
-
-// The bit-packed tier on the same VGG-class term count: packed_row_dot
-// (XOR+popcount over 64-term words) against the int8 rows above. The
-// activation plane is packed once outside the loop — in the real path one
-// pack per input position is amortized over every output filter, so the
-// steady-state per-filter cost is exactly this dot (bm_bitpack_pack times
-// the amortized pack itself).
-void bm_bitpack_dot(benchmark::State& state) {
-  const int len = static_cast<int>(state.range(0));
-  util::Rng rng(1234);
-  quant::QLayer layer;
-  layer.geom.op = nn::HwLayer::Op::linear;
-  layer.geom.in_c = len;
-  layer.geom.out_c = 1;
-  layer.weights.resize(static_cast<std::size_t>(len));
-  for (auto& v : layer.weights)
-    v = static_cast<std::int8_t>(rng.uniform_int(0, 1) != 0 ? 5 : -5);
-  const quant::LayerExecPlan plan = quant::build_layer_exec_plan(layer);
-  const std::int8_t lo = -7, hi = 9;
-  std::vector<std::int8_t> x(static_cast<std::size_t>(len));
-  for (auto& v : x) v = rng.uniform_int(0, 1) != 0 ? hi : lo;
-  std::vector<std::uint64_t> xbits(static_cast<std::size_t>(plan.words));
-  const std::int32_t x_pop = nn::kernels::pack_eq_bits(x.data(), len, hi, xbits.data());
-  const std::int32_t zp = -3;
-  for (auto _ : state) {
-    std::int32_t acc = quant::packed_row_dot(plan, 0, xbits.data(), x_pop, lo - zp,
-                                             static_cast<std::int32_t>(hi) - lo);
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() * len);
-}
-BENCHMARK(bm_bitpack_dot)->Arg(1152);
-
-void bm_bitpack_pack(benchmark::State& state) {
-  const int len = static_cast<int>(state.range(0));
-  util::Rng rng(1234);
-  const std::int8_t lo = -7, hi = 9;
-  std::vector<std::int8_t> x(static_cast<std::size_t>(len));
-  for (auto& v : x) v = rng.uniform_int(0, 1) != 0 ? hi : lo;
-  std::vector<std::uint64_t> xbits(
-      static_cast<std::size_t>(nn::kernels::bit_words(len)));
-  for (auto _ : state) {
-    std::int32_t pop = nn::kernels::pack_eq_bits(x.data(), len, hi, xbits.data());
-    benchmark::DoNotOptimize(pop);
-    benchmark::DoNotOptimize(xbits.data());
-  }
-  state.SetItemsProcessed(state.iterations() * len);
-}
-BENCHMARK(bm_bitpack_pack)->Arg(1152);
 
 void bm_full_network_reference(benchmark::State& state) {
   auto& s = setup();
@@ -309,7 +259,7 @@ bool run_staged(LayerRun& run, core::NneScratch& scratch, StageTotals& totals) {
   const auto t0 = Clock::now();
   core::nne_lower(layer, 1, *run.input, scratch);
   const auto t1 = Clock::now();
-  core::nne_gemm(layer, *run.plan, 1, layer.weights.data(), scratch);
+  core::nne_gemm(layer, *run.plan, 1, scratch);
   const auto t2 = Clock::now();
   core::nne_requant(layer, 1, scratch.sums.data(), run.shortcut, run.pre);
   const auto t3 = Clock::now();
@@ -487,7 +437,6 @@ void bm_nne_samples(benchmark::State& state, int net_index, int layer_index, int
   const quant::QTensor block_in = stacked(inputs);
   const quant::QTensor block_sc = layer.geom.has_shortcut ? stacked(shortcuts) : quant::QTensor{};
   const core::NneConfig config;
-  const auto tier = nn::kernels::Tier::int8;
   core::NneScratch scratch;
   std::vector<quant::QTensor> singles(static_cast<std::size_t>(count));
   quant::QTensor block_out;
@@ -496,13 +445,14 @@ void bm_nne_samples(benchmark::State& state, int net_index, int layer_index, int
       core::nne_run_layer_into(layer, plan, inputs[static_cast<std::size_t>(b)],
                                layer.geom.has_shortcut ? &shortcuts[static_cast<std::size_t>(b)]
                                                        : nullptr,
-                               false, nullptr, net.qnet->dropout_keep, config, tier, scratch,
+                               false, nullptr, net.qnet->dropout_keep, config,
+                               nn::kernels::Tier::int8, scratch,
                                singles[static_cast<std::size_t>(b)]);
   };
   const auto run_block = [&] {
     core::nne_run_block_into(layer, plan, count, block_in,
                              layer.geom.has_shortcut ? &block_sc : nullptr, false, nullptr,
-                             net.qnet->dropout_keep, config, tier, scratch, block_out);
+                             net.qnet->dropout_keep, config, scratch, block_out);
   };
   run_singles();
   run_block();

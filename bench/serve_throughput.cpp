@@ -655,7 +655,7 @@ int main(int argc, char** argv) {
     const bench::ServeFixture* tenant_fixtures[3] = {&cnn, &mlp, &cnn_b};
     const std::vector<std::string> tenant_names = {"cnn12", "mlp49", "cnn12b"};
 
-    // Probe publish to size the packed weights, then rebuild the registry
+    // Probe publish to size the weights, then rebuild the registry
     // with the under-by-one budget.
     std::uint64_t weight_bytes[3] = {0, 0, 0};
     std::uint64_t total_bytes = 0;

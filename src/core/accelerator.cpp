@@ -17,7 +17,7 @@ namespace {
 // Reusable per-worker storage for predict lanes — the quantized analogue of
 // the float path's ReplayArena. Thread-local so lanes never contend: a lane
 // keeps every layer output of its block, the NNE scratch (sum plane,
-// lowered windows, packed windows) and its block's Bernoulli samplers
+// lowered windows) and its block's Bernoulli samplers
 // across (image, sample block) units, predict calls and accelerator
 // instances (a deterministic L = 0 lane draws no masks and leaves the
 // samplers alone); the IC prefix layers an image's first lane runs use the
@@ -37,11 +37,6 @@ LaneArena& lane_arena() {
   return arena;
 }
 
-quant::QuantNetwork annotate(quant::QuantNetwork network) {
-  quant::annotate_weight_tiers(network);
-  return network;
-}
-
 }  // namespace
 
 std::uint64_t Accelerator::lane_arena_grow_events() {
@@ -50,8 +45,7 @@ std::uint64_t Accelerator::lane_arena_grow_events() {
 }
 
 Accelerator::Accelerator(quant::QuantNetwork network, AcceleratorConfig config)
-    : Accelerator(std::make_shared<const quant::QuantNetwork>(annotate(std::move(network))),
-                  config) {}
+    : Accelerator(std::make_shared<const quant::QuantNetwork>(std::move(network)), config) {}
 
 Accelerator::Accelerator(std::shared_ptr<const quant::QuantNetwork> network,
                          AcceleratorConfig config)
@@ -237,7 +231,7 @@ Accelerator::BatchPrediction Accelerator::predict_batch(
         layer.geom.has_shortcut ? &stored(layer.shortcut_source) : nullptr;
     const NneLayerStats stats = nne_run_block_into(
         layer, plan_->layer(index), samples, stored(layer.input_source), shortcut, site_active,
-        masks, network_->dropout_keep, config_.nne, config_.kernel_tier, scratch, out);
+        masks, network_->dropout_keep, config_.nne, scratch, out);
     cycles += stats.compute_cycles;
   };
 

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "nn/bitpack_kernels.h"
 #include "nn/gemm_kernels.h"
 #include "util/check.h"
 
@@ -28,22 +27,7 @@ const std::vector<int>& pv_domain() {
 
 namespace {
 
-using nn::kernels::Tier;
-
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
-
-// Cycle cost of the layer's term reduction per (filter tile, position tile).
-// A PURE function of geometry and configuration — never of the tier that
-// actually executed (see the header: annotation drives the model, runtime
-// activation values drive the execution, and the two may disagree).
-std::int64_t modelled_term_tiles(const nn::HwLayer& layer, const NneConfig& config) {
-  const std::int64_t terms =
-      static_cast<std::int64_t>(layer.in_c) * layer.kernel * layer.kernel;
-  const std::int64_t lane_terms =
-      static_cast<std::int64_t>(config.pc) *
-      (layer.weights_binarizable ? config.binary_term_parallelism : 1);
-  return ceil_div(terms, lane_terms);
-}
 
 // Grows a vector to at least `n` elements, counting capacity growths
 // (allocations). Never shrinks, so a layer call after a larger one neither
@@ -252,10 +236,9 @@ void lower_linear_input(int terms, int samples, int hw, const std::int8_t* in,
 std::int64_t estimate_layer_cycles(const nn::HwLayer& layer, const NneConfig& config) {
   util::require(config.pc >= 1 && config.pf >= 1 && config.pv >= 1,
                 "nne: parallelism degrees must be positive");
-  util::require(config.binary_term_parallelism >= 1,
-                "nne: binary_term_parallelism must be positive");
   const std::int64_t filter_tiles = ceil_div(layer.out_c, config.pf);
-  const std::int64_t term_tiles = modelled_term_tiles(layer, config);
+  const std::int64_t term_tiles =
+      ceil_div(static_cast<std::int64_t>(layer.in_c) * layer.kernel * layer.kernel, config.pc);
   const std::int64_t position_tiles =
       ceil_div(static_cast<std::int64_t>(layer.conv_out_h) * layer.conv_out_w, config.pv);
   return filter_tiles * term_tiles * position_tiles;
@@ -286,7 +269,7 @@ void nne_lower(const quant::QLayer& layer, int samples, const quant::QTensor& in
 }
 
 void nne_gemm(const quant::QLayer& layer, const quant::LayerExecPlan& plan, int samples,
-              const std::int8_t* weights, NneScratch& scratch) {
+              NneScratch& scratch) {
   const nn::HwLayer& g = layer.geom;
   const int n = samples * g.conv_out_h * g.conv_out_w;
   const int ldx = nn::kernels::gemm_i8_ldx(n);
@@ -304,8 +287,8 @@ void nne_gemm(const quant::QLayer& layer, const quant::LayerExecPlan& plan, int 
                                   scratch.panel.data(), ldx, plan.correction.data(),
                                   scratch.sums.data(), n);
   } else {
-    nn::kernels::gemm_u8i8(g.out_c, n, plan.terms, weights, scratch.panel.data(), ldx,
-                           plan.correction.data(), scratch.sums.data(), n);
+    nn::kernels::gemm_u8i8(g.out_c, n, plan.terms, layer.weights.data(), scratch.panel.data(),
+                           ldx, plan.correction.data(), scratch.sums.data(), n);
   }
 }
 
@@ -397,24 +380,20 @@ NneLayerStats nne_run_block_into(const quant::QLayer& layer, const quant::LayerE
                                  const quant::QTensor* shortcut, bool site_active,
                                  nn::MaskSource* const* masks,
                                  quant::FixedMultiplier dropout_keep, const NneConfig& config,
-                                 nn::kernels::Tier tier, NneScratch& scratch,
-                                 quant::QTensor& out) {
+                                 NneScratch& scratch, quant::QTensor& out) {
   const nn::HwLayer& g = layer.geom;
   const std::int32_t zp_in = layer.in.zero_point;
   util::require(samples >= 1 && samples <= kMaxBlockSamples,
                 "nne: a block holds 1 to kMaxBlockSamples samples");
   util::require(!g.has_shortcut || shortcut != nullptr, "nne: missing shortcut operand");
   util::require(!site_active || masks != nullptr, "nne: active site requires a mask source");
-  util::require(config.binary_term_parallelism >= 1,
-                "nne: binary_term_parallelism must be positive");
   // The lowered panel stores padding terms as the zero point itself.
   util::require(zp_in >= -128 && zp_in <= 127, "nne: input zero point must fit int8");
 
   NneLayerStats stats;
   // The modelled machine runs the block's samples one after another: each
-  // is charged the closed form, independent of which tier or kernel
-  // computed the sums (the PE's PF x PC x PV tiling survives in the charge
-  // alone).
+  // is charged the closed form, independent of which kernel computed the
+  // sums (the PE's PF x PC x PV tiling survives in the charge alone).
   stats.macs_retired = samples * g.macs();
   stats.compute_cycles = samples * estimate_layer_cycles(g, config);
 
@@ -437,17 +416,6 @@ NneLayerStats nne_run_block_into(const quant::QLayer& layer, const quant::LayerE
                       shortcut->width() == g.conv_out_w,
                   "nne: shortcut shape mismatch");
 
-  // Resolve the tier cap against this (layer, input) pair. A block of
-  // several samples takes the int8 GEMM, which the tier contract makes
-  // bit-identical.
-  std::int8_t lo = 0, hi = 0;
-  if (tier == Tier::bitpack &&
-      !(samples == 1 && plan.weights_binarizable &&
-        quant::two_valued_activations(input, &lo, &hi)))
-    tier = Tier::int8;
-  const std::int32_t base = static_cast<std::int32_t>(lo) - zp_in;
-  const std::int32_t delta = static_cast<std::int32_t>(hi) - lo;
-
   // The FU chain writes the pre-pool map; when there is no pool stage that
   // map IS the stored output, so write it there directly and keep
   // scratch.pre untouched (no buffer churn in the arena).
@@ -459,37 +427,12 @@ NneLayerStats nne_run_block_into(const quant::QLayer& layer, const quant::LayerE
     ++scratch.grow_events;
 
   // The PE's retiring accumulators for the whole block: one int32 term sum
-  // per (filter, sample, position), [out_c][samples][positions]. Both tiers
-  // fill it; one FU pass below retires it.
+  // per (filter, sample, position), [out_c][samples][positions]. One FU
+  // pass below retires it.
   grow_to(scratch.sums, static_cast<std::size_t>(g.out_c) * n, scratch.grow_events);
   std::int32_t* sums = scratch.sums.data();
 
-  const std::int8_t* in_data = input.data.data();
-
-  // Packed-weight layers dropped their byte rows. The bitpack interior path
-  // reads only the masks, and a small-block int8 conv reads the plan's
-  // K-major copy, but the other int8 paths and conv border windows still
-  // need byte rows — materialize them into the arena once per layer call
-  // (exact reconstruction, so bits are unchanged).
-  const bool has_border =
-      !is_linear &&
-      (g.pad > 0 || (g.conv_out_h - 1) * g.stride + g.kernel > g.in_h ||
-       (g.conv_out_w - 1) * g.stride + g.kernel > g.in_w);
-  const bool kmajor =
-      tier == Tier::int8 && (is_linear || nn::kernels::gemm_i8_filter_vectorized(n));
-  const std::int8_t* wmatrix = layer.weights.data();
-  if (layer.weights_packed && !kmajor && (tier != Tier::bitpack || has_border)) {
-    grow_to(scratch.wrows, static_cast<std::size_t>(g.out_c) * terms, scratch.grow_events);
-    for (int f = 0; f < g.out_c; ++f)
-      layer.materialize_weight_row(f, scratch.wrows.data() +
-                                          static_cast<std::size_t>(f) * terms);
-    wmatrix = scratch.wrows.data();
-  }
-  const auto weight_row = [&](int f) {
-    return wmatrix + static_cast<std::size_t>(f) * terms;
-  };
-
-  if (tier == Tier::int8 && is_linear) {
+  if (is_linear) {
     // The specification's 1x1 conv over a 1x1 map: each sample's input row,
     // flipped to u = x + 128 and filled out to whole four-term groups
     // (their weights are 0), is one position of the filter tile's panel
@@ -503,64 +446,17 @@ NneLayerStats nne_run_block_into(const quant::QLayer& layer, const quant::LayerE
     grow_to(scratch.panel, static_cast<std::size_t>(padded_terms) * samples,
             scratch.grow_events);
     const int hw = input.height() / samples * input.width();
-    lower_linear_input(terms, samples, hw, in_data, scratch.panel.data());
+    lower_linear_input(terms, samples, hw, input.data.data(), scratch.panel.data());
     nn::kernels::gemm_u8i8_kmajor(g.out_c, samples, terms, plan.weights_kmajor.data(), plan.ldw,
                                   scratch.panel.data(), samples, plan.correction.data(), sums,
                                   samples);
-  } else if (tier == Tier::int8) {
+  } else {
     // Lower every window of every sample once, then one GEMM computes every
     // (filter, sample, position) sum: each lowered term feeds all filters
     // and positions of a register tile, the PE array's PF x PV reuse, and
     // each weight row streams once per block.
     nne_lower(layer, samples, input, scratch);
-    nne_gemm(layer, plan, samples, wmatrix, scratch);
-  } else if (is_linear) {
-    // Packed reduction over the whole term range, one closed form per
-    // filter (quant/qplan.h).
-    grow_to(scratch.xbits, static_cast<std::size_t>(plan.words), scratch.grow_events);
-    const std::int32_t x_pop =
-        nn::kernels::pack_eq_bits(in_data, terms, hi, scratch.xbits.data());
-    for (int f = 0; f < g.out_c; ++f)
-      sums[f] = quant::packed_row_dot(plan, f, scratch.xbits.data(), x_pop, base, delta);
-  } else {
-    // Sign-pack each INTERIOR window once so every filter row reuses its
-    // words; border windows take the bounds-checked border_dot, which skips
-    // padding terms as the specification does.
-    const std::int32_t* term_dh = plan.term_dh.data();
-    const std::int32_t* term_dw = plan.term_dw.data();
-    const std::int32_t* term_off = plan.term_off.data();
-    const auto border_dot = [&](const std::int8_t* w, int ih0, int iw0) {
-      std::int32_t sum = 0;
-      for (int t = 0; t < terms; ++t) {
-        const int ih = ih0 + term_dh[static_cast<std::size_t>(t)];
-        const int iw = iw0 + term_dw[static_cast<std::size_t>(t)];
-        if (ih < 0 || ih >= g.in_h || iw < 0 || iw >= g.in_w) continue;
-        sum += (static_cast<std::int32_t>(
-                    in_data[term_off[static_cast<std::size_t>(t)] +
-                            static_cast<std::ptrdiff_t>(ih0) * g.in_w + iw0]) -
-                zp_in) *
-               static_cast<std::int32_t>(w[t]);
-      }
-      return sum;
-    };
-    grow_to(scratch.xbits, static_cast<std::size_t>(plan.words), scratch.grow_events);
-    std::uint64_t* xbits = scratch.xbits.data();
-    for (int p = 0; p < positions; ++p) {
-      const int ih0 = p / g.conv_out_w * g.stride - g.pad;
-      const int iw0 = p % g.conv_out_w * g.stride - g.pad;
-      const bool interior =
-          ih0 >= 0 && iw0 >= 0 && ih0 + g.kernel <= g.in_h && iw0 + g.kernel <= g.in_w;
-      if (interior) {
-        const std::int32_t x_pop = nn::kernels::pack_eq_bits_gather(
-            in_data + static_cast<std::size_t>(ih0) * g.in_w + iw0, term_off, terms, hi, xbits);
-        for (int f = 0; f < g.out_c; ++f)
-          sums[static_cast<std::size_t>(f) * positions + p] =
-              quant::packed_row_dot(plan, f, xbits, x_pop, base, delta);
-      } else {
-        for (int f = 0; f < g.out_c; ++f)
-          sums[static_cast<std::size_t>(f) * positions + p] = border_dot(weight_row(f), ih0, iw0);
-      }
-    }
+    nne_gemm(layer, plan, samples, scratch);
   }
 
   // FU chain, one pass over the sum plane, then the pool stage (pipelined;
@@ -581,12 +477,11 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
                                  const quant::QTensor& input, const quant::QTensor* shortcut,
                                  bool site_active, nn::MaskSource* masks,
                                  quant::FixedMultiplier dropout_keep, const NneConfig& config,
-                                 nn::kernels::Tier tier, NneScratch& scratch,
-                                 quant::QTensor& out) {
+                                 nn::kernels::Tier, NneScratch& scratch, quant::QTensor& out) {
   nn::MaskSource* const sample_masks[1] = {masks};
   return nne_run_block_into(layer, plan, 1, input, shortcut, site_active,
                             masks != nullptr ? sample_masks : nullptr, dropout_keep, config,
-                            tier, scratch, out);
+                            scratch, out);
 }
 
 void apply_dropout_unit(quant::QTensor& out, int samples, nn::MaskSource* const* masks,

@@ -26,7 +26,8 @@
 // functionally.
 //
 // On the host the GEMM is meant to be the layer, as the PE array is on the
-// FPGA. A conv layer's int8 path is four stages (declared below):
+// FPGA. Every layer takes the one int8 path; a conv layer is four stages
+// (declared below):
 //   - lowering copies the input once into a zero-point-bordered plane and
 //     interleaves the layer's terms, four at a time, into the GEMM's grouped
 //     unsigned panel (kernels::interleave_group), so padding needs no bounds
@@ -49,18 +50,6 @@
 // site in one call of the plane kernel's int8 form (kernels::dropout_plane).
 // Every stage runs over the block's samples at once (see "blocks of Monte
 // Carlo samples" below).
-//
-// Kernel tiers: the inner product dispatches through nn::kernels::Tier. The
-// tier changes only HOW the int32 sums are computed (the int8 GEMM over the
-// layer's lowered windows, or the packed popcount path of quant/qplan.h) —
-// never WHAT they contain, so outputs are bit-identical across tiers.
-// Cycle counts are likewise tier-independent at runtime: a layer is charged
-// by the closed-form formula below, which credits binary term parallelism
-// from the STATIC HwLayer::weights_binarizable annotation alone. An
-// un-annotated net that happens to hit the packed path simply runs faster
-// than modelled; an annotated net that falls back (three-valued
-// activations) is modelled as binary hardware would be — the modelled
-// machine has the popcount datapath either way.
 #ifndef BNN_CORE_NNE_H
 #define BNN_CORE_NNE_H
 
@@ -83,12 +72,6 @@ struct NneConfig {
   int data_width_bits = 8;
   // Pipeline depth of PE + FU + DU, charged once per layer.
   int pipeline_fill_cycles = 24;
-  // Extra term parallelism for weights-binarizable layers: the XNOR/popcount
-  // datapath reduces this many more terms per multiplier lane per cycle
-  // (single-bit products cost ~1/8 of an 8-bit MAC in LUTs, so the same
-  // fabric fits 8x the reducers). Credited per layer by the STATIC
-  // HwLayer::weights_binarizable annotation; see the header comment.
-  int binary_term_parallelism = 8;
 
   std::int64_t macs_per_cycle() const {
     return static_cast<std::int64_t>(pc) * pf * pv;
@@ -126,8 +109,6 @@ struct NneScratch {
   std::vector<std::int8_t> padded;   // zp-bordered conv input, [in_c][B][h + 2 pad][w + 2 pad]
   std::vector<std::uint8_t> panel;   // [groups][ldx][4] conv windows, or linear input rows
   std::vector<std::int8_t> stage;    // staged narrow-row input, [in_c][kernel][B][h + 2 pad][out_w]
-  std::vector<std::uint64_t> xbits;  // one packed activation window, [words] (bitpack tier)
-  std::vector<std::int8_t> wrows;    // materialized byte rows of packed-weight layers
   std::uint64_t grow_events = 0;
 };
 
@@ -150,29 +131,25 @@ constexpr int kMaxBlockSamples = 8;
 // Executes one layer for a block of `samples` (1..kMaxBlockSamples) samples
 // into `out` (resized in place, capacity reused; must not alias
 // `input`/`shortcut`). `input`, `shortcut` and `out` are block tensors.
-// `plan` must be build_layer_exec_plan(layer). `tier` is a CAP (see
-// nn/gemm_kernels.h): bitpack falls back to int8 unless the layer's weights
-// are binarizable, this input is two-valued and the block is one sample.
-// `shortcut` must be non-null iff the layer has a shortcut (shaped like the
-// pre-pool block); `masks` must be non-null when `site_active`, sample b
-// drawing from masks[b]; the input zero point must be an int8 value (the
-// int8 tier stores it as padding).
+// `plan` must be build_layer_exec_plan(layer). `shortcut` must be non-null
+// iff the layer has a shortcut (shaped like the pre-pool block); `masks` must
+// be non-null when `site_active`, sample b drawing from masks[b]; the input
+// zero point must be an int8 value (lowering stores it as padding).
 NneLayerStats nne_run_block_into(const quant::QLayer& layer, const quant::LayerExecPlan& plan,
                                  int samples, const quant::QTensor& input,
                                  const quant::QTensor* shortcut, bool site_active,
                                  nn::MaskSource* const* masks,
                                  quant::FixedMultiplier dropout_keep, const NneConfig& config,
-                                 nn::kernels::Tier tier, NneScratch& scratch,
-                                 quant::QTensor& out);
+                                 NneScratch& scratch, quant::QTensor& out);
 
 // The one-sample call: nne_run_block_into with samples = 1 and `masks` as
-// the sample's source.
+// the sample's source. The Tier parameter is kept only for
+// perfbench/layers.cpp, which compiles against it; it is never read.
 NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerExecPlan& plan,
                                  const quant::QTensor& input, const quant::QTensor* shortcut,
                                  bool site_active, nn::MaskSource* masks,
                                  quant::FixedMultiplier dropout_keep, const NneConfig& config,
-                                 nn::kernels::Tier tier, NneScratch& scratch,
-                                 quant::QTensor& out);
+                                 nn::kernels::Tier, NneScratch& scratch, quant::QTensor& out);
 
 // Copies a one-sample tensor {C, H, W} into each of a block's `samples`
 // slots, {C, samples * H, W}; counts a growth of `dst` in `grow_events`.
@@ -180,7 +157,7 @@ void broadcast_samples(const quant::QTensor& src, int samples, quant::QTensor& d
                        std::uint64_t& grow_events);
 
 // --- the int8 conv path, stage by stage ---------------------------------------
-// nne_run_block_into's int8-tier conv path is exactly these four calls in
+// nne_run_block_into's conv path is exactly these four calls in
 // order (bench/nne_microbench times each one and checks that composing them
 // reproduces the whole call). `layer`, `plan`, `samples` and the tensors
 // follow nne_run_block_into's contract; each stage grows only NneScratch
@@ -206,13 +183,13 @@ void nne_lower(const quant::QLayer& layer, int samples, const quant::QTensor& in
 //    positions], four terms per step, minus the plan's per-filter correction
 //    (zp_in + 128) * sum_t w[f][t], which makes each sum exactly
 //    sum_t (x_t - zp_in) * w[f][t]. A block row of 16 positions and more
-//    takes the position-vectorized tile over `weights` (row-major
-//    [out_c][terms]); a smaller one takes the filter-vectorized tile over
+//    takes the position-vectorized tile over the layer's row-major weights
+//    ([out_c][terms]); a smaller one takes the filter-vectorized tile over
 //    the plan's grouped K-major copy (kernels::gemm_i8_filter_vectorized
 //    decides; the plan builds the copy for maps under 16 positions, so a
 //    block under 16 always finds it).
 void nne_gemm(const quant::QLayer& layer, const quant::LayerExecPlan& plan, int samples,
-              const std::int8_t* weights, NneScratch& scratch);
+              NneScratch& scratch);
 // 3. The FU requant chain, bias -> BN requant -> SC -> ReLU -> saturate:
 //    one kernels::requant_plane call over the whole [out_c][samples *
 //    positions] plane, from `sums` into the pre-pool block `pre`,

@@ -14,14 +14,6 @@
 
 namespace bnn::nn::kernels {
 
-const char* tier_name(Tier tier) {
-  switch (tier) {
-    case Tier::int8: return "int8";
-    case Tier::bitpack: return "bitpack";
-  }
-  return "unknown";
-}
-
 namespace {
 
 // Register-block geometry. An MR x NR output tile is held in registers

@@ -1,6 +1,6 @@
 // Micro-kernel layer under the float GEMM front end and the int8 NNE: the
 // register-blocked, cache-tiled float GEMMs, the four-terms-per-step int8
-// GEMM the NNE's int8 tier runs every conv and linear layer through
+// GEMM the NNE runs every conv and linear layer through
 // (position-vectorized, or filter-vectorized over a grouped K-major weight
 // copy for maps under 16 positions and for linear layers) with the
 // interleave that fills its panel, and the requant plane kernels that retire
@@ -29,20 +29,8 @@
 
 namespace bnn::nn::kernels {
 
-// --- kernel tiers -----------------------------------------------------------
-// The NNE (core/nne.cpp), the one fast int8 executor, dispatches its inner
-// product through one of two tiers. The tier a caller passes is a CAP, not
-// a demand: Tier::bitpack routes a layer through the packed popcount path
-// only when the layer's weights are binarizable AND the pass's activations
-// are two-valued (quant/qplan.h), and falls back to Tier::int8 otherwise —
-// so outputs are bit-identical across tiers unconditionally. The plain-loop
-// specification both must match is quant/qops.h, which uses no tier.
-enum class Tier {
-  int8,     // gemm_u8i8 (conv) / gemm_u8i8_kmajor (small-map conv, linear) kernels
-  bitpack,  // bit-packed XNOR/popcount (+ ternary pass/negate/zero) tier
-};
-
-const char* tier_name(Tier tier);
+// Kept only for perfbench/layers.cpp, which compiles against it; the NNE reads no tier.
+enum class Tier { int8, bitpack };
 
 // Register-block geometry lives inside gemm_kernels.cpp: the output-tile
 // width is chosen per target ISA (4x16 with AVX, 4x8 with baseline SSE2) so

@@ -32,10 +32,9 @@ QTensor compute_pre_pool(const QLayer& layer, const QTensor& input, const QTenso
                   "qops: shortcut operand shape mismatch");
   }
 
-  std::vector<std::int8_t> w(static_cast<std::size_t>(g.in_c) * g.kernel * g.kernel);
   QTensor pre({g.out_c, g.conv_out_h, g.conv_out_w}, layer.out);
   for (int f = 0; f < g.out_c; ++f) {
-    layer.materialize_weight_row(f, w.data());
+    const std::int8_t* w = layer.weight_row(f);
     for (int oh = 0; oh < g.conv_out_h; ++oh) {
       for (int ow = 0; ow < g.conv_out_w; ++ow) {
         std::int32_t acc = layer.bias[static_cast<std::size_t>(f)];

@@ -4,7 +4,7 @@
 // Each tenant ("model name") maps to an immutable ModelVersion snapshot: a
 // shared_ptr-const QuantNetwork plus a table of per-layer exec-plan
 // SEGMENTS every replica binds lazily. publish() registers a new tenant or
-// HOT-SWAPS an existing one: quantization/annotation/packing happen before
+// HOT-SWAPS an existing one: segment builds and the fingerprint happen before
 // the registry mutex is taken, the flip itself is one pointer swap, and
 // in-flight requests keep their old ModelVersion handle (and its segment
 // table) alive through shared_ptr, so they complete on the old weights
@@ -62,9 +62,6 @@ struct ModelConfig {
   /// once (0 = unlimited). Excess submits are rejected with
   /// QuotaExceededError and counted in ServerStats::quota_rejected.
   int max_queued = 0;
-  /// Convert binarizable layers to packed mask storage at publish (~8x
-  /// smaller resident footprint, bit-identical responses).
-  bool pack_binarizable_weights = true;
 };
 
 /// Immutable snapshot of one published model version. Requests hold one via
@@ -187,18 +184,15 @@ class ModelRegistry {
   };
 
   /// Registers `name`, or hot-swaps it when already present (version + 1).
-  /// Annotates weight tiers and (per `config.pack_binarizable_weights`)
-  /// packs binarizable layers before publishing; the published network is
-  /// immutable afterwards. Returns the new version snapshot. Throws
-  /// std::invalid_argument for a network whose dropout rate the sampler
-  /// cannot realize (see core::lfsrs_for_probability) — it could never
-  /// serve a request.
+  /// The published network is immutable afterwards. Returns the new version
+  /// snapshot. Throws std::invalid_argument for a network whose dropout
+  /// rate the sampler cannot realize (see core::lfsrs_for_probability) — it
+  /// could never serve a request.
   std::shared_ptr<const ModelVersion> publish(const std::string& name,
                                               quant::QuantNetwork network,
                                               ModelConfig config = {});
 
-  /// Same, for an already-wrapped immutable network (no copy, no repack —
-  /// the caller finished preparing it; annotate/pack before wrapping).
+  /// Same, for an already-wrapped immutable network (no copy).
   std::shared_ptr<const ModelVersion> publish(
       const std::string& name, std::shared_ptr<const quant::QuantNetwork> network,
       ModelConfig config = {});

@@ -425,7 +425,7 @@ class Server {
   /// for in-flight vs. new submissions). A single-model server is a
   /// one-entry registry. `accel_config` is the shared accelerator
   /// configuration every (replica, model) bind uses: sampler seed, NNE/DDR
-  /// geometry, kernel tier; `config.pool`/`config.num_threads` override its
+  /// geometry; `config.pool`/`config.num_threads` override its
   /// executor knobs. `config.default_model` must already be published.
   /// Under OverloadPolicy::adaptive, `config.latency_target_ms` must be
   /// positive, and (unless calibrate_cost_model is off) one measured pass of

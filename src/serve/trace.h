@@ -2,8 +2,8 @@
 // the in-server TraceRecorder.
 //
 // The repo's core invariant — a Response is a pure function of (weights,
-// image, options, stream id) for ANY thread count, replica count, dispatch
-// mode, and kernel tier — is promoted here from hand-written unit fixtures
+// image, options, stream id) for ANY thread count, replica count and
+// dispatch mode — is promoted here from hand-written unit fixtures
 // to a fleet-level regression gate: every request a serve::Server handles
 // can be journaled to a trace file together with a golden FNV-1a checksum
 // of its Response, and serve::replay_trace (replay.h) re-submits the trace
@@ -112,8 +112,8 @@ struct TraceMeta {
   /// 2 = MLP-49); 0 means "caller supplies the accelerator".
   std::uint32_t workload_id = 0;
   /// AcceleratorConfig::sampler_seed of the recording server. The only
-  /// accelerator knob that changes functional output (tiling, kernel tier,
-  /// and thread counts are all bit-identical), so the replayer must match it.
+  /// accelerator knob that changes functional output (tiling and thread
+  /// counts are bit-identical), so the replayer must match it.
   std::uint64_t sampler_seed = 1;
   /// FNV-1a fingerprint of the quantized network (network_fingerprint).
   std::uint64_t network_fingerprint = 0;

@@ -199,43 +199,6 @@ TEST(Accelerator, SampleOffsetShiftsTheSamplerLaneWindow) {
   EXPECT_EQ(shifted.probs.max_abs_diff(expected), 0.0f);
 }
 
-TEST(Accelerator, KernelTiersProduceBitIdenticalPredictions) {
-  auto& fx = fixture();
-  const data::Batch batch = fx.dataset->batch(0, 3);
-
-  // Trained weights are not binarizable, so bitpack demotes everywhere —
-  // the cap must be a no-op.
-  const auto with_tier = [&fx](nn::kernels::Tier tier, const quant::QuantNetwork& net,
-                               const nn::Tensor& images) {
-    AcceleratorConfig config = fx.accel_config(true, 66);
-    config.kernel_tier = tier;
-    Accelerator accelerator(net, config);
-    return accelerator.predict(images, 2, 5);
-  };
-  const auto int8 = with_tier(nn::kernels::Tier::int8, *fx.qnet, batch.images);
-  const auto bitpack = with_tier(nn::kernels::Tier::bitpack, *fx.qnet, batch.images);
-  EXPECT_EQ(int8.probs.max_abs_diff(bitpack.probs), 0.0f);
-
-  // Force the packed path to actually engage: binarize the first conv's
-  // weights and feed a two-valued image batch (the Accelerator ctor
-  // re-annotates the network).
-  quant::QuantNetwork binarized = *fx.qnet;
-  for (auto& w : binarized.layers.front().weights)
-    w = static_cast<std::int8_t>(w >= 0 ? 3 : -3);
-  ASSERT_TRUE(quant::layer_weights_binarizable(binarized.layers.front()));
-  util::Rng rng(67);
-  nn::Tensor two_valued({3, 1, 12, 12});
-  for (std::int64_t i = 0; i < two_valued.numel(); ++i)
-    two_valued.data()[i] = rng.uniform_int(0, 1) != 0 ? 1.0f : 0.0f;
-  const quant::QTensor qimage = quant::quantize_image(two_valued, 0, binarized.input);
-  std::int8_t lo = 0, hi = 0;
-  ASSERT_TRUE(quant::two_valued_activations(qimage, &lo, &hi));
-
-  const auto b_int8 = with_tier(nn::kernels::Tier::int8, binarized, two_valued);
-  const auto b_bitpack = with_tier(nn::kernels::Tier::bitpack, binarized, two_valued);
-  EXPECT_EQ(b_int8.probs.max_abs_diff(b_bitpack.probs), 0.0f);
-}
-
 TEST(Accelerator, RejectsBadArguments) {
   auto& fx = fixture();
   Accelerator accelerator(*fx.qnet, fx.accel_config());

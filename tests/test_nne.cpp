@@ -144,7 +144,7 @@ INSTANTIATE_TEST_SUITE_P(
                       TilingCase{64, 64, 1}, TilingCase{128, 128, 16},
                       TilingCase{8, 128, 8}, TilingCase{128, 8, 1}));
 
-// Which NNE paths a set of int8-tier conv layers exercised: the two GEMM
+// Which NNE paths a set of conv layers exercised: the two GEMM
 // tiles (kernels::gemm_i8_filter_vectorized picks one per layer) and the
 // lowering cases of the padded plane.
 struct PathCoverage {
@@ -172,8 +172,8 @@ struct PathCoverage {
 // (border windows), 1x1 stride-2 pad-0 projections and shortcut adds; the
 // reduced VGG-11 (width / 8) ends in 4x4 (16-position) and 2x2
 // (4-position) maps, so both GEMM tiles run. Every layer runs through the
-// NNE at both tier caps and several tilings, fed the spec's own inputs,
-// against the plain-loop spec.
+// NNE at several tilings, fed the spec's own inputs, against the
+// plain-loop spec.
 TEST(QuantConvGather, MatchesPlainLoopBitExactlyOnStridedPaddedShapes) {
   util::Rng rng(17);
   util::Rng data_rng(18);
@@ -197,25 +197,21 @@ TEST(QuantConvGather, MatchesPlainLoopBitExactlyOnStridedPaddedShapes) {
       config.pc = tc.pc;
       config.pf = tc.pf;
       config.pv = tc.pv;
-      for (const nn::kernels::Tier tier :
-           {nn::kernels::Tier::int8, nn::kernels::Tier::bitpack}) {
-        NneScratch scratch;
-        quant::QTensor out;
-        for (int l = 0; l < qnet.num_layers(); ++l) {
-          const quant::QLayer& layer = qnet.layers[static_cast<std::size_t>(l)];
-          const nn::HwLayer& g = layer.geom;
-          const quant::QTensor& input =
-              layer.input_source < 0 ? image : ref[static_cast<std::size_t>(layer.input_source)];
-          const quant::QTensor* shortcut =
-              g.has_shortcut ? &ref[static_cast<std::size_t>(layer.shortcut_source)] : nullptr;
-          nne_run_layer_into(layer, plan.layer(l), input, shortcut, false, nullptr,
-                             qnet.dropout_keep, config, tier, scratch, out);
-          EXPECT_EQ(out.data, ref[static_cast<std::size_t>(l)].data)
-              << names[n] << " layer " << l << " (" << g.label << ") diverges at tier "
-              << nn::kernels::tier_name(tier) << " PC=" << tc.pc << " PF=" << tc.pf
-              << " PV=" << tc.pv;
-          seen.add(g);
-        }
+      NneScratch scratch;
+      quant::QTensor out;
+      for (int l = 0; l < qnet.num_layers(); ++l) {
+        const quant::QLayer& layer = qnet.layers[static_cast<std::size_t>(l)];
+        const nn::HwLayer& g = layer.geom;
+        const quant::QTensor& input =
+            layer.input_source < 0 ? image : ref[static_cast<std::size_t>(layer.input_source)];
+        const quant::QTensor* shortcut =
+            g.has_shortcut ? &ref[static_cast<std::size_t>(layer.shortcut_source)] : nullptr;
+        nne_run_layer_into(layer, plan.layer(l), input, shortcut, false, nullptr,
+                           qnet.dropout_keep, config, nn::kernels::Tier::int8, scratch, out);
+        EXPECT_EQ(out.data, ref[static_cast<std::size_t>(l)].data)
+            << names[n] << " layer " << l << " (" << g.label << ") diverges at PC=" << tc.pc
+            << " PF=" << tc.pf << " PV=" << tc.pv;
+        seen.add(g);
       }
     }
   }
@@ -227,8 +223,8 @@ TEST(QuantConvGather, MatchesPlainLoopBitExactlyOnStridedPaddedShapes) {
   EXPECT_TRUE(seen.position_tile) << "fixtures lost their wide-map (position tile) coverage";
 }
 
-// A conv layer with arbitrary int8 weights (no binarizable structure) and
-// every FU/DU constant drawn at random.
+// A conv layer with arbitrary int8 weights and every FU/DU constant drawn
+// at random.
 struct SmallConv {
   int in_c, in_h, in_w, kernel, stride, pad;
   enum class Pool { none, max2, avg2, global } pool = Pool::none;
@@ -452,7 +448,7 @@ TEST(NneValidation, RejectsBadArguments) {
   // Wrong input shape.
   quant::QTensor wrong({3, 5, 5}, qnet.input);
   EXPECT_THROW(run(first, wrong, false), std::invalid_argument);
-  // An input zero point outside int8 (the int8 tier lowers padding as it).
+  // An input zero point outside int8 (lowering stores padding as it).
   for (const std::int32_t zp : {-129, 128}) {
     quant::QLayer bad_zero_point = first;
     bad_zero_point.in.zero_point = zp;

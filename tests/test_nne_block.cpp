@@ -140,7 +140,7 @@ void expect_block_equals_singles(util::Rng& rng, const quant::QLayer& layer,
       quant::QTensor block_out;
       const NneLayerStats block_stats = nne_run_block_into(
           layer, plan, count, block_in, g.has_shortcut ? &block_sc : nullptr, active,
-          masks.data(), keep, config, nn::kernels::Tier::int8, block_scratch, block_out);
+          masks.data(), keep, config, block_scratch, block_out);
       ASSERT_EQ(block_out.channels(), g.out_c);
       ASSERT_EQ(block_out.height(), count * g.out_h);
       EXPECT_EQ(block_stats.compute_cycles, count * estimate_layer_cycles(g, config));
@@ -229,25 +229,6 @@ TEST(NneBlock, LinearBlockAfterConvAndAfterLinear) {
       expect_block_equals_singles(rng, layer, c.in_shape, label.c_str());
     }
   }
-}
-
-// A small map whose block reaches 16 positions takes the position tile
-// over row-major weights, which a packed-weight layer materializes.
-TEST(NneBlock, PackedSmallMapBlockMaterializesRowMajorWeights) {
-  util::Rng rng(733);
-  quant::QuantNetwork net;
-  net.layers.push_back(make_layer(rng, LayerSpec{6, 3, 3, 3, 1, 1}, 17));
-  quant::QLayer& layer = net.layers.front();
-  const int terms = 6 * 9;
-  for (int f = 0; f < 17; ++f)
-    for (int t = 0; t < terms; ++t)
-      layer.weights[static_cast<std::size_t>(f) * terms + t] =
-          static_cast<std::int8_t>(rng.uniform_int(-1, 1) * (f % 3 + 1));
-  ASSERT_EQ(quant::pack_binarizable_weights(net), 1);
-  ASSERT_TRUE(layer.weights_packed);
-  ASSERT_TRUE(nn::kernels::gemm_i8_filter_vectorized(9));
-  ASSERT_FALSE(nn::kernels::gemm_i8_filter_vectorized(2 * 9));
-  expect_block_equals_singles(rng, layer, {6, 3, 3}, "packed 3x3 map");
 }
 
 // The reduced VGG-11 and ResNet-18 of bench/common.h (untrained: the

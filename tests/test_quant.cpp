@@ -18,6 +18,7 @@
 #include "quant/fixed_point.h"
 #include "quant/qnetwork.h"
 #include "quant/qops.h"
+#include "quant/qplan.h"
 #include "quant/qtensor.h"
 #include "runtime/thread_pool.h"
 #include "serve/trace.h"
@@ -164,6 +165,21 @@ TEST(QTensorTest, WeightScaleSymmetric) {
   const float weights[] = {-0.5f, 0.2f, 0.4f};
   const float scale = choose_weight_scale(weights, 3);
   EXPECT_NEAR(scale, 0.5f / 127.0f, 1e-7f);
+}
+
+TEST(TwoValuedActivations, DetectsUpToTwoDistinctValues) {
+  QTensor x({2, 2, 2}, QuantParams{1.0f, 0});
+  std::int8_t lo = 0, hi = 0;
+  x.data = {5, 5, 5, 5, 5, 5, 5, 5};
+  EXPECT_TRUE(two_valued_activations(x, &lo, &hi));
+  EXPECT_EQ(lo, 5);
+  EXPECT_EQ(hi, 5);
+  x.data = {9, -4, 9, 9, -4, -4, 9, -4};
+  EXPECT_TRUE(two_valued_activations(x, &lo, &hi));
+  EXPECT_EQ(lo, -4);
+  EXPECT_EQ(hi, 9);
+  x.data[5] = 0;  // third value
+  EXPECT_FALSE(two_valued_activations(x, &lo, &hi));
 }
 
 // Shared fixture: a small trained-ish model and its quantization.
@@ -428,7 +444,7 @@ auto geometry(const nn::HwLayer& g) {
   return std::tie(g.label, g.op, g.in_c, g.in_h, g.in_w, g.conv_out_h, g.conv_out_w, g.out_c,
                   g.out_h, g.out_w, g.kernel, g.stride, g.pad, g.has_bias, g.has_bn, g.has_relu,
                   g.pool_kernel, g.pool_stride, g.pool_is_global, g.pool_is_max, g.has_shortcut,
-                  g.is_bayes_site, g.site_index, g.weights_binarizable);
+                  g.is_bayes_site, g.site_index);
 }
 
 // Every field of two quantized networks, floats by bit pattern.
@@ -453,11 +469,6 @@ void expect_identical(const QuantNetwork& a, const QuantNetwork& b) {
     ASSERT_EQ(x.weight_scales.size(), y.weight_scales.size());
     for (std::size_t f = 0; f < x.weight_scales.size(); ++f)
       EXPECT_EQ(bits(x.weight_scales[f]), bits(y.weight_scales[f])) << "filter " << f;
-    EXPECT_EQ(x.weights_packed, y.weights_packed);
-    EXPECT_EQ(x.packed_words, y.packed_words);
-    EXPECT_EQ(x.packed_magnitude, y.packed_magnitude);
-    EXPECT_EQ(x.packed_plus, y.packed_plus);
-    EXPECT_EQ(x.packed_minus, y.packed_minus);
     EXPECT_EQ(x.bias, y.bias);
     expect_same_multipliers(x.requant, y.requant);
     EXPECT_EQ(x.post_add, y.post_add);

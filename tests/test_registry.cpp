@@ -27,6 +27,7 @@
 #include "core/accelerator.h"
 #include "data/synth.h"
 #include "nn/models.h"
+#include "quant/qplan.h"
 #include "serve/cost_model.h"
 #include "serve/server.h"
 #include "train/trainer.h"
@@ -106,13 +107,55 @@ std::vector<serve::Response> single_model_baseline(
   return responses;
 }
 
-// Packed weight footprints of the fixture nets, via a throwaway registry.
+// Published weight footprints of the fixture nets, via a throwaway registry.
 std::uint64_t published_bytes(const quant::QuantNetwork& net) {
   serve::ModelRegistry probe;
   return probe.publish("probe", net)->weight_bytes;
 }
 
 // --- registry unit behaviour -------------------------------------------------
+
+// One set of weights gets one modelled cost and one residency, whichever
+// entry point takes it. cnn12's layer 1 gets weights from {-3, 0, 3}, rows
+// a ternary datapath could take; at PV1 the pass is compute-bound, so a
+// cycle charge that depended on the entry point would show in estimate()
+// (at PV4 the memory bound hides it).
+TEST(ModelRegistry, TernaryWeightsCostAndResideTheSameAtEveryEntryPoint) {
+  quant::QuantNetwork net = bench::shared_cnn12_fixture().qnet;
+  for (std::int8_t& w : net.layers[1].weights)
+    w = static_cast<std::int8_t>(w > 0 ? 3 : w < 0 ? -3 : 0);
+  core::AcceleratorConfig config = bench::serve_accel_config();
+  config.nne.pv = 1;
+  const auto expect_same_estimates = [&net](const core::Accelerator& a,
+                                            const core::Accelerator& b, const char* label) {
+    for (const int samples : {1, 8}) {
+      const core::RunStats x = a.estimate(net.num_sites, samples);
+      const core::RunStats y = b.estimate(net.num_sites, samples);
+      EXPECT_EQ(x.total_cycles, y.total_cycles) << label << ", S = " << samples;
+      EXPECT_EQ(x.latency_ms, y.latency_ms) << label << ", S = " << samples;
+      EXPECT_EQ(x.ddr_bytes, y.ddr_bytes) << label << ", S = " << samples;
+      EXPECT_EQ(x.macs, y.macs) << label << ", S = " << samples;
+    }
+  };
+
+  const core::Accelerator by_value(net, config);
+  const core::Accelerator shared(std::make_shared<const quant::QuantNetwork>(net), config);
+  expect_same_estimates(by_value, shared, "Accelerator by value vs shared_ptr");
+
+  serve::ModelRegistry registry;
+  const auto value_version = registry.publish("by_value", net);
+  const auto shared_version =
+      registry.publish("shared", std::make_shared<const quant::QuantNetwork>(net));
+  EXPECT_EQ(value_version->weight_bytes, shared_version->weight_bytes);
+  EXPECT_EQ(value_version->weight_bytes, quant::build_network_exec_plan(net).weight_bytes());
+  EXPECT_EQ(value_version->fingerprint, shared_version->fingerprint);
+  const serve::ModelRegistry::Bound value_bound = registry.resolve("by_value");
+  const serve::ModelRegistry::Bound shared_bound = registry.resolve("shared");
+  const core::Accelerator from_value(value_bound.version->network, value_bound.plan, config);
+  const core::Accelerator from_shared(shared_bound.version->network, shared_bound.plan, config);
+  expect_same_estimates(from_value, from_shared, "publish by value vs shared_ptr");
+  expect_same_estimates(from_value, by_value, "registry vs direct Accelerator");
+}
 
 TEST(ModelRegistry, PublishResolveVersioningAndSwapStats) {
   auto& fx = fixture();
